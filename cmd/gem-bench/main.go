@@ -8,13 +8,10 @@
 //	gem-bench -run E10 -snapshot BENCH_PR4.json  # overload run + counters
 //	gem-bench -quick      # reduced settings (seconds, for smoke tests)
 //	gem-bench -parallel 4 # fan experiments across 4 workers
-//	gem-bench -islands 4  # partition each E9..E13 testbed over 4 event loops
 //
 // Each experiment owns a private discrete-event engine, so experiments are
 // independent and deterministic regardless of -parallel; output is printed
-// in experiment order either way. -islands additionally parallelizes WITHIN
-// one experiment (island-partitioned conservative simulation); seeded output
-// is byte-identical for every -islands value.
+// in experiment order either way.
 package main
 
 import (
@@ -24,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +29,44 @@ import (
 	"gem/internal/harness"
 	"gem/internal/sim"
 )
+
+type experiment struct {
+	id  string
+	run func() *harness.Table
+}
+
+// selectExperiments returns the experiments runList names ("all", or
+// comma-separated ids, case-insensitive), in table order. An id the table
+// does not have is an error: a typo must not silently skip an experiment.
+func selectExperiments(runList string, table []experiment) ([]experiment, error) {
+	if runList == "all" {
+		return table, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(runList, ",") {
+		want[strings.TrimSpace(strings.ToUpper(id))] = true
+	}
+	var selected []experiment
+	for _, e := range table {
+		if want[e.id] {
+			selected = append(selected, e)
+			delete(want, e.id)
+		}
+	}
+	if len(want) == 0 {
+		return selected, nil
+	}
+	var unknown, valid []string
+	for id := range want {
+		unknown = append(unknown, fmt.Sprintf("%q", id))
+	}
+	sort.Strings(unknown)
+	for _, e := range table {
+		valid = append(valid, e.id)
+	}
+	return nil, fmt.Errorf("unknown experiment id %s in -run=%q; valid ids: %s, or all",
+		strings.Join(unknown, ", "), runList, strings.Join(valid, ", "))
+}
 
 func main() {
 	runList := flag.String("run", "all",
@@ -40,8 +76,6 @@ func main() {
 		"write the E10/E13 runs' aggregated robustness counters as JSON to this file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of experiments to run concurrently")
-	islands := flag.Int("islands", 1,
-		"partition each E9..E13 testbed over this many parallel event loops (byte-identical output)")
 	flag.Parse()
 
 	var (
@@ -50,21 +84,6 @@ func main() {
 		e13Res *harness.E13Result
 	)
 
-	want := map[string]bool{}
-	if *runList == "all" {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8A", "E8B", "E8C", "E8D", "E8E", "E8F", "E9", "E10", "E11", "E12", "E13"} {
-			want[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
-	}
-
-	type experiment struct {
-		id  string
-		run func() *harness.Table
-	}
 	experiments := []experiment{
 		{"E1", func() *harness.Table {
 			cfg := harness.DefaultE1Config()
@@ -176,36 +195,26 @@ func main() {
 		// E9 and E10 are already short runs (microsecond-scale scenarios);
 		// -quick changes nothing.
 		{"E9", func() *harness.Table {
-			cfg := harness.DefaultE9Config()
-			cfg.Islands = *islands
-			t, _ := harness.RunE9(cfg)
+			t, _ := harness.RunE9(harness.DefaultE9Config())
 			return t
 		}},
 		{"E10", func() *harness.Table {
-			cfg := harness.DefaultE10Config()
-			cfg.Islands = *islands
-			t, res := harness.RunE10(cfg)
+			t, res := harness.RunE10(harness.DefaultE10Config())
 			resMu.Lock()
 			e10Res = &res
 			resMu.Unlock()
 			return t
 		}},
 		{"E11", func() *harness.Table {
-			cfg := harness.DefaultE11Config()
-			cfg.Islands = *islands
-			t, _ := harness.RunE11(cfg)
+			t, _ := harness.RunE11(harness.DefaultE11Config())
 			return t
 		}},
 		{"E12", func() *harness.Table {
-			cfg := harness.DefaultE12Config()
-			cfg.Islands = *islands
-			t, _ := harness.RunE12(cfg)
+			t, _ := harness.RunE12(harness.DefaultE12Config())
 			return t
 		}},
 		{"E13", func() *harness.Table {
-			cfg := harness.DefaultE13Config()
-			cfg.Islands = *islands
-			t, res := harness.RunE13(cfg)
+			t, res := harness.RunE13(harness.DefaultE13Config())
 			resMu.Lock()
 			e13Res = &res
 			resMu.Unlock()
@@ -213,14 +222,9 @@ func main() {
 		}},
 	}
 
-	var selected []experiment
-	for _, e := range experiments {
-		if want[e.id] {
-			selected = append(selected, e)
-		}
-	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched -run=%q\n", *runList)
+	selected, err := selectExperiments(*runList, experiments)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

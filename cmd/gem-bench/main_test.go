@@ -1,0 +1,46 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestSelectExperiments(t *testing.T) {
+	table := []experiment{{id: "E1"}, {id: "E8A"}, {id: "E11"}}
+	ids := func(es []experiment) string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.id)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct {
+		runList string
+		want    string // selected ids in table order; "" means an error
+		errHas  []string
+	}{
+		{runList: "all", want: "E1,E8A,E11"},
+		{runList: "e11, E1", want: "E1,E11"},
+		{runList: "E8a,E8a", want: "E8A"},
+		// A typo next to a valid id used to be dropped silently.
+		{runList: "E11,E31", errHas: []string{`"E31"`, "E1, E8A, E11"}},
+		{runList: "", errHas: []string{`""`}},
+	} {
+		got, err := selectExperiments(tc.runList, table)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("-run=%q: selected %s, want an error", tc.runList, ids(got))
+				continue
+			}
+			for _, s := range tc.errHas {
+				if !strings.Contains(err.Error(), s) {
+					t.Errorf("-run=%q: error %q does not mention %s", tc.runList, err, s)
+				}
+			}
+			continue
+		}
+		if err != nil || ids(got) != tc.want {
+			t.Errorf("-run=%q: selected %s (err %v), want %s", tc.runList, ids(got), err, tc.want)
+		}
+	}
+}

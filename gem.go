@@ -270,11 +270,6 @@ type Options struct {
 	Switch switchsim.Config
 	// NIC configures the memory-server RNICs (zero = CX-3 Pro-like).
 	NIC rnic.Config
-	// Islands partitions the testbed over this many parallel event loops:
-	// switch and hosts on island 0, memory server i on island 1+(i mod
-	// (Islands-1)). Seeded output is byte-identical for every value;
-	// 0 or 1 (the default) runs the classic single-loop engine.
-	Islands int
 }
 
 // Testbed is a wired single-ToR topology: the paper's testbed generalized
@@ -323,7 +318,7 @@ func New(opts Options) (*Testbed, error) {
 	if opts.Propagation > 0 {
 		link.Propagation = opts.Propagation
 	}
-	n := netsim.NewParallel(opts.Seed, opts.Islands)
+	n := netsim.New(opts.Seed)
 	sw := switchsim.New("tor", n.Engine, opts.Switch)
 	tb := &Testbed{Net: n, Engine: n.Engine, Switch: sw}
 	var swPorts []*netsim.Port
@@ -340,10 +335,7 @@ func New(opts Options) (*Testbed, error) {
 		mh := netsim.NewHost(fmt.Sprintf("mem%d", i), uint32(200+i))
 		nic := rnic.New(fmt.Sprintf("rnic%d", i), mh, opts.NIC)
 		sp, np := n.Connect(sw, nic, memLink)
-		if opts.Islands > 1 {
-			n.SetIsland(nic, 1+i%(opts.Islands-1))
-		}
-		nic.Bind(n.EngineOf(nic), np)
+		nic.Bind(n.Engine, np)
 		swPorts = append(swPorts, sp)
 		tb.MemHosts = append(tb.MemHosts, mh)
 		tb.MemNICs = append(tb.MemNICs, nic)
@@ -420,40 +412,17 @@ func (tb *Testbed) SetPipeline(fn func(ctx *Context)) {
 }
 
 // Run drives the simulation until no events remain.
-func (tb *Testbed) Run() {
-	if par := tb.Net.Par(); par != nil {
-		tb.Net.Seal()
-		par.Run()
-		return
-	}
-	tb.Engine.Run()
-}
+func (tb *Testbed) Run() { tb.Engine.Run() }
 
 // RunFor drives the simulation for d of virtual time.
-func (tb *Testbed) RunFor(d Duration) {
-	if par := tb.Net.Par(); par != nil {
-		tb.Net.Seal()
-		par.RunFor(d)
-		return
-	}
-	tb.Engine.RunFor(d)
-}
+func (tb *Testbed) RunFor(d Duration) { tb.Engine.RunFor(d) }
 
-// Now returns the current virtual time (island 0's clock).
+// Now returns the current virtual time.
 func (tb *Testbed) Now() Time { return tb.Engine.Now() }
 
-// PendingEvents reports events waiting across every island (the quiesce
-// check the experiments assert on).
-func (tb *Testbed) PendingEvents() int {
-	if par := tb.Net.Par(); par != nil {
-		return par.Pending()
-	}
-	return tb.Engine.Pending()
-}
-
-// EngineOf returns the engine of the island owning device d — the engine
-// fault schedules and other device-local timers must be installed on.
-func (tb *Testbed) EngineOf(d netsim.Device) *sim.Engine { return tb.Net.EngineOf(d) }
+// PendingEvents reports events still waiting to run (the quiesce check the
+// experiments assert on).
+func (tb *Testbed) PendingEvents() int { return tb.Engine.Pending() }
 
 // SendFrame injects a raw frame from host i toward the switch.
 func (tb *Testbed) SendFrame(i int, frame []byte) bool {
@@ -505,17 +474,6 @@ func (tb *Testbed) NewScrubber(primary, replica *Channel, offset, length int, cf
 	if offset < 0 || length <= 0 || offset+length > len(pr.Data) || offset+length > len(rr.Data) {
 		return nil, fmt.Errorf("gem: scrub window [%d,%d) outside regions (%d/%d bytes)",
 			offset, offset+length, len(pr.Data), len(rr.Data))
-	}
-	// The scrubber aliases both servers' DRAM from its own tick events, so
-	// all three parties must share an event loop: pull both NICs onto the
-	// control island (legal until the first run seals the topology).
-	if tb.Net.Par() != nil {
-		for _, ch := range []*Channel{primary, replica} {
-			if nic := tb.chanNIC[ch.ID]; nic != nil && tb.Net.IslandOf(nic) != 0 {
-				tb.Net.SetIsland(nic, 0)
-				nic.Bind(tb.Net.EngineOf(nic), nic.Port())
-			}
-		}
 	}
 	sc := core.NewScrubber(tb.Engine, pr.Data[offset:offset+length], rr.Data[offset:offset+length], cfg)
 	tb.scrubbers = append(tb.scrubbers, sc)

@@ -16,12 +16,6 @@
 //   - ranging over a map is flagged unless the statement carries a
 //     //gem:deterministic annotation asserting that the loop's effect is
 //     order-independent. Sort the keys instead.
-//   - calling (*sim.Engine).Rand outside gem/internal/sim is forbidden: draws
-//     from the engine-shared stream interleave in global event order, which
-//     ties results to the island partitioning of the parallel engine. Derive
-//     a private substream with (*sim.Engine).Stream("consumer:name") instead;
-//     substream seeds depend only on the run seed and name, so a consumer's
-//     draws are identical under every -islands value.
 package nodeterminism
 
 import (
@@ -52,27 +46,6 @@ var allowedRand = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// simPackage is the engine package, the one place allowed to touch the
-// engine-shared random stream (it defines it).
-const simPackage = "gem/internal/sim"
-
-// isEngineRand reports whether fn is the Rand method of sim.Engine.
-func isEngineRand(fn *types.Func) bool {
-	if fn.Name() != "Rand" || fn.Pkg() == nil || fn.Pkg().Path() != simPackage {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Engine"
-}
-
 func run(pass *analysis.Pass) error {
 	detOK := analysis.LineAnnotations(pass.Fset, pass.Files, "deterministic")
 	for _, f := range pass.Files {
@@ -83,14 +56,9 @@ func run(pass *analysis.Pass) error {
 				if fn == nil || fn.Pkg() == nil {
 					return true
 				}
-				// Methods on *rand.Rand and time.Duration/time.Time values
-				// are deterministic; the only banned method is the shared
-				// engine stream accessor.
+				// Only package-level functions: methods on *rand.Rand and
+				// time.Duration/time.Time values are deterministic.
 				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					if isEngineRand(fn) && pass.Pkg.Path() != simPackage {
-						pass.Reportf(node.Pos(),
-							"(*sim.Engine).Rand draws interleave in global event order and depend on the island layout; derive a private substream with (*sim.Engine).Stream")
-					}
 					return true
 				}
 				switch fn.Pkg().Path() {

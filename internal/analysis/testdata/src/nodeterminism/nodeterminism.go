@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"gem/internal/sim"
 )
 
 func wallClock() time.Duration {
@@ -59,18 +57,4 @@ func sliceRange(s []int) int {
 		sum += v
 	}
 	return sum
-}
-
-// --- engine-shared RNG: banned outside gem/internal/sim ---
-
-func sharedEngineStream(e *sim.Engine) int {
-	return e.Rand().Intn(6) // want "Engine..Rand draws interleave"
-}
-
-func retainedSharedStream(e *sim.Engine) *rand.Rand {
-	return e.Rand() // want "Engine..Rand draws interleave"
-}
-
-func privateSubstream(e *sim.Engine) int {
-	return e.Stream("fixture:consumer").Intn(6) // Stream substreams are layout-independent
 }

@@ -20,7 +20,7 @@ import (
 // Each tick checks two chunks: the cursor chunk (a full deterministic sweep
 // every Length/Chunk ticks) and one chunk drawn from the scrubber's private
 // "scrub" random substream, so hot divergence is found faster than the sweep
-// period while staying seed-reproducible for any island layout.
+// period while staying seed-reproducible.
 
 // ScrubConfig parameterizes one scrubber.
 type ScrubConfig struct {

@@ -30,10 +30,6 @@ import (
 type E10Config struct {
 	// Seed drives every random model in all scenarios.
 	Seed int64
-	// Islands partitions the testbed over parallel event loops (see
-	// gem.Options.Islands); 0/1 = single loop. Output is byte-identical
-	// for every value.
-	Islands int
 
 	// Incast: per-sender frame count is SendWindow / interval where the
 	// base interval corresponds to 10 Gbps per sender (4 senders, 40G line).
@@ -124,7 +120,7 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 		senders     = 4
 	)
 	pt := E10IncastPoint{Intensity: intensity}
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: senders + 1, MemoryServers: 2})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: senders + 1, MemoryServers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -299,7 +295,7 @@ func e10storm(cfg E10Config, interval sim.Duration, bounded bool, res *E10Result
 		counters = 64
 	)
 	pt := E10StormPoint{IntervalNs: int64(interval)}
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 2, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 2, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -28,10 +28,6 @@ import (
 type E11Config struct {
 	// Seed drives the whole testbed (runs with equal seeds replay exactly).
 	Seed int64
-	// Islands partitions the testbed over parallel event loops (see
-	// gem.Options.Islands); 0/1 = single loop. Output is byte-identical
-	// for every value.
-	Islands int
 
 	// Servers are the fan-out widths to sweep (paper-style 1/2/4).
 	Servers []int
@@ -97,7 +93,7 @@ type E11Result struct {
 // and reports the FAA issue rate inside the window plus conservation after
 // the drain.
 func e11FAARun(cfg E11Config, servers int) (rateMops float64, exact bool, pending int) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, MemoryServers: servers})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, MemoryServers: servers})
 	if err != nil {
 		panic(err)
 	}
@@ -148,7 +144,7 @@ func e11FAARun(cfg E11Config, servers int) (rateMops float64, exact bool, pendin
 // payload rate as the bottleneck and reports the forward goodput.
 func e11ReadRun(cfg E11Config, servers int) (gbps float64, pending int) {
 	tb, err := gem.New(gem.Options{
-		Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 2, MemoryServers: servers,
+		Seed: cfg.Seed, Hosts: 2, MemoryServers: servers,
 		NIC: rnic.Config{MTU: 4096, ReadPayloadBps: cfg.ReadGbpsPerNIC * 1e9},
 	})
 	if err != nil {
@@ -208,7 +204,7 @@ func e11ReadRun(cfg E11Config, servers int) (gbps float64, pending int) {
 // e11DoorbellRun replays the same paced update stream with or without
 // doorbell batching and reports frames on the wire plus exactness.
 func e11DoorbellRun(cfg E11Config, doorbell bool) (frames int64, exact bool, pending int) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -37,10 +37,6 @@ import (
 type E12Config struct {
 	// Seed drives every random model in both scenarios.
 	Seed int64
-	// Islands partitions the testbed over parallel event loops (see
-	// gem.Options.Islands); 0/1 = single loop. Output is byte-identical
-	// for every value.
-	Islands int
 
 	// E12a: self-healing failover.
 	AUpdates   int
@@ -129,7 +125,7 @@ type E12Result struct {
 // (the RetryExhausted escalation, Canceled in-flight FAAs at rebind) as a
 // hard fault, and backoff climbing past two rounds is the Suspect signal.
 func e12a(cfg E12Config, res *E12Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 1, MemoryServers: 2})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -190,7 +186,7 @@ func e12a(cfg E12Config, res *E12Result) {
 	// memory-intact restart (E13 models the wiped-DRAM case).
 	sched := faults.CrashRestart(tb.MemNICs[0], cfg.ACrashAt, cfg.ARestartAt)
 	sched.Loss = faults.CrashPreserve
-	sched.Install(tb.EngineOf(tb.MemNICs[0]))
+	sched.Install(tb.Engine)
 
 	issued := 0
 	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
@@ -245,7 +241,7 @@ func e12storm(cfg E12Config, mode gem.ConsistencyMode, res *E12Result) E12ModePo
 		counters = 64
 	)
 	pt := E12ModePoint{Mode: mode.String()}
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 2, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 2, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -38,10 +38,6 @@ import (
 type E13Config struct {
 	// Seed drives every random model in all four arms.
 	Seed int64
-	// Islands partitions the testbed over parallel event loops (see
-	// gem.Options.Islands); 0/1 = single loop. Output is byte-identical
-	// for every value.
-	Islands int
 	// Updates is the FAA storm length (one update per microsecond).
 	Updates int
 	// CrashAt/RestartAt bound the primary outage (crash arms). The restart
@@ -149,7 +145,7 @@ type e13bed struct {
 }
 
 func e13mkbed(cfg E13Config) *e13bed {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 1, MemoryServers: 2})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -273,7 +269,7 @@ func e13crash(cfg E13Config, mode gem.ReplicationMode, res *E13Result) E13Arm {
 	// The restart wipes DRAM (CrashWipe is the default): whatever only the
 	// primary held is gone for real.
 	sched := faults.CrashRestart(b.tb.MemNICs[b.pMem], cfg.CrashAt, cfg.RestartAt)
-	sched.Install(b.tb.EngineOf(b.tb.MemNICs[b.pMem]))
+	sched.Install(b.tb.Engine)
 
 	until := cfg.RestartAt + sim.Time(1500*sim.Microsecond)
 	var arm E13Arm
@@ -332,7 +328,7 @@ func e13scrub(cfg E13Config, res *E13Result) {
 
 	sched := faults.CrashRestart(b.tb.MemNICs[b.rMem], cfg.BlipStart, cfg.BlipEnd)
 	sched.Loss = faults.CrashPreserve
-	sched.Install(b.tb.EngineOf(b.tb.MemNICs[b.rMem]))
+	sched.Install(b.tb.Engine)
 
 	b.tb.RunFor(sim.Duration(cfg.Updates)*sim.Microsecond + 300*sim.Microsecond)
 	sc.Stop()

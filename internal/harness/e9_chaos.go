@@ -29,10 +29,6 @@ import (
 type E9Config struct {
 	// Seed drives every random model in all four scenarios.
 	Seed int64
-	// Islands partitions the testbed over parallel event loops (see
-	// gem.Options.Islands); 0/1 = single loop. Output is byte-identical
-	// for every value.
-	Islands int
 
 	// E9a: chaos state store.
 	AUpdates   int
@@ -130,7 +126,7 @@ func e9Dispatch(tb *gem.Testbed) {
 // restarts (DRAM and atomic replay cache intact) rather than being replaced,
 // the retransmit window gives exactly-once counting.
 func e9a(cfg E9Config, res *E9Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 1, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -177,7 +173,7 @@ func e9a(cfg E9Config, res *E9Result) {
 	// the wiped-DRAM story.
 	schedA := faults.CrashRestart(tb.MemNICs[0], cfg.ACrashAt, cfg.ARestartAt)
 	schedA.Loss = faults.CrashPreserve
-	schedA.Install(tb.EngineOf(tb.MemNICs[0]))
+	schedA.Install(tb.Engine)
 
 	issued := 0
 	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
@@ -211,7 +207,7 @@ func e9a(cfg E9Config, res *E9Result) {
 // data QPs. The retransmitter's retry budget escalates to ForceFailover; the
 // recovered primary is failed back to after answering probes.
 func e9b(cfg E9Config, res *E9Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 1, MemoryServers: 2})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -266,7 +262,7 @@ func e9b(cfg E9Config, res *E9Result) {
 	// counters: preserve DRAM across the restart.
 	schedB := faults.CrashRestart(tb.MemNICs[0], cfg.BCrashAt, cfg.BRestartAt)
 	schedB.Loss = faults.CrashPreserve
-	schedB.Install(tb.EngineOf(tb.MemNICs[0]))
+	schedB.Install(tb.Engine)
 
 	issued := 0
 	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
@@ -305,7 +301,7 @@ func e9b(cfg E9Config, res *E9Result) {
 // primitive into its degraded mode just before the outage and restores it
 // just after; the state store's counter stays exactly correct.
 func e9c(cfg E9Config, res *E9Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 2, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 2, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -420,7 +416,7 @@ func e9c(cfg E9Config, res *E9Result) {
 // the request path), once with the fixed 100 µs timeout and once with the
 // adaptive RTO. Both stay exact; the adaptive run retransmits less.
 func e9d(cfg E9Config, adaptive bool) (retransmits int64, exact bool) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Islands: cfg.Islands, Hosts: 1, MemoryServers: 1})
+	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 1})
 	if err != nil {
 		panic(err)
 	}

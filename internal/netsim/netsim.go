@@ -56,8 +56,7 @@ const DefaultTxQueue = 4096
 //
 // rng is the port's private seeded substream (derived from the run seed and
 // the port name), so an injector that draws from it keeps the run
-// byte-identically reproducible for any island layout. See internal/faults
-// for the standard models.
+// byte-identically reproducible. See internal/faults for the standard models.
 type FaultInjector interface {
 	Transmit(now sim.Time, rng *rand.Rand, frame []byte) (drop bool, extraDelay sim.Duration)
 }
@@ -80,9 +79,7 @@ type Port struct {
 	txQueue fifo.Queue[[]byte]
 	faults  FaultInjector
 
-	// eng caches the owning island's engine; rng is the port's private
-	// random substream, created on first draw.
-	eng *sim.Engine
+	// rng is the port's private random substream, created on first draw.
 	rng *rand.Rand
 
 	// TxMeter and RxMeter count wire bytes including framing overhead.
@@ -128,20 +125,12 @@ func (p *Port) String() string {
 	return fmt.Sprintf("%s[%d]", p.dev.Name(), p.index)
 }
 
-// engine returns the engine of the island that owns this port's device.
-func (p *Port) engine() *sim.Engine {
-	if p.eng == nil {
-		p.eng = p.net.EngineOf(p.dev)
-	}
-	return p.eng
-}
-
 // rand returns the port's private random substream. All loss and fault draws
 // on the transmit direction come from here, keyed by the port name, so the
 // draw sequence depends only on this port's own traffic order.
 func (p *Port) rand() *rand.Rand {
 	if p.rng == nil {
-		p.rng = p.engine().Stream("fab:" + p.String())
+		p.rng = p.net.Engine.Stream("fab:" + p.String())
 	}
 	return p.rng
 }
@@ -186,7 +175,7 @@ func (p *Port) transmit(frame []byte) {
 	txTime := p.SerializationDelay(len(frame))
 	p.TxMeter.Record(len(frame) + wire.EthernetFramingOverhead)
 	peer := p.peer
-	eng := p.engine()
+	eng := p.net.Engine
 	// Frame fully on the wire after txTime; arrives after propagation.
 	eng.Schedule(txTime, func() {
 		drop := false
@@ -204,19 +193,10 @@ func (p *Port) transmit(frame []byte) {
 		if drop {
 			wire.DefaultPool.Put(frame)
 		} else {
-			deliver := func() {
+			eng.Schedule(p.cfg.Propagation+extra, func() {
 				peer.RxMeter.Record(len(frame) + wire.EthernetFramingOverhead)
 				peer.dev.Receive(peer, frame)
-			}
-			at := eng.Now().Add(p.cfg.Propagation + extra)
-			// Same-island links schedule directly (zero overhead); links
-			// that cross islands post through the receiver's mailbox, with
-			// the propagation delay as the lookahead bound.
-			if dst := peer.engine(); dst == eng {
-				eng.ScheduleAt(at, deliver)
-			} else {
-				dst.PostFrom(eng, at, deliver)
-			}
+			})
 		}
 		if p.txQueue.Len() > 0 {
 			p.transmit(p.txQueue.Pop())
@@ -226,114 +206,15 @@ func (p *Port) transmit(frame []byte) {
 	})
 }
 
-// Net owns the engine(s) and the wiring of a testbed. With a single island
-// the Engine field is a standalone engine exactly as before; with several,
-// Engine is island 0 (the control island) and Par coordinates the rest.
+// Net owns the engine and the wiring of a testbed.
 type Net struct {
 	Engine *sim.Engine
 	ports  map[Device][]*Port
-
-	par     *sim.ParallelEngine
-	islands map[Device]int
-	sealed  bool
 }
 
 // New returns an empty network on a fresh engine seeded with seed.
 func New(seed int64) *Net {
 	return &Net{Engine: sim.NewEngine(seed), ports: make(map[Device][]*Port)}
-}
-
-// NewParallel returns an empty network whose devices are partitioned over
-// islands event loops. islands <= 1 is exactly New(seed): the same standalone
-// engine, no synchronization anywhere on the frame path.
-func NewParallel(seed int64, islands int) *Net {
-	if islands <= 1 {
-		return New(seed)
-	}
-	par := sim.NewParallelEngine(seed, islands)
-	return &Net{
-		Engine:  par.Island(0),
-		ports:   make(map[Device][]*Port),
-		par:     par,
-		islands: make(map[Device]int),
-	}
-}
-
-// Par returns the parallel coordinator, or nil for a single-island network.
-func (n *Net) Par() *sim.ParallelEngine { return n.par }
-
-// SetIsland assigns device d to an island. Devices default to island 0.
-// Assignments are only legal before the network is sealed (first run).
-func (n *Net) SetIsland(d Device, island int) {
-	if n.par == nil {
-		if island != 0 {
-			panic("netsim: island assignment on a single-island network")
-		}
-		return
-	}
-	if n.sealed {
-		panic("netsim: SetIsland after the network was sealed")
-	}
-	if island < 0 || island >= n.par.N() {
-		panic(fmt.Sprintf("netsim: island %d out of range [0,%d)", island, n.par.N()))
-	}
-	n.islands[d] = island
-	// Invalidate engine/stream caches on the device's ports.
-	for _, p := range n.ports[d] {
-		p.eng, p.rng = nil, nil
-	}
-}
-
-// IslandOf returns the island a device is assigned to (default 0).
-func (n *Net) IslandOf(d Device) int {
-	if n.islands == nil {
-		return 0
-	}
-	return n.islands[d]
-}
-
-// EngineOf returns the engine of the island that owns device d.
-func (n *Net) EngineOf(d Device) *sim.Engine {
-	if n.par == nil {
-		return n.Engine
-	}
-	return n.par.Island(n.islands[d])
-}
-
-// Seal freezes island assignments and registers each island's conservative
-// lookahead — the minimum propagation delay over cross-island links into it.
-// Cross-island links must have positive propagation (the physical latency
-// window is exactly what makes conservative parallelism safe). Idempotent;
-// called automatically by the facade before the first run.
-func (n *Net) Seal() {
-	if n.par == nil || n.sealed {
-		return
-	}
-	n.sealed = true
-	look := make([]sim.Duration, n.par.N())
-	for i := range look {
-		look[i] = sim.InfLookahead
-	}
-	//gem:deterministic — folds a commutative min over all links; order-free
-	for _, ports := range n.ports {
-		for _, p := range ports {
-			si, di := n.IslandOf(p.dev), n.IslandOf(p.peer.dev)
-			if si == di {
-				continue
-			}
-			if p.cfg.Propagation <= 0 {
-				panic(fmt.Sprintf("netsim: cross-island link %s<->%s needs positive propagation delay", p, p.peer))
-			}
-			if p.cfg.Propagation < look[di] {
-				look[di] = p.cfg.Propagation
-			}
-		}
-	}
-	for i, l := range look {
-		if l != sim.InfLookahead {
-			n.par.SetLookaheadInto(i, l)
-		}
-	}
 }
 
 // Connect wires a and b with a full-duplex link and returns the two new

@@ -45,6 +45,24 @@ func TestRunUntilExactDeadlineEvent(t *testing.T) {
 	}
 }
 
+// TestRunUntilStoppedKeepsClock: a Stop inside RunUntil leaves the clock at
+// the stopping event, not at the deadline — an earlier event is still pending
+// and a later Run must be able to fire it.
+func TestRunUntilStoppedKeepsClock(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	e.ScheduleAt(10, func() { e.Stop() })
+	e.ScheduleAt(20, func() { fired = append(fired, e.Now()) })
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Fatalf("clock = %v after a stop at 10ns, want 10ns", e.Now())
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != 20 {
+		t.Fatalf("fired = %v, want the pending event at 20ns", fired)
+	}
+}
+
 // TestCancelExecutingEvent: by the time a callback runs, its event is fired;
 // Cancel from inside (or after) must be a no-op and never mark it cancelled.
 func TestCancelExecutingEvent(t *testing.T) {

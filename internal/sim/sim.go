@@ -4,23 +4,14 @@
 // schedule work on an Engine. Time is a virtual nanosecond clock; the engine
 // executes events in (time, birth-time, causal-rank, child-index) order — the
 // tie-break is a pure function of each event's causal ancestry, so two runs
-// with the same seed replay identically and the replay is independent of how
-// the simulation is partitioned into islands. A single goroutine owns an
-// Engine; none of the methods are safe for concurrent use except PostFrom,
-// which is the cross-island mailbox path (see parallel.go).
-//
-// For parallel execution the engine generalizes to islands: a ParallelEngine
-// owns N Engines that advance on separate goroutines under conservative
-// lookahead synchronization. A standalone Engine built with NewEngine is
-// exactly the single-island special case and carries no synchronization
-// overhead.
+// with the same seed replay identically. A single goroutine owns an Engine;
+// none of the methods are safe for concurrent use.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -79,18 +70,14 @@ type Event struct {
 
 	// rank and childIdx are the causal tie-break: rank is a hash of the
 	// scheduling event's own rank and child index (a pure function of the
-	// event's causal ancestry, identical for every island layout), and
-	// childIdx counts the parent's children so siblings keep FIFO order.
+	// event's causal ancestry), and childIdx counts the parent's children so
+	// siblings keep FIFO order.
 	rank     uint64
 	childIdx uint64
 
 	index int // heap index; -1 once popped or cancelled
-
-	// birthIsland is a last-resort tie-break, reachable only on a 64-bit
-	// rank collision at identical (at, birthAt).
-	birthIsland int32
-	state       uint8
-	fn          func()
+	state uint8
+	fn    func()
 }
 
 // Cancelled reports whether the event was cancelled before firing. A fired
@@ -107,9 +94,8 @@ func (e *Event) At() Time { return e.at }
 // eventHeap orders events by (at, birthAt, rank, childIdx). Events of one
 // parent keep creation order (shared rank, rising childIdx — the classic
 // FIFO tie-break); events of different parents scheduled for the same
-// instant order by their parents' causal rank, which both the sequential
-// and every parallel execution compute identically. This is the
-// deterministic merge rule that keeps island runs byte-identical.
+// instant order by their parents' causal rank, so the order never depends on
+// which unrelated events happened to be scheduled in between.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -124,10 +110,7 @@ func (h eventHeap) Less(i, j int) bool {
 	if a.rank != b.rank {
 		return a.rank < b.rank
 	}
-	if a.childIdx != b.childIdx {
-		return a.childIdx < b.childIdx
-	}
-	return a.birthIsland < b.birthIsland
+	return a.childIdx < b.childIdx
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -149,19 +132,16 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// Engine is the simulation core: a virtual clock plus an event queue. It is
-// either standalone (NewEngine) or one island of a ParallelEngine.
+// Engine is the simulation core: a virtual clock plus an event queue.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now     Time
 	queue   eventHeap
-	rng     *rand.Rand
 	stopped bool
 
 	// Causal-rank state: execRank/execKids describe the currently executing
 	// event as a parent; rootKids counts events scheduled outside any event
-	// (setup code), which happens single-threaded even under a
-	// ParallelEngine, where the counter is shared via par.
+	// (setup code).
 	executing bool
 	execRank  uint64
 	execKids  uint64
@@ -171,45 +151,22 @@ type Engine struct {
 	// schedule→fire cycle performs no allocation.
 	free []*Event
 
-	// seed is the run seed; Stream substreams derive from it (never from the
-	// island), so a consumer's draws are independent of island layout.
+	// seed is the run seed; every Stream substream derives from it.
 	seed    int64
 	streams map[string]*rand.Rand
-
-	// Island identity and parallel context; zero/nil for standalone engines.
-	island int32
-	par    *ParallelEngine
-
-	// mbox receives cross-island events; drained at window boundaries.
-	mbox struct {
-		mu  sync.Mutex
-		evs []*Event
-	}
-	drainScratch []*Event
 
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
 }
 
-// NewEngine returns a standalone engine whose clock reads zero and whose
-// random source is seeded with seed (deterministic across runs).
+// NewEngine returns an engine whose clock reads zero and whose Stream
+// substreams derive from seed (deterministic across runs).
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's seeded random source.
-//
-// Deprecated for model code: draws from this shared stream interleave in
-// global event order, which ties results to the island layout. Components
-// that consume randomness should derive a private substream with Stream;
-// gemlint's nodeterminism pass flags Rand use outside internal/sim.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Island returns the engine's island index (0 for standalone engines).
-func (e *Engine) Island() int { return int(e.island) }
 
 // splitmix64 is the SplitMix64 mixing function, used to derive independent
 // seeds from the run seed.
@@ -231,10 +188,10 @@ func fnv64(s string) uint64 {
 }
 
 // Stream returns the named random substream, created on first use. The
-// substream's seed depends only on the run seed and name — not on the island
-// the caller lives on or on any other consumer's draws — so per-consumer
-// streams make results independent of island partitioning. Names must be
-// unique per consumer across the whole run (e.g. "port:tor[3]").
+// substream's seed depends only on the run seed and name — not on creation
+// order or on any other consumer's draws — so adding a consumer never shifts
+// another's sequence. Names must be unique per consumer across the whole run
+// (e.g. "port:tor[3]").
 func (e *Engine) Stream(name string) *rand.Rand {
 	if r, ok := e.streams[name]; ok {
 		return r
@@ -247,9 +204,8 @@ func (e *Engine) Stream(name string) *rand.Rand {
 	return r
 }
 
-// alloc returns a recycled event if one is available, else a fresh one.
-// Free-listed events may have been born on any island; all fields are
-// rewritten by the scheduler.
+// alloc returns a recycled event if one is available, else a fresh one; the
+// scheduler rewrites every field.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -281,7 +237,6 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	ev := e.alloc()
 	ev.at = at
 	ev.birthAt = e.now
-	ev.birthIsland = e.island
 	ev.rank, ev.childIdx = e.nextChild()
 	ev.state = statePending
 	ev.fn = fn
@@ -294,17 +249,12 @@ const rootRank = 0x8f1b5c0f2a6d3e47
 
 // nextChild returns the causal (rank, childIdx) for a newly scheduled event:
 // the executing event's rank and its next child slot, or the root rank and
-// the run-global root counter during setup.
+// the root counter during setup.
 func (e *Engine) nextChild() (uint64, uint64) {
 	if e.executing {
 		idx := e.execKids
 		e.execKids++
 		return e.execRank, idx
-	}
-	if e.par != nil {
-		idx := e.par.rootKids
-		e.par.rootKids++
-		return rootRank, idx
 	}
 	idx := e.rootKids
 	e.rootKids++
@@ -332,15 +282,7 @@ func (e *Engine) Cancel(ev *Event) {
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Stop makes the current Run/RunUntil call return after the current event.
-// Under a ParallelEngine it requests a stop of the whole parallel run at the
-// next window boundary (the engine's own island stops after the current
-// event, exactly like the sequential case).
-func (e *Engine) Stop() {
-	e.stopped = true
-	if e.par != nil {
-		e.par.stopReq.Store(true)
-	}
-}
+func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
@@ -368,35 +310,26 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
-	e.checkStandalone("Run")
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
 }
 
 // RunUntil executes events with time <= deadline, then advances the clock to
-// deadline (even if the queue still holds later events).
+// deadline (even if the queue still holds later events). A Stop leaves the
+// clock at the stopping event: events before deadline may still be pending.
 func (e *Engine) RunUntil(deadline Time) {
-	e.checkStandalone("RunUntil")
 	e.stopped = false
 	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline {
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 }
 
 // RunFor executes events for d of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// checkStandalone panics when an island engine is driven directly: islands
-// advance only through their ParallelEngine, which owns the synchronization.
-func (e *Engine) checkStandalone(method string) {
-	if e.par != nil {
-		panic("sim: " + method + " called on an island engine; drive the ParallelEngine instead")
-	}
-}
 
 // Ticker invokes fn every period until fn returns false or the engine stops.
 // The first invocation happens after one period.

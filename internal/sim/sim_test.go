@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -186,15 +188,16 @@ func TestScheduleAtPastPanics(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine(42)
+		rng := e.Stream("test")
 		var times []Time
 		// Random-ish workload driven by the seeded RNG.
 		var spawn func()
 		spawn = func() {
 			times = append(times, e.Now())
 			if len(times) < 200 {
-				e.Schedule(Duration(e.Rand().Intn(100)+1), spawn)
-				if e.Rand().Intn(3) == 0 {
-					e.Schedule(Duration(e.Rand().Intn(50)+1), func() { times = append(times, e.Now()) })
+				e.Schedule(Duration(rng.Intn(100)+1), spawn)
+				if rng.Intn(3) == 0 {
+					e.Schedule(Duration(rng.Intn(50)+1), func() { times = append(times, e.Now()) })
 				}
 			}
 		}
@@ -210,6 +213,80 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestStreamDependsOnlyOnSeedAndName: a named substream yields the same
+// sequence whatever streams were created before it and however much they
+// were drawn from, and differs by name and by seed.
+func TestStreamDependsOnlyOnSeedAndName(t *testing.T) {
+	seq := func(e *Engine, name string) [4]int {
+		s := e.Stream(name)
+		var out [4]int
+		for i := range out {
+			out[i] = s.Intn(1 << 20)
+		}
+		return out
+	}
+	ref := seq(NewEngine(42), "consumer:x")
+
+	e := NewEngine(42)
+	for i := 0; i < 100; i++ {
+		e.Stream("consumer:y").Int63()
+	}
+	if got := seq(e, "consumer:x"); got != ref {
+		t.Fatalf("stream after another stream's draws = %v, want %v", got, ref)
+	}
+	if e.Stream("consumer:x") != e.Stream("consumer:x") {
+		t.Fatal("Stream(name) is not one stream per name")
+	}
+	if seq(NewEngine(42), "consumer:y") == ref {
+		t.Fatal("streams of different names share a sequence")
+	}
+	if seq(NewEngine(43), "consumer:x") == ref {
+		t.Fatal("streams of different seeds share a sequence")
+	}
+}
+
+// TestCausalRankOrder: events that different parents schedule at one instant
+// for one instant fire grouped by parent — the groups in the order of the
+// parents' causal ranks, siblings FIFO inside a group — and a replay fires
+// them identically.
+func TestCausalRankOrder(t *testing.T) {
+	parents := []string{"a", "b", "c"}
+	run := func() []string {
+		e := NewEngine(1)
+		var order []string
+		for _, parent := range parents {
+			parent := parent
+			e.ScheduleAt(10, func() {
+				for i := 0; i < 3; i++ {
+					name := fmt.Sprintf("%s%d", parent, i)
+					e.ScheduleAt(20, func() { order = append(order, name) })
+				}
+			})
+		}
+		e.Run()
+		return order
+	}
+
+	// The parents are root children 0..2; each passes parentRank on.
+	byRank := []int{0, 1, 2}
+	rank := func(i int) uint64 { return parentRank(&Event{rank: rootRank, childIdx: uint64(i)}) }
+	sort.Slice(byRank, func(i, j int) bool { return rank(byRank[i]) < rank(byRank[j]) })
+	var want []string
+	for _, p := range byRank {
+		for i := 0; i < 3; i++ {
+			want = append(want, fmt.Sprintf("%s%d", parents[p], i))
+		}
+	}
+
+	first, second := run(), run()
+	if fmt.Sprint(first) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want causal-rank order %v", first, want)
+	}
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Fatalf("replay diverged: %v vs %v", first, second)
 	}
 }
 
@@ -272,17 +349,18 @@ func TestPropTickerCount(t *testing.T) {
 // and the clock monotone.
 func TestHeapChurnStress(t *testing.T) {
 	e := NewEngine(99)
+	rng := e.Stream("test")
 	var live []*Event
 	executed := 0
 	for i := 0; i < 5000; i++ {
-		d := Duration(e.Rand().Intn(1000) + 1)
+		d := Duration(rng.Intn(1000) + 1)
 		live = append(live, e.Schedule(d, func() { executed++ }))
-		if len(live) > 100 && e.Rand().Intn(2) == 0 {
-			idx := e.Rand().Intn(len(live))
+		if len(live) > 100 && rng.Intn(2) == 0 {
+			idx := rng.Intn(len(live))
 			e.Cancel(live[idx])
 			live = append(live[:idx], live[idx+1:]...)
 		}
-		if e.Rand().Intn(10) == 0 {
+		if rng.Intn(10) == 0 {
 			e.Step()
 		}
 	}
