@@ -67,10 +67,11 @@ const rootPackage = "gem"
 // from a freelist, reassembly reuses one scratch buffer). That covers the
 // striping fan-out (striped.go) and the doorbell pending ring (doorbell.go)
 // too: deferred posting runs once per pipeline pass, so a defer or flush
-// that allocated would be as hot as a post.
+// that allocated would be as hot as a post. netsim is in for its two events
+// per frame per link.
 var hotallocScope = []string{
-	"gem/internal/wire", "gem/internal/switchsim", "gem/internal/rnic",
-	"gem/internal/core/verbs",
+	"gem/internal/wire", "gem/internal/netsim", "gem/internal/switchsim",
+	"gem/internal/rnic", "gem/internal/core/verbs",
 }
 
 // verbsScope are the packages that drive the verbs transport: everything

@@ -471,11 +471,11 @@ func (tb *Testbed) NewScrubber(primary, replica *Channel, offset, length int, cf
 	if pr == nil || rr == nil {
 		return nil, fmt.Errorf("gem: scrubber channel region not found")
 	}
-	if offset < 0 || length <= 0 || offset+length > len(pr.Data) || offset+length > len(rr.Data) {
+	if offset < 0 || length <= 0 || offset+length > pr.Size || offset+length > rr.Size {
 		return nil, fmt.Errorf("gem: scrub window [%d,%d) outside regions (%d/%d bytes)",
-			offset, offset+length, len(pr.Data), len(rr.Data))
+			offset, offset+length, pr.Size, rr.Size)
 	}
-	sc := core.NewScrubber(tb.Engine, pr.Data[offset:offset+length], rr.Data[offset:offset+length], cfg)
+	sc := core.NewScrubber(tb.Engine, pr.Bytes()[offset:offset+length], rr.Bytes()[offset:offset+length], cfg)
 	tb.scrubbers = append(tb.scrubbers, sc)
 	return sc, nil
 }

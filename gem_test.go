@@ -87,7 +87,7 @@ func TestRegionAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := tb.Region(ch)
-	if r == nil || len(r.Data) != 4096 {
+	if r == nil || r.Size != 4096 {
 		t.Fatal("region accessor broken")
 	}
 	bogus := *ch

@@ -13,7 +13,11 @@
 //     //gem:alloc-ok annotation (cold paths: construction, fatal errors);
 //   - fresh-slice appends — append([]T(nil), ...) or append([]T{}, ...) —
 //     allocate a new backing array per call and are forbidden without a
-//     //gem:alloc-ok annotation; preallocate or use a pooled buffer.
+//     //gem:alloc-ok annotation; preallocate or use a pooled buffer;
+//   - a func literal or bound method value passed to (*sim.Engine).Schedule
+//     or ScheduleAt allocates a closure per event; per-frame and per-packet
+//     sites use ScheduleCall with a static function and the owner as recv
+//     (//gem:alloc-ok waives cold sites: one timer per pause frame, say).
 package hotalloc
 
 import (
@@ -27,7 +31,7 @@ import (
 // Analyzer is the hotalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "forbid allocating builders, Sprintf, and fresh-slice appends in hot-path packages",
+	Doc:  "forbid allocating builders, Sprintf, fresh-slice appends, and per-event closures in hot-path packages",
 	Run:  run,
 }
 
@@ -82,6 +86,11 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, cold bool, allocOK map[
 		case fn.Pkg().Path() == "fmt" && sprintFuncs[name] && !cold:
 			pass.Reportf(call.Pos(),
 				"fmt.%s allocates in hot path; annotate //gem:alloc-ok if this is a cold path", name)
+		case fn.Pkg().Path() == simPkgPath && closureSchedulers[fn.FullName()]:
+			if shape := closureShape(pass, call.Args[len(call.Args)-1]); shape != "" {
+				pass.Reportf(call.Pos(),
+					"%s passed to sim.Engine.%s allocates a closure per event; use ScheduleCall with a static function, or annotate //gem:alloc-ok if this is a cold path", shape, name)
+			}
 		}
 		return true
 	})
@@ -107,6 +116,30 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, cold bool, allocOK map[
 			"fresh-slice append allocates a new backing array per call; preallocate, use a pooled buffer, or annotate //gem:alloc-ok")
 		return true
 	})
+}
+
+// simPkgPath is the import path of the event engine; closureSchedulers are
+// its methods that take the event body as a func().
+const simPkgPath = "gem/internal/sim"
+
+var closureSchedulers = map[string]bool{
+	"(*" + simPkgPath + ".Engine).Schedule":   true,
+	"(*" + simPkgPath + ".Engine).ScheduleAt": true,
+}
+
+// closureShape names the allocating shape of a func-typed argument: a func
+// literal, or a method value bound to its receiver. A plain func variable or
+// a top-level function is neither and yields "".
+func closureShape(pass *analysis.Pass, arg ast.Expr) string {
+	switch x := ast.Unparen(arg).(type) {
+	case *ast.FuncLit:
+		return "func literal"
+	case *ast.SelectorExpr:
+		if sel, ok := pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.MethodVal {
+			return "bound method value"
+		}
+	}
+	return ""
 }
 
 // isFreshSlice reports whether expr is []T(nil) or []T{} — the copy idiom

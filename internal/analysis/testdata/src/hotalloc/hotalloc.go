@@ -5,6 +5,7 @@ package hotalloc
 import (
 	"fmt"
 
+	"gem/internal/sim"
 	"gem/internal/wire"
 )
 
@@ -28,7 +29,34 @@ func freshAppendLit(src []int) []int {
 	return append([]int{}, src...) // want "fresh-slice append"
 }
 
+type hopper struct{ eng *sim.Engine }
+
+func (h *hopper) fire() {}
+
+func closureHop(h *hopper, frame []byte) {
+	h.eng.Schedule(10, func() { _ = frame }) // want "func literal passed to sim.Engine.Schedule allocates"
+}
+
+func boundMethodTimer(h *hopper) {
+	h.eng.ScheduleAt(10, h.fire) // want "bound method value passed to sim.Engine.ScheduleAt allocates"
+}
+
 // --- clean code the pass must stay silent on ---
+
+func hopDone(recv any, frame []byte, _ int) {}
+
+func payloadHop(h *hopper, frame []byte) {
+	h.eng.ScheduleCall(10, hopDone, h, frame, 0) // static function, owner as recv
+}
+
+func storedFunc(h *hopper, fn func()) {
+	h.eng.Schedule(10, fn) // an existing func value: nothing allocated here
+}
+
+func coldTimer(h *hopper) {
+	//gem:alloc-ok one timer per pause frame, not per packet
+	h.eng.Schedule(10, func() {})
+}
 
 func pooledBuilder(pool *wire.Pool, p *wire.RoCEParams) []byte {
 	return wire.BuildAckInto(pool, p, 0, 0)

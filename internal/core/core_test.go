@@ -115,7 +115,7 @@ func TestChannelWriteReachesRemoteMemory(t *testing.T) {
 	ch.Write(128, []byte("written-from-data-plane"))
 	b.net.Engine.Run()
 	region := b.memNIC.LookupRegion(ch.RKey)
-	if string(region.Data[128:128+23]) != "written-from-data-plane" {
+	if string(region.Bytes()[128:128+23]) != "written-from-data-plane" {
 		t.Fatal("switch-crafted WRITE did not land in server DRAM")
 	}
 	if b.memHost.CPUOps != 0 {

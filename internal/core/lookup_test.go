@@ -94,7 +94,7 @@ func TestLookupDepositBouncesPacketThroughRemoteEntry(t *testing.T) {
 	}
 	idx := wire.FlowOf(&p).Index(lt.cfg.Entries)
 	base := idx * lt.cfg.EntrySize()
-	plen := int(region.Data[base+8])<<8 | int(region.Data[base+9])
+	plen := int(region.Bytes()[base+8])<<8 | int(region.Bytes()[base+9])
 	if plen != 300 {
 		t.Fatalf("deposited length = %d, want 300", plen)
 	}
@@ -280,7 +280,7 @@ func TestLookupOversizePacketDropped(t *testing.T) {
 }
 
 func TestPopulateLookupEntryBounds(t *testing.T) {
-	region := &rnic.Region{RKey: 1, Base: 0, Data: make([]byte, 100)}
+	region := &rnic.Region{RKey: 1, Base: 0, Size: 100}
 	cfg := LookupConfig{Entries: 4, MaxPktBytes: 16}
 	if err := PopulateLookupEntry(region, cfg, 50, SetDSCPAction(1)); err == nil {
 		t.Fatal("out-of-region entry accepted")

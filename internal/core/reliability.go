@@ -247,8 +247,10 @@ func (r *Retransmitter) armTimer() {
 	if len(r.unacked) == 0 || r.exhausted {
 		return
 	}
-	r.timer = r.sw.Engine.Schedule(r.rto(), r.onTimeout)
+	r.timer = r.sw.Engine.ScheduleCall(r.rto(), retransmitterTimeout, r, nil, 0)
 }
+
+func retransmitterTimeout(recv any, _ []byte, _ int) { recv.(*Retransmitter).onTimeout() }
 
 // onTimeout is a no-progress round: back the timer off, spend retry budget,
 // then go-back-N.

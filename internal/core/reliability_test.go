@@ -153,7 +153,7 @@ func TestReliableWriteUnderLoss(t *testing.T) {
 	b.net.Engine.Run()
 	region := b.memNIC.LookupRegion(ch.RKey)
 	for i := 0; i < n; i++ {
-		got := region.Data[i*16 : i*16+4]
+		got := region.Bytes()[i*16 : i*16+4]
 		if got[0] != byte(i) || got[1] != byte(i>>8) || got[2] != 0xAB || got[3] != 0xCD {
 			t.Fatalf("write %d corrupted/missing: % x", i, got)
 		}

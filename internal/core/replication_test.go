@@ -51,8 +51,8 @@ func TestStateStoreReplicaCrashScrubReseeds(t *testing.T) {
 	}
 	b.net.Engine.Run()
 
-	pwin := b.memNICs[0].LookupRegion(primary.RKey).Data[:8*8]
-	rwin := b.memNICs[1].LookupRegion(replica.RKey).Data[:8*8]
+	pwin := b.memNICs[0].LookupRegion(primary.RKey).Bytes()[:8*8]
+	rwin := b.memNICs[1].LookupRegion(replica.RKey).Bytes()[:8*8]
 	if !bytes.Equal(pwin, rwin) {
 		t.Fatal("mirrored copies diverge before the crash")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gem/internal/core/verbs"
+	"gem/internal/fifo"
 	"gem/internal/sim"
 	"gem/internal/switchsim"
 	"gem/internal/wire"
@@ -160,8 +161,8 @@ type StateStore struct {
 	// one credit per in-flight FAA, held and released by the shard's QP.
 	credits []*Credits
 
-	pending    map[int]uint64 // counter index → accumulated delta
-	dirty      [][]int        // per-shard FIFO of indexes with pending deltas
+	pending    map[int]uint64    // counter index → accumulated delta
+	dirty      []fifo.Queue[int] // per-shard FIFO of indexes with pending deltas
 	pendingSum uint64
 	byQPN      map[uint32]int // channel QPN → shard, for response routing
 
@@ -207,7 +208,7 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 	s := &StateStore{
 		chans: chans, sw: chans[0].sw, cfg: cfg,
 		pending:     make(map[int]uint64, cfg.PendingSlots),
-		dirty:       make([][]int, len(chans)),
+		dirty:       make([]fifo.Queue[int], len(chans)),
 		rts:         make([]*Retransmitter, len(chans)),
 		byQPN:       make(map[uint32]int, len(chans)),
 		mirrors:     make([]*verbs.MirroredQP, len(chans)),
@@ -562,7 +563,7 @@ func (s *StateStore) accumulate(idx int, delta uint64) {
 			return
 		}
 		si := s.striped.ShardOf(uint64(idx))
-		s.dirty[si] = append(s.dirty[si], idx)
+		s.dirty[si].Push(idx)
 	}
 	if s.pendingSum == 0 {
 		// Backlog starts now: remember when, for the staleness accounting,
@@ -586,8 +587,10 @@ func (s *StateStore) armAgeTimer() {
 		return
 	}
 	s.ageArmed = true
-	s.sw.Engine.Schedule(s.bound.MaxAge, s.onAgeTimer)
+	s.sw.Engine.ScheduleCall(s.bound.MaxAge, stateStoreAgeTimer, s, nil, 0)
 }
+
+func stateStoreAgeTimer(recv any, _ []byte, _ int) { recv.(*StateStore).onAgeTimer() }
 
 func (s *StateStore) onAgeTimer() {
 	s.ageArmed = false
@@ -655,22 +658,21 @@ func (s *StateStore) flush() {
 
 func (s *StateStore) flushShard(si int) {
 	qp := s.striped.Shard(si)
-	dirty := s.dirty[si]
-	defer func() { s.dirty[si] = dirty }()
+	dirty := &s.dirty[si]
 
 	if s.cfg.Doorbell {
-		for len(dirty) > 0 {
-			idx := dirty[0]
+		for dirty.Len() > 0 {
+			idx := dirty.Peek()
 			delta := s.pending[idx]
 			if delta == 0 {
-				dirty = dirty[1:]
+				dirty.Pop()
 				delete(s.pending, idx)
 				continue
 			}
 			if !qp.DeferFetchAdd(s.striped.Offset(uint64(idx)), delta) {
 				return // ring full and undrainable; retry on next event
 			}
-			dirty = dirty[1:]
+			dirty.Pop()
 			delete(s.pending, idx)
 			s.pendingSum -= delta
 		}
@@ -680,14 +682,14 @@ func (s *StateStore) flushShard(si int) {
 		return
 	}
 
-	for qp.CanPost() && len(dirty) > 0 {
-		idx := dirty[0]
+	for qp.CanPost() && dirty.Len() > 0 {
+		idx := dirty.Peek()
 		delta := s.pending[idx]
 		if delta == 0 {
 			// Signed updates cancelled out: nothing to flush. The map
 			// entry must go too, or later updates to this counter would
 			// accumulate without ever rejoining the dirty queue.
-			dirty = dirty[1:]
+			dirty.Pop()
 			delete(s.pending, idx)
 			continue
 		}
@@ -705,7 +707,7 @@ func (s *StateStore) flushShard(si int) {
 		if !posted {
 			return // egress or retransmit window full; retry on next event
 		}
-		dirty = dirty[1:]
+		dirty.Pop()
 		delete(s.pending, idx)
 		s.pendingSum -= delta
 		s.Stats.FAAIssued++

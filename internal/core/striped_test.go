@@ -194,7 +194,7 @@ func TestStateStoreDoorbellNoDoubleFlushAcrossRebind(t *testing.T) {
 	ss.Update(1, 1)
 	ss.Update(1, 1) // delta 3 < Batch: resident in the ring, age timer armed
 	ss.Rebind(standby)
-	ss.Update(1, 1) // delta 4 = Batch: posts once, to the new endpoint
+	ss.Update(1, 1)    // delta 4 = Batch: posts once, to the new endpoint
 	b.net.Engine.Run() // the pre-rebind age timer also fires in here
 	v0, _ := b.memNICs[0].ReadCounter(primary.RKey, primary.Base+8)
 	v1, _ := b.memNICs[1].ReadCounter(standby.RKey, standby.Base+8)
@@ -456,8 +456,8 @@ func TestPacketBufferRebindChannelMidFlight(t *testing.T) {
 	}
 	// Phase 2: mirror channel 0's region onto the standby, crash server 0,
 	// resume loading — shard-0 READs now go to a dead server and hang.
-	copy(b.memNICs[2].LookupRegion(standby.RKey).Data,
-		b.memNICs[0].LookupRegion(chans[0].RKey).Data)
+	copy(b.memNICs[2].LookupRegion(standby.RKey).Bytes(),
+		b.memNICs[0].LookupRegion(chans[0].RKey).Bytes())
 	b.memNICs[0].Fail()
 	pb.ResumeLoading()
 	b.net.Engine.RunFor(100 * sim.Microsecond)

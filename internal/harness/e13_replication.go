@@ -344,8 +344,8 @@ func e13scrub(cfg E13Config, res *E13Result) {
 	res.ScrubRepairs = sc.Stats.Repairs
 	res.ScrubBytes = sc.Stats.BytesRepaired
 	res.ScrubSuspect = b.sup.Stats.SuspectEntries
-	pw := b.tb.Region(b.dataP).Data[:e13Counters*8]
-	rw := b.tb.Region(b.dataR).Data[:e13Counters*8]
+	pw := b.tb.Region(b.dataP).Bytes()[:e13Counters*8]
+	rw := b.tb.Region(b.dataR).Bytes()[:e13Counters*8]
 	res.ScrubConverged = string(pw) == string(rw)
 	res.PendingEvents += b.tb.PendingEvents()
 }

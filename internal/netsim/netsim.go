@@ -170,40 +170,50 @@ func (p *Port) SerializationDelay(frameLen int) sim.Duration {
 	return sim.Duration(bits / p.cfg.RateBps * 1e9)
 }
 
+// transmit puts frame on the wire. The frame rides in two payload events —
+// fully serialized after txTime (portTxDone), delivered to the peer after
+// propagation (portArrive) — and each event owns it while pending.
 func (p *Port) transmit(frame []byte) {
 	p.busy = true
 	txTime := p.SerializationDelay(len(frame))
 	p.TxMeter.Record(len(frame) + wire.EthernetFramingOverhead)
-	peer := p.peer
+	p.net.Engine.ScheduleCall(txTime, portTxDone, p, frame, 0)
+}
+
+// portTxDone fires on the sending port when frame has left the line: the
+// loss and fault models apply here, then the next queued frame starts.
+func portTxDone(recv any, frame []byte, _ int) {
+	p := recv.(*Port)
 	eng := p.net.Engine
-	// Frame fully on the wire after txTime; arrives after propagation.
-	eng.Schedule(txTime, func() {
-		drop := false
-		var extra sim.Duration
-		if p.faults != nil {
-			drop, extra = p.faults.Transmit(eng.Now(), p.rand(), frame)
-			if drop {
-				p.FaultDrops++
-			}
-		}
-		if !drop && p.cfg.LossRate > 0 && p.rand().Float64() < p.cfg.LossRate {
-			p.LossDrops++
-			drop = true
-		}
+	drop := false
+	var extra sim.Duration
+	if p.faults != nil {
+		drop, extra = p.faults.Transmit(eng.Now(), p.rand(), frame)
 		if drop {
-			wire.DefaultPool.Put(frame)
-		} else {
-			eng.Schedule(p.cfg.Propagation+extra, func() {
-				peer.RxMeter.Record(len(frame) + wire.EthernetFramingOverhead)
-				peer.dev.Receive(peer, frame)
-			})
+			p.FaultDrops++
 		}
-		if p.txQueue.Len() > 0 {
-			p.transmit(p.txQueue.Pop())
-		} else {
-			p.busy = false
-		}
-	})
+	}
+	if !drop && p.cfg.LossRate > 0 && p.rand().Float64() < p.cfg.LossRate {
+		p.LossDrops++
+		drop = true
+	}
+	if drop {
+		wire.DefaultPool.Put(frame)
+	} else {
+		eng.ScheduleCall(p.cfg.Propagation+extra, portArrive, p.peer, frame, 0)
+	}
+	if p.txQueue.Len() > 0 {
+		p.transmit(p.txQueue.Pop())
+	} else {
+		p.busy = false
+	}
+}
+
+// portArrive fires on the receiving port: ownership passes to its device.
+func portArrive(recv any, frame []byte, _ int) {
+	p := recv.(*Port)
+	p.RxMeter.Record(len(frame) + wire.EthernetFramingOverhead)
+	p.dev.Receive(p, frame)
 }
 
 // Net owns the engine and the wiring of a testbed.

@@ -119,6 +119,12 @@ type NIC struct {
 	// concurrently. The RxRing bound applies to their sum.
 	wring, rring fifo.Queue[pendingOp]
 	wbusy, rbusy bool
+	// wexec and rexec hold the op each engine is executing (valid while the
+	// side is busy), so the completion event carries only the side.
+	wexec, rexec pendingOp
+	// readStage holds a READ response chunk that no single region page
+	// covers (it straddles two, or was never written) while it is built.
+	readStage []byte
 
 	// PFC state (Cfg.EnablePFC): whether a pause is in force toward the
 	// switch, refreshed while the ring stays congested.
@@ -173,7 +179,7 @@ func (n *NIC) Port() *netsim.Port { return n.port }
 // RegisterMemory registers size bytes of host DRAM at virtual address base
 // and returns the region. This is a control-plane (initialization) action.
 func (n *NIC) RegisterMemory(base uint64, size int) *Region {
-	r := &Region{RKey: n.nextKey, Base: base, Data: make([]byte, size)}
+	r := &Region{RKey: n.nextKey, Base: base, Size: size}
 	n.nextKey++
 	n.regions[r.RKey] = r
 	return r
@@ -202,7 +208,8 @@ func (n *NIC) Fail()    { n.failed = true }
 func (n *NIC) Recover() { n.failed = false }
 
 // WipeRegions zeroes every registered memory region — the DRAM contents a
-// real reboot loses — and returns the number of bytes cleared. It models a
+// real reboot loses — and returns the number of bytes lost (every registered
+// byte; a region nothing touched yet has no backing to clear). It models a
 // power-cycle restart (faults.CrashWipe routes here); the regions stay
 // registered with their rkeys, only their contents are gone. Note the
 // atomic-replay caches (QP.atomicReplay) are deliberately NOT cleared: they are
@@ -212,8 +219,10 @@ func (n *NIC) WipeRegions() int {
 	total := 0
 	//gem:deterministic — zeroing every region is order-independent
 	for _, r := range n.regions {
-		clear(r.Data)
-		total += len(r.Data)
+		for _, p := range r.pages {
+			clear(p)
+		}
+		total += r.Size
 	}
 	return total
 }
@@ -352,8 +361,10 @@ func (n *NIC) sendPause() {
 	n.Stats.PFCPauses++
 	n.port.Send(wire.BuildPFCInto(wire.DefaultPool, n.MAC, 0xFFFF))
 	refresh := sim.Duration(0.7 * 65535 * wire.PFCQuantum * 1e9 / n.port.RateBps())
-	n.engine.Schedule(refresh, n.sendPause)
+	n.engine.ScheduleCall(refresh, nicRefreshPause, n, nil, 0)
 }
+
+func nicRefreshPause(recv any, _ []byte, _ int) { recv.(*NIC).sendPause() }
 
 // admitPSN applies the QP's PSN policy. It returns false if the packet must
 // be discarded.
@@ -420,11 +431,9 @@ func psnAfter(a, b uint32) bool { return verbs.PSNAfter(a, b) }
 // executeNext drains one RX ring (writes+atomics or reads) under the NIC's
 // rate caps.
 func (n *NIC) executeNext(writeSide bool) {
-	ring := &n.rring
-	busy := &n.rbusy
+	ring, busy, op := &n.rring, &n.rbusy, &n.rexec
 	if writeSide {
-		ring = &n.wring
-		busy = &n.wbusy
+		ring, busy, op = &n.wring, &n.wbusy, &n.wexec
 	}
 	if ring.Len() == 0 {
 		*busy = false
@@ -441,7 +450,7 @@ func (n *NIC) executeNext(writeSide bool) {
 		}
 	}
 	*busy = true
-	op := ring.Pop()
+	*op = ring.Pop()
 
 	// occupancy is how long the op holds its execution pipeline (this is
 	// what caps throughput); ProcessingDelay is added latency only — real
@@ -459,14 +468,26 @@ func (n *NIC) executeNext(writeSide bool) {
 		occupancy = sim.Duration(float64(occupancy) * f)
 	}
 	n.updatePFC()
-	n.engine.Schedule(occupancy, func() {
-		// The memory effect commits when the DMA finishes (end of
-		// occupancy); ProcessingDelay only delays the response packet
-		// (applied in scheduleResponse). Committing here keeps the
-		// read-after-write barrier tight.
-		n.complete(&op)
-		n.executeNext(writeSide)
-	})
+	side := 0
+	if writeSide {
+		side = 1
+	}
+	n.engine.ScheduleCall(occupancy, nicExecDone, n, nil, side)
+}
+
+// nicExecDone fires at the end of an op's occupancy on one engine (arg 1 =
+// write side). The memory effect commits when the DMA finishes, here;
+// ProcessingDelay only delays the response packet (applied in
+// scheduleResponse). Committing here keeps the read-after-write barrier
+// tight.
+func nicExecDone(recv any, _ []byte, side int) {
+	n := recv.(*NIC)
+	if side == 1 {
+		n.complete(&n.wexec)
+	} else {
+		n.complete(&n.rexec)
+	}
+	n.executeNext(side == 1)
 }
 
 // complete performs the memory operation and emits any response.
@@ -509,7 +530,7 @@ func (n *NIC) completeWrite(qp *QP, op *pendingOp) {
 		n.sendNak(qp, wire.AETHNakRemAcces)
 		return
 	}
-	copy(r.Slice(qp.writeVA, len(op.payload)), op.payload)
+	r.WriteAt(op.payload, qp.writeVA)
 	qp.writeVA += uint64(len(op.payload))
 	n.Stats.WriteBytes += int64(len(op.payload))
 	if opc := op.pkt.BTH.Opcode; opc == wire.OpWriteOnly || opc == wire.OpWriteLast {
@@ -532,7 +553,6 @@ func (n *NIC) completeRead(qp *QP, op *pendingOp) {
 	n.Stats.ExecReads++
 	n.Stats.ReadBytes += int64(total)
 	qp.msn = (qp.msn + 1) & verbs.PSNMask
-	data := r.Slice(op.pkt.RETH.VA, total)
 	// Segment into MTU-sized response packets. Response PSNs start at the
 	// request's PSN (IB RC rule).
 	pkts := (total + n.Cfg.MTU - 1) / n.Cfg.MTU
@@ -557,7 +577,17 @@ func (n *NIC) completeRead(qp *QP, op *pendingOp) {
 			opc = wire.OpReadResponseMiddle
 		}
 		params := n.roceParams(qp, (op.pkt.BTH.PSN+uint32(i))&verbs.PSNMask)
-		n.scheduleResponse(qp, wire.BuildReadResponseInto(wire.DefaultPool, &params, opc, qp.msn, data[lo:hi]))
+		// The builder copies a contiguous payload: the region's own bytes
+		// when the chunk sits inside one touched page, else a staged copy.
+		payload := r.resident(int(op.pkt.RETH.VA-r.Base)+lo, hi-lo)
+		if payload == nil {
+			if len(n.readStage) < hi-lo {
+				n.readStage = make([]byte, n.Cfg.MTU)
+			}
+			payload = n.readStage[:hi-lo]
+			r.ReadAt(payload, op.pkt.RETH.VA+uint64(lo))
+		}
+		n.scheduleResponse(qp, wire.BuildReadResponseInto(wire.DefaultPool, &params, opc, qp.msn, payload))
 	}
 }
 
@@ -568,14 +598,18 @@ func (n *NIC) completeAtomic(qp *QP, op *pendingOp) {
 		n.sendNak(qp, wire.AETHNakRemAcces)
 		return
 	}
-	word := r.Slice(op.pkt.AtomicETH.VA, 8)
-	orig := beUint64(word)
+	var word [8]byte
+	va := op.pkt.AtomicETH.VA
+	r.ReadAt(word[:], va)
+	orig := beUint64(word[:])
 	switch op.pkt.BTH.Opcode {
 	case wire.OpFetchAdd:
-		putBeUint64(word, orig+op.pkt.AtomicETH.SwapAdd)
+		putBeUint64(word[:], orig+op.pkt.AtomicETH.SwapAdd)
+		r.WriteAt(word[:], va)
 	case wire.OpCompareSwap:
 		if orig == op.pkt.AtomicETH.Compare {
-			putBeUint64(word, op.pkt.AtomicETH.SwapAdd)
+			putBeUint64(word[:], op.pkt.AtomicETH.SwapAdd)
+			r.WriteAt(word[:], va)
 		}
 	}
 	n.Stats.ExecAtomics++
@@ -619,13 +653,17 @@ func (n *NIC) scheduleResponse(qp *QP, frame []byte) {
 	if f := n.SlowFactor(); f > 1 {
 		delay = sim.Duration(float64(delay) * f)
 	}
-	n.engine.Schedule(delay, func() {
-		if n.failed {
-			wire.DefaultPool.Put(frame) // crashed mid-flight: never sent
-			return
-		}
-		n.port.Send(frame)
-	})
+	n.engine.ScheduleCall(delay, nicSendResponse, n, frame, 0)
+}
+
+// nicSendResponse puts a response on the wire once its ProcessingDelay passed.
+func nicSendResponse(recv any, frame []byte, _ int) {
+	n := recv.(*NIC)
+	if n.failed {
+		wire.DefaultPool.Put(frame) // crashed mid-flight: never sent
+		return
+	}
+	n.port.Send(frame)
 }
 
 // udpEntropy derives a stable RoCEv2 UDP source port from a QPN.
@@ -651,5 +689,7 @@ func (n *NIC) ReadCounter(rkey uint32, va uint64) (uint64, error) {
 	if r == nil || !r.Contains(va, 8) {
 		return 0, fmt.Errorf("rnic: no readable word at rkey=%#x va=%#x", rkey, va)
 	}
-	return beUint64(r.Slice(va, 8)), nil
+	var word [8]byte
+	r.ReadAt(word[:], va)
+	return beUint64(word[:]), nil
 }

@@ -236,8 +236,10 @@ func (r *Requester) armTimer() {
 		r.timer = nil
 		return
 	}
-	r.timer = r.nic.engine.Schedule(r.timeout, r.retransmit)
+	r.timer = r.nic.engine.ScheduleCall(r.timeout, requesterTimeout, r, nil, 0)
 }
+
+func requesterTimeout(recv any, _ []byte, _ int) { recv.(*Requester).retransmit() }
 
 // retransmit implements go-back-N: resend every unacknowledged packet.
 func (r *Requester) retransmit() {

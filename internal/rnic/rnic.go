@@ -13,6 +13,8 @@
 package rnic
 
 import (
+	"math/bits"
+
 	"gem/internal/sim"
 )
 
@@ -88,11 +90,26 @@ func (c *Config) fillDefaults() {
 
 // Region is a registered memory region: a chunk of the host's DRAM exposed
 // for remote access under an rkey.
+//
+// The backing "DRAM" is allocated where it is touched, the way untouched
+// anonymous pages cost a real server nothing: registering costs no memory,
+// the NIC's data path (ReadAt, WriteAt) faults in regionPage-sized pages,
+// and the control plane's whole-region view (Bytes) folds the region into
+// one contiguous page. Untouched bytes read as zero either way.
 type Region struct {
 	RKey uint32
 	Base uint64 // virtual address of the first byte
-	Data []byte // the backing "DRAM"
+	Size int    // bytes registered
+
+	// pages[i] backs offsets [i<<shift, (i+1)<<shift) for shift =
+	// regionPageShift+grow; the table and each page are nil until touched.
+	// grow is zero until Bytes raises it to make one page of the region.
+	pages [][]byte
+	grow  uint
 }
+
+// regionPageShift sets the granularity of data-path allocation: 64 KB.
+const regionPageShift = 16
 
 // Contains reports whether [va, va+n) lies inside the region.
 func (r *Region) Contains(va uint64, n int) bool {
@@ -100,14 +117,79 @@ func (r *Region) Contains(va uint64, n int) bool {
 		return false
 	}
 	off := va - r.Base
-	return off <= uint64(len(r.Data)) && uint64(n) <= uint64(len(r.Data))-off
+	return off <= uint64(r.Size) && uint64(n) <= uint64(r.Size)-off
 }
 
-// Slice returns the backing bytes for [va, va+n). Caller must have checked
-// Contains.
-func (r *Region) Slice(va uint64, n int) []byte {
-	off := va - r.Base
-	return r.Data[off : off+uint64(uint(n))]
+// Bytes returns the whole region as one contiguous slice, for control-plane
+// set-up and verification (populating a table, scrubbing, asserting). The
+// region stays contiguous from then on.
+func (r *Region) Bytes() []byte {
+	if len(r.pages) == 1 && len(r.pages[0]) == r.Size {
+		return r.pages[0]
+	}
+	all := make([]byte, r.Size)
+	for i, p := range r.pages {
+		copy(all[i<<(regionPageShift+r.grow):], p)
+	}
+	r.pages, r.grow = [][]byte{all}, uint(max(0, bits.Len(uint(r.Size))-regionPageShift))
+	return all
+}
+
+// locate maps offset off to the index of the page holding it, that page
+// (nil if untouched), the offset inside it, and how many bytes the page has
+// from there on.
+func (r *Region) locate(off int) (i int, page []byte, lo, room int) {
+	shift := regionPageShift + r.grow
+	i, lo = off>>shift, off&(1<<shift-1)
+	if r.pages != nil {
+		page = r.pages[i]
+	}
+	return i, page, lo, min(1<<shift, r.Size-i<<shift) - lo
+}
+
+// resident returns the region's own bytes for offsets [off, off+n) when one
+// touched page holds them all, else nil.
+func (r *Region) resident(off, n int) []byte {
+	if n == 0 {
+		return []byte{} // a zero-length READ may sit at the very end
+	}
+	_, page, lo, room := r.locate(off)
+	if page == nil || n > room {
+		return nil
+	}
+	return page[lo : lo+n]
+}
+
+// ReadAt copies the bytes at [va, va+len(dst)) into dst; reading allocates
+// nothing. Caller must have checked Contains.
+func (r *Region) ReadAt(dst []byte, va uint64) {
+	for off := int(va - r.Base); len(dst) > 0; {
+		_, page, lo, room := r.locate(off)
+		n := min(len(dst), room)
+		if page == nil {
+			clear(dst[:n])
+		} else {
+			copy(dst[:n], page[lo:])
+		}
+		dst, off = dst[n:], off+n
+	}
+}
+
+// WriteAt copies src to [va, va+len(src)), allocating the pages it touches.
+// Caller must have checked Contains.
+func (r *Region) WriteAt(src []byte, va uint64) {
+	if r.pages == nil {
+		r.pages = make([][]byte, (r.Size+1<<regionPageShift-1)>>regionPageShift)
+	}
+	for off := int(va - r.Base); len(src) > 0; {
+		i, page, lo, room := r.locate(off)
+		if page == nil {
+			page = make([]byte, lo+room)
+			r.pages[i] = page
+		}
+		n := copy(page[lo:], src)
+		src, off = src[n:], off+n
+	}
 }
 
 // Stats aggregates the NIC's observable behaviour for the harnesses.

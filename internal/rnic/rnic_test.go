@@ -47,7 +47,7 @@ func TestWriteSinglePacket(t *testing.T) {
 	if !done {
 		t.Fatal("write never completed")
 	}
-	if !bytes.Equal(r.region.Data[64:64+512], data) {
+	if !bytes.Equal(r.region.Bytes()[64:64+512], data) {
 		t.Fatal("payload not committed to region")
 	}
 	if r.server.Stats.ExecWrites != 1 || r.server.Stats.WriteBytes != 512 {
@@ -72,7 +72,7 @@ func TestWriteMultiPacketSegmentation(t *testing.T) {
 	if !done {
 		t.Fatal("multi-packet write never completed")
 	}
-	if !bytes.Equal(r.region.Data[:1000], data) {
+	if !bytes.Equal(r.region.Bytes()[:1000], data) {
 		t.Fatal("reassembled write corrupted")
 	}
 	if r.qp.ExpectedPSN() != 4 {
@@ -82,7 +82,7 @@ func TestWriteMultiPacketSegmentation(t *testing.T) {
 
 func TestReadSinglePacket(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
-	copy(r.region.Data[100:], []byte("remote-memory-bytes"))
+	copy(r.region.Bytes()[100:], []byte("remote-memory-bytes"))
 	var got []byte
 	r.req.PostRead(0x10000+100, r.region.RKey, 19, func(b []byte) { got = b })
 	r.net.Engine.Run()
@@ -101,7 +101,7 @@ func TestReadMultiPacketSegmentation(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
-	copy(r.region.Data, want)
+	copy(r.region.Bytes(), want)
 	var got []byte
 	r.req.PostRead(0x10000, r.region.RKey, 500, func(b []byte) { got = b })
 	r.net.Engine.Run()
@@ -137,7 +137,7 @@ func TestFetchAddAccumulatesAndReturnsOriginal(t *testing.T) {
 
 func TestCompareSwap(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
-	putBeUint64(r.region.Data[:8], 42)
+	putBeUint64(r.region.Bytes()[:8], 42)
 	// Requester doesn't expose CAS; drive the responder directly.
 	frame := wire.BuildCompareSwap(&wire.RoCEParams{
 		SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
@@ -182,7 +182,7 @@ func TestBoundsValidationNAKs(t *testing.T) {
 		t.Fatal("out-of-bounds write not rejected")
 	}
 	// Nothing before the region end may have been written either.
-	for _, b := range r.region.Data[250:] {
+	for _, b := range r.region.Bytes()[250:] {
 		if b != 0 {
 			t.Fatal("partial out-of-bounds write leaked")
 		}
@@ -190,7 +190,7 @@ func TestBoundsValidationNAKs(t *testing.T) {
 }
 
 func TestRegionContains(t *testing.T) {
-	r := &Region{RKey: 1, Base: 100, Data: make([]byte, 50)}
+	r := &Region{RKey: 1, Base: 100, Size: 50}
 	cases := []struct {
 		va   uint64
 		n    int
@@ -450,7 +450,7 @@ func TestReadAfterWriteOrderingSameQP(t *testing.T) {
 	r.server.Receive(r.server.Port(), wire.BuildWriteOnly(params(0), 0x10000, r.region.RKey, payload))
 	r.server.Receive(r.server.Port(), wire.BuildReadRequest(params(1), 0x10000, r.region.RKey, 4096))
 	r.net.Engine.Run()
-	if !bytes.Equal(r.region.Data[:4096], payload) {
+	if !bytes.Equal(r.region.Bytes()[:4096], payload) {
 		t.Fatal("write did not commit")
 	}
 	if r.server.Stats.ExecReads != 1 || r.server.Stats.ExecWrites != 1 {
@@ -509,7 +509,7 @@ func TestNICEmitsPFCUnderPressure(t *testing.T) {
 
 func TestRequesterCompareSwap(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
-	putBeUint64(r.region.Data[:8], 100)
+	putBeUint64(r.region.Bytes()[:8], 100)
 	var orig1, orig2 uint64
 	r.req.PostCompareSwap(0x10000, r.region.RKey, 100, 200, func(o uint64) { orig1 = o })
 	r.req.PostCompareSwap(0x10000, r.region.RKey, 100, 300, func(o uint64) { orig2 = o })
@@ -572,5 +572,101 @@ func TestPropRequesterSurvivesRandomLoss(t *testing.T) {
 		if req.Retransmits == 0 && loss > 0.02 {
 			t.Fatalf("loss=%.2f with zero retransmits is implausible", loss)
 		}
+	}
+}
+
+// touchedPages counts the region's allocated pages.
+func touchedPages(r *Region) int {
+	n := 0
+	for _, p := range r.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRegionAllocatesWhereTouched: registering memory and wiping it cost no
+// backing store, reads of untouched memory return zeros without allocating,
+// and the first WRITE allocates the page it lands on, not the region.
+func TestRegionAllocatesWhereTouched(t *testing.T) {
+	const size = 8 << 20
+	r := newRig(t, Config{}, PSNStrict, size)
+	if wiped := r.server.WipeRegions(); wiped != size {
+		t.Fatalf("WipeRegions = %d bytes, want the registered %d", wiped, size)
+	}
+	var got []byte
+	r.req.PostRead(0x10000+3<<20, r.region.RKey, 64, func(b []byte) { got = b })
+	r.net.Engine.Run()
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("READ of untouched memory returned %x, want zeros", got)
+	}
+	if r.region.pages != nil {
+		t.Fatalf("register + wipe + read allocated %d pages, want no backing at all", touchedPages(r.region))
+	}
+
+	r.req.PostWrite(0x10000+5<<20, r.region.RKey, []byte("first touch"), nil)
+	r.net.Engine.Run()
+	if n := touchedPages(r.region); n != 1 {
+		t.Fatalf("one small WRITE left %d pages allocated, want 1", n)
+	}
+	if string(r.region.Bytes()[5<<20:5<<20+11]) != "first touch" {
+		t.Fatal("the WRITE is not visible through Bytes")
+	}
+	if r.server.WipeRegions(); !bytes.Equal(r.region.Bytes()[5<<20:5<<20+11], make([]byte, 11)) {
+		t.Fatal("WipeRegions left written bytes behind")
+	}
+}
+
+// TestRegionAccessAcrossPages: WRITE, READ and Fetch-and-Add whose bytes
+// straddle a page boundary behave as on flat memory (the READ response is
+// staged, the others loop), before and after Bytes folds the region into
+// one contiguous page.
+func TestRegionAccessAcrossPages(t *testing.T) {
+	const page = 1 << regionPageShift
+	r := newRig(t, Config{}, PSNStrict, 4*page)
+	check := func(stage string) {
+		t.Helper()
+		data := bytes.Repeat([]byte(stage), 700/len(stage)+1)[:700]
+		va := uint64(0x10000 + 2*page - 300) // 300 bytes before the boundary, 400 after
+		var got []byte
+		r.req.PostWrite(va, r.region.RKey, data, nil)
+		r.req.PostRead(va, r.region.RKey, len(data), func(b []byte) { got = b })
+		r.net.Engine.Run()
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: READ across the page boundary returned other bytes than the WRITE stored", stage)
+		}
+		ctr := uint64(0x10000 + page - 4) // a counter with four bytes on each side
+		before, _ := r.server.ReadCounter(r.region.RKey, ctr)
+		var orig uint64
+		r.req.PostFetchAdd(ctr, r.region.RKey, 1<<33+5, func(o uint64) { orig = o })
+		r.net.Engine.Run()
+		after, err := r.server.ReadCounter(r.region.RKey, ctr)
+		if err != nil || orig != before || after != before+1<<33+5 {
+			t.Fatalf("%s: straddling FAA read %d (want %d) and left %d (%v)", stage, orig, before, after, err)
+		}
+	}
+	check("paged")
+	if n := touchedPages(r.region); n != 3 {
+		t.Fatalf("accesses on two boundaries touched %d pages, want the 3 around them", n)
+	}
+	flat := r.region.Bytes()
+	if len(flat) != 4*page || len(r.region.pages) != 1 {
+		t.Fatalf("Bytes returned %d bytes over %d pages, want the region as one page", len(flat), len(r.region.pages))
+	}
+	if string(flat[2*page-300:2*page-295]) != "paged" {
+		t.Fatal("folding the pages lost their contents")
+	}
+	check("contiguous")
+	if string(flat[2*page-300:2*page-290]) != "contiguous" {
+		t.Fatal("a WRITE after Bytes did not land in the slice Bytes returned")
+	}
+
+	// A zero-length READ at the very end of the region is legal.
+	done := false
+	r.req.PostRead(0x10000+4*page, r.region.RKey, 0, func([]byte) { done = true })
+	r.net.Engine.Run()
+	if !done || r.server.Stats.AccessErrors != 0 {
+		t.Fatalf("zero-length READ at the region's end: done=%v, access errors=%d", done, r.server.Stats.AccessErrors)
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestStopInsideFinalEvent: Stop called by the last queued event must leave
 // the engine in a clean, reusable state — not wedge the stopped flag.
@@ -177,6 +180,18 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
 		t.Fatalf("steady-state Step allocates %.1f times/op, want 0", allocs)
 	}
+
+	// The payload form — what the per-frame sites use: a static call, a
+	// pointer receiver, a frame and a scalar.
+	type hop struct{ e *Engine }
+	var next CallFunc
+	next = func(recv any, frame []byte, arg int) {
+		recv.(*hop).e.ScheduleCall(10, next, recv, frame, arg+1)
+	}
+	e.ScheduleCall(10, next, &hop{e}, make([]byte, 64), 0)
+	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("steady-state payload Step allocates %.1f times/op, want 0", allocs)
+	}
 }
 
 // BenchmarkEngineStep measures the steady-state schedule→fire cycle: one
@@ -210,5 +225,28 @@ func BenchmarkEngineFanout(b *testing.B) {
 		for _, ev := range evs[1:] {
 			e.Cancel(ev)
 		}
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model: the queue stays at a fixed
+// depth while each fired event schedules one successor a random delay ahead
+// — the shape of a loaded testbed (hundreds of frames in flight), which the
+// single-chain benchmark above cannot show because its heap has one slot.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{64, 1024} {
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
+			e := NewEngine(1)
+			rng := e.Stream("hold")
+			var fn func()
+			fn = func() { e.Schedule(Duration(rng.Intn(1000)+1), fn) }
+			for i := 0; i < depth; i++ {
+				e.Schedule(Duration(rng.Intn(1000)+1), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -57,7 +56,20 @@ const (
 	stateCancelled
 )
 
+// CallFunc is the static body of a payload event: a top-level function (or
+// any func value that already exists — scheduling it allocates nothing) that
+// receives the three words the event carried. recv is the owner the call
+// dispatches on (a *Port, a *Switch, ...), frame the packet riding in the
+// event, arg a small scalar (a port number, a length, a side).
+type CallFunc func(recv any, frame []byte, arg int)
+
 // Event is a scheduled callback. Callbacks run exactly once.
+//
+// An event has one body representation: call plus its payload (recv, frame,
+// arg). Schedule(func()) is the same thing with the func stored in recv.
+// While an event is pending it owns frame; the references are dropped the
+// moment it fires or is cancelled, before the callback runs, so a recycled
+// event never keeps a frame alive.
 //
 // Handle validity: popped and cancelled events are recycled through a
 // per-engine free list, so a retained *Event remains inspectable (Fired,
@@ -65,19 +77,14 @@ const (
 // supported pattern — clear the retained handle inside the callback or
 // immediately after Cancel — never observes a recycled event.
 type Event struct {
-	at      Time
-	birthAt Time // engine clock when the event was scheduled
-
-	// rank and childIdx are the causal tie-break: rank is a hash of the
-	// scheduling event's own rank and child index (a pure function of the
-	// event's causal ancestry), and childIdx counts the parent's children so
-	// siblings keep FIFO order.
-	rank     uint64
-	childIdx uint64
-
-	index int // heap index; -1 once popped or cancelled
+	at    Time
+	index int // slot in the queue; -1 once popped or cancelled
 	state uint8
-	fn    func()
+
+	call  CallFunc
+	recv  any
+	frame []byte
+	arg   int
 }
 
 // Cancelled reports whether the event was cancelled before firing. A fired
@@ -91,16 +98,36 @@ func (e *Event) Fired() bool { return e.state == stateFired }
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// eventHeap orders events by (at, birthAt, rank, childIdx). Events of one
-// parent keep creation order (shared rank, rising childIdx — the classic
-// FIFO tie-break); events of different parents scheduled for the same
-// instant order by their parents' causal rank, so the order never depends on
-// which unrelated events happened to be scheduled in between.
-type eventHeap []*Event
+// release drops the payload references and returns them for the caller to
+// run (fire) or discard (cancel).
+func (e *Event) release() (call CallFunc, recv any, frame []byte, arg int) {
+	call, recv, frame, arg = e.call, e.recv, e.frame, e.arg
+	e.call, e.recv, e.frame = nil, nil, nil
+	return
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// entry is one queue slot: the ordering key by value, so a comparison reads
+// the slice and never chases the event pointer. Order is (at, birthAt, rank,
+// childIdx): events of one parent keep creation order (shared rank, rising
+// childIdx — the classic FIFO tie-break); events of different parents
+// scheduled for the same instant order by their parents' causal rank, so the
+// order never depends on which unrelated events happened to be scheduled in
+// between.
+type entry struct {
+	at      Time
+	birthAt Time // engine clock when the event was scheduled
+
+	// rank and childIdx are the causal tie-break: rank is a hash of the
+	// scheduling event's own rank and child index (a pure function of the
+	// event's causal ancestry), and childIdx counts the parent's children so
+	// siblings keep FIFO order.
+	rank     uint64
+	childIdx uint64
+
+	ev *Event
+}
+
+func (a *entry) less(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -112,31 +139,96 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return a.childIdx < b.childIdx
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// eventQueue is a 4-ary min-heap of entries, sifted in place with no
+// interface calls. The key order is total, so the pop order is the same as
+// any other correct priority queue's (container/heap's included).
+type eventQueue []entry
+
+// heapArity 4 halves the depth a push climbs; measured against 2 and 8 on
+// BenchmarkEngineHold/Fanout it is within noise of 2 on the hold model and
+// ahead on the push-heavy fanout, and 8 trails on both (DESIGN.md §14).
+const heapArity = 4
+
+// up moves x from slot i toward the root until its parent is not later.
+func (q eventQueue) up(i int, x entry) {
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !x.less(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].ev.index = i
+		i = parent
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// down moves x from slot i toward the leaves until no child is earlier.
+func (q eventQueue) down(i int, x entry) {
+	n := len(q)
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		last := first + heapArity
+		if last > n {
+			last = n
+		}
+		for c := first + 1; c < last; c++ {
+			if q[c].less(&q[best]) {
+				best = c
+			}
+		}
+		if !q[best].less(&x) {
+			break
+		}
+		q[i] = q[best]
+		q[i].ev.index = i
+		i = best
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// push adds x. The slot is grown first and written once, by up.
+func (q *eventQueue) push(x entry) {
+	n := len(*q)
+	if n < cap(*q) {
+		*q = (*q)[:n+1]
+	} else {
+		*q = append(*q, entry{})
+	}
+	q.up(n, x)
+}
+
+// remove takes slot i out of the queue (the caller has read what it needs
+// from it) and marks its event as no longer queued.
+func (q *eventQueue) remove(i int) {
+	old := *q
+	old[i].ev.index = -1
+	n := len(old) - 1
+	moved := old[n]
+	old[n] = entry{}
+	*q = old[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && moved.less(&old[(i-1)/heapArity]) {
+		q.up(i, moved)
+	} else {
+		q.down(i, moved)
+	}
 }
 
 // Engine is the simulation core: a virtual clock plus an event queue.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	stopped bool
 
 	// Causal-rank state: execRank/execKids describe the currently executing
@@ -219,29 +311,51 @@ func (e *Engine) alloc() *Event {
 // Schedule runs fn after delay. A negative delay is an error in the caller;
 // Schedule panics to surface it immediately.
 func (e *Engine) Schedule(delay Duration, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	return e.ScheduleAt(e.now.Add(delay), fn)
+	return e.ScheduleAt(e.after(delay), fn)
 }
 
 // ScheduleAt runs fn at the absolute virtual time at, which must not be in
-// the past.
+// the past. The func rides in the event's recv slot: one body representation.
 func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
+	if fn == nil {
+		panic("sim: nil event func")
+	}
+	return e.ScheduleCallAt(at, callFunc, fn, nil, 0)
+}
+
+func callFunc(recv any, _ []byte, _ int) { recv.(func())() }
+
+// ScheduleCall runs call(recv, frame, arg) after delay. With a static call
+// and a pointer-shaped recv the schedule→fire cycle allocates nothing, which
+// is what the per-frame sites use; the event owns frame until it fires.
+func (e *Engine) ScheduleCall(delay Duration, call CallFunc, recv any, frame []byte, arg int) *Event {
+	return e.ScheduleCallAt(e.after(delay), call, recv, frame, arg)
+}
+
+// ScheduleCallAt is ScheduleCall at the absolute virtual time at, which must
+// not be in the past.
+func (e *Engine) ScheduleCallAt(at Time, call CallFunc, recv any, frame []byte, arg int) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	if fn == nil {
+	if call == nil {
 		panic("sim: nil event func")
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.birthAt = e.now
-	ev.rank, ev.childIdx = e.nextChild()
 	ev.state = statePending
-	ev.fn = fn
-	heap.Push(&e.queue, ev)
+	ev.call, ev.recv, ev.frame, ev.arg = call, recv, frame, arg
+	rank, childIdx := e.nextChild()
+	e.queue.push(entry{at: at, birthAt: e.now, rank: rank, childIdx: childIdx, ev: ev})
 	return ev
+}
+
+// after returns now+delay, panicking on a negative delay.
+func (e *Engine) after(delay Duration) Time {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
+	}
+	return e.now.Add(delay)
 }
 
 // rootRank seeds the causal rank of events scheduled outside any event.
@@ -261,9 +375,9 @@ func (e *Engine) nextChild() (uint64, uint64) {
 	return rootRank, idx
 }
 
-// parentRank derives the rank ev passes on to its own children.
-func parentRank(ev *Event) uint64 {
-	return splitmix64(ev.rank ^ (ev.childIdx+1)*0x9e3779b97f4a7c15)
+// parentRank derives the rank an event passes on to its own children.
+func parentRank(rank, childIdx uint64) uint64 {
+	return splitmix64(rank ^ (childIdx+1)*0x9e3779b97f4a7c15)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -272,8 +386,8 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.state != statePending {
 		return
 	}
-	heap.Remove(&e.queue, ev.index)
-	ev.fn = nil
+	e.queue.remove(ev.index)
+	ev.release()
 	ev.state = stateCancelled
 	e.free = append(e.free, ev)
 }
@@ -290,19 +404,20 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	if ev.at < e.now {
+	head := &e.queue[0]
+	if head.at < e.now {
 		panic("sim: time went backwards")
 	}
-	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
+	e.now = head.at
+	ev := head.ev
+	e.execRank = parentRank(head.rank, head.childIdx)
+	e.queue.remove(0)
+	call, recv, frame, arg := ev.release()
 	ev.state = stateFired
 	e.executing = true
-	e.execRank = parentRank(ev)
 	e.execKids = 0
 	e.Executed++
-	fn()
+	call(recv, frame, arg)
 	e.executing = false
 	e.free = append(e.free, ev)
 	return true

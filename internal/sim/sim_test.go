@@ -272,7 +272,7 @@ func TestCausalRankOrder(t *testing.T) {
 
 	// The parents are root children 0..2; each passes parentRank on.
 	byRank := []int{0, 1, 2}
-	rank := func(i int) uint64 { return parentRank(&Event{rank: rootRank, childIdx: uint64(i)}) }
+	rank := func(i int) uint64 { return parentRank(rootRank, uint64(i)) }
 	sort.Slice(byRank, func(i, j int) bool { return rank(byRank[i]) < rank(byRank[j]) })
 	var want []string
 	for _, p := range byRank {
@@ -371,4 +371,130 @@ func TestHeapChurnStress(t *testing.T) {
 	if executed == 0 {
 		t.Fatal("nothing executed")
 	}
+}
+
+// checkHeap asserts the queue's structural invariants: every event knows its
+// slot and no slot is earlier than its parent.
+func checkHeap(t *testing.T, e *Engine) {
+	t.Helper()
+	for i := range e.queue {
+		if e.queue[i].ev.index != i {
+			t.Fatalf("slot %d holds an event that thinks it is at %d", i, e.queue[i].ev.index)
+		}
+		if i > 0 && e.queue[i].less(&e.queue[(i-1)/heapArity]) {
+			t.Fatalf("slot %d is earlier than its parent", i)
+		}
+	}
+}
+
+// TestHeapMatchesReferenceOrder: over random Schedule / Cancel / Step
+// sequences — events scheduled from set-up code and from inside callbacks,
+// equal times included — every Step fires exactly the pending event a
+// reference sort by (at, birthAt, rank, childIdx) puts first, and Cancel of
+// the root, of the last slot and of an interior slot leaves that true.
+func TestHeapMatchesReferenceOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		e := NewEngine(seed)
+		rng := e.Stream("heap-test")
+		live := map[*Event]entry{} // the reference: pending events by key
+		var fired *Event
+		var body CallFunc
+		track := func(ev *Event) { live[ev] = e.queue[ev.index] }
+		// An event with arg k schedules k children with arg k-1: a finite tree.
+		body = func(recv any, _ []byte, kids int) {
+			fired = *recv.(**Event)
+			for i := 0; i < kids; i++ {
+				h := new(*Event)
+				*h = e.ScheduleCall(Duration(rng.Intn(4)*10), body, h, nil, kids-1)
+				track(*h)
+			}
+		}
+		schedule := func() {
+			h := new(*Event)
+			*h = e.ScheduleCall(Duration(rng.Intn(50)), body, h, nil, rng.Intn(3))
+			track(*h)
+		}
+		cancel := func(slot int) {
+			ev := e.queue[slot].ev
+			e.Cancel(ev)
+			if !ev.Cancelled() || ev.index != -1 {
+				t.Fatalf("seed %d: cancelled event state=%d index=%d", seed, ev.state, ev.index)
+			}
+			delete(live, ev)
+		}
+		step := func() {
+			var want *Event
+			for ev, k := range live {
+				if first := live[want]; want == nil || k.less(&first) {
+					want = ev
+				}
+			}
+			if !e.Step() {
+				t.Fatalf("seed %d: Step found nothing with %d events live", seed, len(live))
+			}
+			if fired != want {
+				t.Fatalf("seed %d: fired %+v, reference order wants %+v", seed, live[fired], live[want])
+			}
+			delete(live, want)
+		}
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4 || len(e.queue) == 0:
+				schedule()
+			case r == 4:
+				cancel(0) // the root
+			case r == 5:
+				cancel(len(e.queue) - 1) // the last slot
+			case r == 6:
+				cancel(rng.Intn(len(e.queue))) // anywhere, mostly interior
+			default:
+				step()
+			}
+			checkHeap(t, e)
+			if len(live) != e.Pending() {
+				t.Fatalf("seed %d: %d pending, reference has %d", seed, e.Pending(), len(live))
+			}
+		}
+		for len(live) > 0 {
+			step()
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left after the reference drained", seed, e.Pending())
+		}
+	}
+}
+
+// TestEventDropsPayloadReferences: an event owns its frame only while it is
+// pending. Fired or cancelled, it has let go of recv and frame before it is
+// recycled — already by the time the callback runs — so a parked event on
+// the free list never keeps a frame alive.
+func TestEventDropsPayloadReferences(t *testing.T) {
+	e := NewEngine(1)
+	held := func(ev *Event) bool { return ev.call != nil || ev.recv != nil || ev.frame != nil }
+	type owner struct{ ev *Event }
+	o := &owner{}
+	frame := make([]byte, 64)
+
+	o.ev = e.ScheduleCall(10, func(recv any, f []byte, arg int) {
+		if recv != any(o) || &f[0] != &frame[0] || arg != 7 {
+			t.Errorf("callback got (%v, %p, %d), want the scheduled payload", recv, f, arg)
+		}
+		if held(recv.(*owner).ev) {
+			t.Error("the executing event still references its payload")
+		}
+	}, o, frame, 7)
+	if !held(o.ev) {
+		t.Fatal("a pending event does not hold its payload")
+	}
+	e.Run()
+	if held(o.ev) || len(e.free) != 1 || e.free[0] != o.ev {
+		t.Fatal("fired event kept payload references on the free list")
+	}
+
+	ev := e.ScheduleCall(10, func(any, []byte, int) { t.Error("cancelled event ran") }, o, frame, 0)
+	e.Cancel(ev)
+	if held(ev) {
+		t.Fatal("cancelled event kept payload references on the free list")
+	}
+	e.Run()
 }

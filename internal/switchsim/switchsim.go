@@ -153,6 +153,10 @@ type Switch struct {
 
 	// parse buffer reused across packets (DecodingLayerParser pattern).
 	pkt wire.Packet
+	// ctx is the one Context every runPipeline pass hands to the pipeline,
+	// rewritten per pass like pkt; inPass guards it against re-entry.
+	ctx    Context
+	inPass bool
 }
 
 // New creates a switch with the given config (zero fields take defaults).
@@ -218,7 +222,13 @@ func (s *Switch) Receive(port *netsim.Port, frame []byte) {
 			return
 		}
 	}
-	s.Engine.Schedule(s.Cfg.PipelineLatency, func() { s.runPipeline(in, frame) })
+	s.Engine.ScheduleCall(s.Cfg.PipelineLatency, switchIngress, s, frame, in)
+}
+
+// switchIngress is the event body of a pipeline pass: arg is the ingress
+// port (RecirculationPort for a recirculated frame).
+func switchIngress(recv any, frame []byte, inPort int) {
+	recv.(*Switch).runPipeline(inPort, frame)
 }
 
 // handlePFC pauses or resumes transmission on port per the class-0 quanta.
@@ -243,6 +253,7 @@ func (s *Switch) handlePFC(port int, pfc *wire.PFC) {
 	bitTime := 1e9 / s.ports[port].RateBps()
 	d := sim.Duration(float64(quanta) * wire.PFCQuantum * bitTime)
 	q.pausedUntil = s.Engine.Now().Add(d)
+	//gem:alloc-ok one timer per pause frame, not per packet
 	q.resumeEvent = s.Engine.Schedule(d, func() {
 		q.resumeEvent = nil
 		if !q.busy {
@@ -257,7 +268,15 @@ func (s *Switch) runPipeline(inPort int, frame []byte) {
 		wire.DefaultPool.Put(frame) // no pipeline: the switch is the terminal consumer
 		return
 	}
-	ctx := Context{sw: s, InPort: inPort, Frame: frame}
+	// The pass borrows the switch's one Context (and parse buffer). Nothing
+	// the pipeline can call starts another pass synchronously — Recirculate
+	// and Receive both go through the engine — so only a bug re-enters.
+	if s.inPass {
+		panic("switchsim: runPipeline re-entered during a pipeline pass")
+	}
+	s.inPass = true
+	ctx := &s.ctx
+	*ctx = Context{sw: s, InPort: inPort, Frame: frame}
 	if err := s.pkt.DecodeFromBytes(frame); err != nil {
 		s.Stats.ParseErrors++
 		ctx.ParseErr = err
@@ -265,7 +284,8 @@ func (s *Switch) runPipeline(inPort int, frame []byte) {
 		ctx.Pkt = &s.pkt
 		ctx.Priority = ClassifyDSCP(ctx.Pkt)
 	}
-	s.Pipeline.Ingress(&ctx)
+	s.Pipeline.Ingress(ctx)
+	s.inPass = false
 	if ctx.frameSent || ctx.retained {
 		return
 	}
@@ -339,14 +359,27 @@ func (s *Switch) transmitNext(port int) {
 	p.Send(frame)
 	s.Stats.TxFrames++
 	// The frame's buffer bytes are released when serialization completes.
-	s.Engine.Schedule(p.SerializationDelay(len(frame)), func() {
-		q.bytes -= len(frame)
-		s.bufUsed -= len(frame)
-		if s.Hooks != nil {
-			s.Hooks.PacketDeparted(port, q.bytes)
-		}
-		s.transmitNext(port)
-	})
+	// The frame itself now belongs to the port, so the departure event
+	// carries only what it needs: the port and the length, packed in arg.
+	n := len(frame)
+	s.Engine.ScheduleCall(p.SerializationDelay(n), switchDeparted, s, nil, port<<departLenBits|n)
+}
+
+// departLenBits is the width of the frame length in a departure event's arg;
+// the port number sits above it. 2^20 is far beyond any frame the pool makes.
+const departLenBits = 20
+
+// switchDeparted is the event body of a frame leaving an egress queue.
+func switchDeparted(recv any, _ []byte, arg int) {
+	s := recv.(*Switch)
+	port, n := arg>>departLenBits, arg&(1<<departLenBits-1)
+	q := s.queues[port]
+	q.bytes -= n
+	s.bufUsed -= n
+	if s.Hooks != nil {
+		s.Hooks.PacketDeparted(port, q.bytes)
+	}
+	s.transmitNext(port)
 }
 
 // isRoCEFrame classifies a frame as RDMA traffic by its encapsulation:
@@ -424,6 +457,11 @@ func ClassifyDSCP(pkt *wire.Packet) Priority {
 
 // Context is the pipeline's view of one packet in flight, mirroring the
 // intrinsic metadata and primitive actions a P4 program has.
+//
+// The Context a Receive or recirculation pass hands to Ingress is the
+// switch's own and is rewritten by the next pass: a pipeline must not keep
+// the pointer past Ingress. To hold a packet across passes, Retain parks the
+// frame (not the context) and the continuation builds a fresh NewContext.
 type Context struct {
 	sw     *Switch
 	InPort int
@@ -521,9 +559,7 @@ func (c *Context) Recirculate(frame []byte) {
 		c.frameSent = true
 	}
 	c.sw.Stats.Recirculated++
-	c.sw.Engine.Schedule(c.sw.Cfg.RecirculationLatency, func() {
-		c.sw.runPipeline(RecirculationPort, frame)
-	})
+	c.sw.Engine.ScheduleCall(c.sw.Cfg.RecirculationLatency, switchIngress, c.sw, frame, RecirculationPort)
 }
 
 // QueueBytes reads the egress queue depth of port — the trigger signal for

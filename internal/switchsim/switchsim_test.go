@@ -654,3 +654,61 @@ func TestIsRoCEFrameClassification(t *testing.T) {
 		t.Fatal("plain UDP classified as RoCE")
 	}
 }
+
+// TestRunPipelineReentryPanics: a pass borrows the switch's one Context, so
+// starting another pass from inside Ingress — which nothing legitimate does:
+// Receive and Recirculate go through the engine — must fail loudly instead
+// of overwriting the context under the outer pass.
+func TestRunPipelineReentryPanics(t *testing.T) {
+	n, sw, hosts := testbed(t, 2, Config{})
+	inner := frameBetween(hosts[0], hosts[1], 64)
+	var panicked any
+	sw.Pipeline = PipelineFunc(func(ctx *Context) {
+		defer func() { panicked = recover() }()
+		sw.runPipeline(ctx.InPort, inner)
+	})
+	sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[1], 64))
+	n.Engine.Run()
+	if panicked == nil {
+		t.Fatal("runPipeline re-entered during a pass without panicking")
+	}
+	wire.DefaultPool.Put(inner) // the refused pass never took ownership
+}
+
+// TestRetainThenNewContextWithSharedContext: the continuation pattern of
+// core/lookup.go — Retain the frame, let other packets use the switch's
+// shared Context meanwhile, finish later on a NewContext — still delivers
+// every frame exactly once. Retain parks the frame, not the Context.
+func TestRetainThenNewContextWithSharedContext(t *testing.T) {
+	n, sw, hosts := testbed(t, 3, Config{})
+	const parked = 4
+	passCtx := map[*Context]bool{}
+	sw.Pipeline = PipelineFunc(func(ctx *Context) {
+		passCtx[ctx] = true
+		if ctx.Pkt.Eth.Dst != hosts[2].MAC {
+			ctx.Emit(1, ctx.Frame) // ordinary traffic between the parked passes
+			return
+		}
+		frame := ctx.Frame
+		ctx.Retain()
+		sw.Engine.Schedule(5*sim.Microsecond, func() {
+			c := sw.NewContext(RecirculationPort, frame)
+			if passCtx[c] {
+				t.Error("NewContext handed out the switch's shared pass Context")
+			}
+			c.Emit(2, frame)
+			c.Finish()
+		})
+	})
+	for i := 0; i < parked; i++ {
+		sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[2], 100+i))
+		sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[1], 64))
+	}
+	n.Engine.Run()
+	if len(passCtx) != 1 {
+		t.Fatalf("passes used %d distinct Contexts, want the one the switch owns", len(passCtx))
+	}
+	if hosts[2].Received != parked || hosts[1].Received != parked {
+		t.Fatalf("delivered %d parked and %d plain frames, want %d each", hosts[2].Received, hosts[1].Received, parked)
+	}
+}
