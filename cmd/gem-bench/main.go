@@ -27,18 +27,12 @@ import (
 	"time"
 
 	"gem/internal/harness"
-	"gem/internal/sim"
 )
-
-type experiment struct {
-	id  string
-	run func() *harness.Table
-}
 
 // selectExperiments returns the experiments runList names ("all", or
 // comma-separated ids, case-insensitive), in table order. An id the table
 // does not have is an error: a typo must not silently skip an experiment.
-func selectExperiments(runList string, table []experiment) ([]experiment, error) {
+func selectExperiments(runList string, table []harness.Experiment) ([]harness.Experiment, error) {
 	if runList == "all" {
 		return table, nil
 	}
@@ -46,11 +40,11 @@ func selectExperiments(runList string, table []experiment) ([]experiment, error)
 	for _, id := range strings.Split(runList, ",") {
 		want[strings.TrimSpace(strings.ToUpper(id))] = true
 	}
-	var selected []experiment
+	var selected []harness.Experiment
 	for _, e := range table {
-		if want[e.id] {
+		if want[e.ID] {
 			selected = append(selected, e)
-			delete(want, e.id)
+			delete(want, e.ID)
 		}
 	}
 	if len(want) == 0 {
@@ -62,7 +56,7 @@ func selectExperiments(runList string, table []experiment) ([]experiment, error)
 	}
 	sort.Strings(unknown)
 	for _, e := range table {
-		valid = append(valid, e.id)
+		valid = append(valid, e.ID)
 	}
 	return nil, fmt.Errorf("unknown experiment id %s in -run=%q; valid ids: %s, or all",
 		strings.Join(unknown, ", "), runList, strings.Join(valid, ", "))
@@ -78,151 +72,7 @@ func main() {
 		"number of experiments to run concurrently")
 	flag.Parse()
 
-	var (
-		resMu  sync.Mutex
-		e10Res *harness.E10Result
-		e13Res *harness.E13Result
-	)
-
-	experiments := []experiment{
-		{"E1", func() *harness.Table {
-			cfg := harness.DefaultE1Config()
-			if *quick {
-				cfg.Window = 1 * sim.Millisecond
-				cfg.SweepStart, cfg.SweepStep = 33, 1
-				cfg.DrainFrames = 800
-			}
-			t, _ := harness.RunE1(cfg)
-			return t
-		}},
-		{"E2", func() *harness.Table {
-			cfg := harness.DefaultE2Config()
-			if *quick {
-				cfg.Rounds = 15
-			}
-			t, _ := harness.RunE2(cfg)
-			return t
-		}},
-		{"E3", func() *harness.Table {
-			cfg := harness.DefaultE3Config()
-			if *quick {
-				cfg.Window = 1 * sim.Millisecond
-				cfg.Sizes = []int{64, 256, 1024}
-			}
-			t, _ := harness.RunE3(cfg)
-			return t
-		}},
-		{"E4", func() *harness.Table {
-			cfg := harness.DefaultE4Config()
-			if *quick {
-				cfg.BurstMBs = []int{12, 25}
-			}
-			t, _ := harness.RunE4(cfg)
-			return t
-		}},
-		{"E5", func() *harness.Table {
-			cfg := harness.DefaultE5Config()
-			if *quick {
-				cfg.Mappings, cfg.Packets = 50_000, 15_000
-				cfg.CacheEntries = 4096
-			}
-			t, _ := harness.RunE5(cfg)
-			return t
-		}},
-		{"E6", func() *harness.Table {
-			cfg := harness.DefaultE6Config()
-			if *quick {
-				cfg.Packets = 15_000
-			}
-			t, _ := harness.RunE6(cfg)
-			return t
-		}},
-		{"E7", func() *harness.Table {
-			t, _ := harness.RunE7(harness.DefaultE7Config())
-			return t
-		}},
-		{"E8A", func() *harness.Table {
-			cfg := harness.DefaultE8aConfig()
-			if *quick {
-				cfg.Window = 1 * sim.Millisecond
-				cfg.Batches = []uint64{1, 32, 512}
-			}
-			t, _ := harness.RunE8a(cfg)
-			return t
-		}},
-		{"E8B", func() *harness.Table {
-			cfg := harness.DefaultE8bConfig()
-			if *quick {
-				cfg.Packets = 100
-			}
-			t, _ := harness.RunE8b(cfg)
-			return t
-		}},
-		{"E8C", func() *harness.Table {
-			cfg := harness.DefaultE8cConfig()
-			if *quick {
-				cfg.Updates = 500
-			}
-			t, _ := harness.RunE8c(cfg)
-			return t
-		}},
-		{"E8D", func() *harness.Table {
-			cfg := harness.DefaultE8dConfig()
-			if *quick {
-				cfg.Window = 1 * sim.Millisecond
-				cfg.CapsGbps = []float64{0, 1}
-			}
-			t, _ := harness.RunE8d(cfg)
-			return t
-		}},
-		{"E8E", func() *harness.Table {
-			cfg := harness.DefaultE8eConfig()
-			if *quick {
-				cfg.Window = 4 * sim.Millisecond
-			}
-			t, _ := harness.RunE8e(cfg)
-			return t
-		}},
-		{"E8F", func() *harness.Table {
-			cfg := harness.DefaultE8fConfig()
-			if *quick {
-				cfg.Window = 6 * sim.Millisecond
-				cfg.CrashAt = 2 * sim.Millisecond
-			}
-			t, _ := harness.RunE8f(cfg)
-			return t
-		}},
-		// E9 and E10 are already short runs (microsecond-scale scenarios);
-		// -quick changes nothing.
-		{"E9", func() *harness.Table {
-			t, _ := harness.RunE9(harness.DefaultE9Config())
-			return t
-		}},
-		{"E10", func() *harness.Table {
-			t, res := harness.RunE10(harness.DefaultE10Config())
-			resMu.Lock()
-			e10Res = &res
-			resMu.Unlock()
-			return t
-		}},
-		{"E11", func() *harness.Table {
-			t, _ := harness.RunE11(harness.DefaultE11Config())
-			return t
-		}},
-		{"E12", func() *harness.Table {
-			t, _ := harness.RunE12(harness.DefaultE12Config())
-			return t
-		}},
-		{"E13", func() *harness.Table {
-			t, res := harness.RunE13(harness.DefaultE13Config())
-			resMu.Lock()
-			e13Res = &res
-			resMu.Unlock()
-			return t
-		}},
-	}
-
-	selected, err := selectExperiments(*runList, experiments)
+	selected, err := selectExperiments(*runList, harness.Experiments)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -238,6 +88,7 @@ func main() {
 
 	type result struct {
 		out     bytes.Buffer
+		res     any
 		elapsed time.Duration
 	}
 	// One single-use channel per experiment lets main stream results in
@@ -255,8 +106,8 @@ func main() {
 			defer wg.Done()
 			for i := range jobs {
 				start := time.Now()
-				table := selected[i].run()
-				r := &result{elapsed: time.Since(start)}
+				table, res := selected[i].Run(*quick)
+				r := &result{res: res, elapsed: time.Since(start)}
 				table.Fprint(&r.out)
 				results[i] <- r
 			}
@@ -269,10 +120,20 @@ func main() {
 		close(jobs)
 	}()
 
+	var (
+		e10Res *harness.E10Result
+		e13Res *harness.E13Result
+	)
 	for i, e := range selected {
 		r := <-results[i]
 		os.Stdout.Write(r.out.Bytes())
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.id, r.elapsed.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, r.elapsed.Round(time.Millisecond))
+		switch res := r.res.(type) {
+		case harness.E10Result:
+			e10Res = &res
+		case harness.E13Result:
+			e13Res = &res
+		}
 	}
 	wg.Wait()
 

@@ -3,14 +3,16 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"gem/internal/harness"
 )
 
 func TestSelectExperiments(t *testing.T) {
-	table := []experiment{{id: "E1"}, {id: "E8A"}, {id: "E11"}}
-	ids := func(es []experiment) string {
+	table := []harness.Experiment{{ID: "E1"}, {ID: "E8A"}, {ID: "E11"}}
+	ids := func(es []harness.Experiment) string {
 		var out []string
 		for _, e := range es {
-			out = append(out, e.id)
+			out = append(out, e.ID)
 		}
 		return strings.Join(out, ",")
 	}
