@@ -170,15 +170,10 @@ var (
 	NewFailover = core.NewFailover
 	// NewSupervisor builds the consistency supervisor on an engine.
 	NewSupervisor = core.NewSupervisor
-	// GovernStateStore / GovernLookupTable / GovernPacketBuffer build
-	// supervisor targets for the three primitives.
-	GovernStateStore   = core.GovernStateStore
-	GovernLookupTable  = core.GovernLookupTable
-	GovernPacketBuffer = core.GovernPacketBuffer
-	// GovernReplicatedStateStore is GovernStateStore plus a pressure feed
-	// from the store's replication lag, so a mirror falling behind walks the
-	// store down the health ladder before data is actually lost.
-	GovernReplicatedStateStore = core.GovernReplicatedStateStore
+	// Govern builds a supervisor target for any of the three primitives
+	// (plus an optional failover group's liveness); a state store's replica
+	// lag feeds the pressure signal.
+	Govern = core.Govern
 	// SetDSCPAction / SetDstIPAction / DropAction build lookup actions.
 	SetDSCPAction  = core.SetDSCPAction
 	SetDstIPAction = core.SetDstIPAction

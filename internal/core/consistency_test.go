@@ -7,11 +7,13 @@ import (
 	"gem/internal/rnic"
 	"gem/internal/sim"
 	"gem/internal/switchsim"
+	"gem/internal/wire"
 )
 
 // Consistency-spectrum coverage: the SetDegraded/Reconcile exit-edge
 // accounting, BoundedStaleness and Eventual mode semantics on the state
-// store, and the supervisor's health ladder driven by a synthetic target.
+// store, the supervisor's health ladder driven by a synthetic target, and a
+// supervisor governing a packet buffer through a server crash.
 
 func TestReconcileDegradedExitSingleEdge(t *testing.T) {
 	// Regression: one degraded interval must count exactly one DegradedExit
@@ -209,5 +211,107 @@ func TestSupervisorHealthLadder(t *testing.T) {
 	eng.Run()
 	if sup.Stats.Recoveries != 2 || sup.Stats.DegradedEntries != 2 || sup.Stats.HealthyReturns < 1 {
 		t.Fatalf("stats %+v", sup.Stats)
+	}
+}
+
+func TestSupervisorGovernsPacketBuffer(t *testing.T) {
+	// A supervisor governs a packet buffer whose only memory server crashes.
+	// Liveness comes from a heartbeat group of two probe channels on that
+	// same server, so failover has nowhere to go and the group exhausts.
+	before := wire.DefaultPool.Stats().Balance()
+	b := newBedN(t, 3, 1, switchsim.Config{BufferBytes: 256 << 10}, rnic.Config{MTU: 4096})
+	ring := b.establish(t, 1<<22, rnic.PSNTolerant, false)
+	probe := func(base uint64) *Channel {
+		ch, err := b.ctrl.Establish(ChannelSpec{
+			SwitchPort: b.memPort, NIC: b.memNIC, RegionBase: base, RegionSize: 4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	fo, err := NewFailover([]*Channel{probe(0x1000000), probe(0x2000000)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewPacketBuffer([]*Channel{ring}, 2, PacketBufferConfig{
+		HighWaterBytes: 16 << 10, LowWaterBytes: 8 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.RegisterWith(b.disp)
+	fo.RegisterWith(b.disp)
+	b.sw.Hooks = pb
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		if b.disp.Dispatch(ctx) {
+			return
+		}
+		if ctx.Pkt != nil && ctx.Pkt.Eth.Dst == b.hosts[2].MAC {
+			pb.Admit(ctx, ctx.Frame)
+			return
+		}
+		ctx.Drop()
+	})
+	sup := NewSupervisor(b.net.Engine, SupervisorConfig{})
+	idx := sup.Govern(Govern("buffer", pb, fo))
+	fo.Start()
+	sup.Start()
+	t.Cleanup(fo.Stop)
+	t.Cleanup(sup.Stop)
+	incast := func(n int) { // 2:1 toward host 2
+		for i := 0; i < n; i++ {
+			b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[2], 1500, 1))
+			b.net.Ports(b.hosts[1])[0].Send(dataFrame(b.hosts[1], b.hosts[2], 1500, 2))
+		}
+	}
+
+	// Healthy: the incast spills; loading is held so the ring still holds
+	// entries when the server dies.
+	pb.PauseLoading()
+	incast(100)
+	b.net.Engine.RunFor(500 * sim.Microsecond)
+	if pb.Stats.Stored == 0 || sup.State(idx) != Healthy {
+		t.Fatalf("setup: stored %d, state %v", pb.Stats.Stored, sup.State(idx))
+	}
+
+	// Crash: heartbeats go unanswered, the group exhausts, the supervisor
+	// degrades the buffer, and new arrivals bypass the ring.
+	b.memNIC.Fail()
+	pb.ResumeLoading()
+	b.net.Engine.RunFor(1500 * sim.Microsecond)
+	if sup.State(idx) != Degraded || !pb.Degraded() || !fo.Exhausted {
+		t.Fatalf("after crash: state %v, degraded %v, exhausted %v", sup.State(idx), pb.Degraded(), fo.Exhausted)
+	}
+	incast(20)
+	b.net.Engine.RunFor(200 * sim.Microsecond)
+	if pb.Stats.DegradedBypassed == 0 {
+		t.Fatalf("degraded buffer bypassed nothing: %+v", pb.Stats)
+	}
+
+	// Recovery: the server answers again, clean ticks reconcile the buffer
+	// back to Healthy, and the next incast spills again.
+	b.memNIC.Recover()
+	b.net.Engine.RunFor(1 * sim.Millisecond)
+	if sup.State(idx) != Healthy || pb.Degraded() {
+		t.Fatalf("after recovery: state %v, degraded %v", sup.State(idx), pb.Degraded())
+	}
+	stored := pb.Stats.Stored
+	incast(100)
+	b.net.Engine.RunFor(500 * sim.Microsecond)
+	if pb.Stats.Stored == stored {
+		t.Fatalf("spilling did not resume: %+v", pb.Stats)
+	}
+
+	// Quiesce: the ring drains and every frame went back to the pool.
+	fo.Stop()
+	sup.Stop()
+	b.net.Engine.Run()
+	if pb.Depth() != 0 || pb.Transport().Pending() != 0 || pb.Detouring() {
+		t.Fatalf("ring not drained: depth %d, pending %d, detour %v",
+			pb.Depth(), pb.Transport().Pending(), pb.Detouring())
+	}
+	if got := wire.DefaultPool.Stats().Balance(); got != before {
+		t.Fatalf("frame pool unbalanced: %d before, %d after", before, got)
 	}
 }

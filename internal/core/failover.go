@@ -40,12 +40,11 @@ type Failover struct {
 	// Inner receives every non-heartbeat response for the active channel.
 	Inner ResponseHandler
 	// OnFailover is invoked after every switchover — failover or failback —
-	// with the old and new channels; primitives rebind here (e.g.
-	// StateStore.Rebind). Since the work-queue refactor the rebind flows
-	// through the shared transport: the primitive aborts its QP (returning
-	// in-flight credits), points it at the new channel, and re-posts pending
-	// work from its durable intent (the dirty set) — no primitive replays a
-	// private outstanding-op table anymore.
+	// with the old and new channels; primitives rebind here
+	// (StateStore.RebindShard, PacketBuffer.RebindShard). The shared remote
+	// core moves the shard's routing and credit window; the primitive
+	// decides what happens to in-flight work (the store aborts it and
+	// re-posts from its dirty set, the buffer migrates its READs).
 	OnFailover func(old, new *Channel)
 	// OnRecover fires when the active member answers again after the group
 	// was Exhausted.

@@ -23,7 +23,7 @@ func failoverBed(t *testing.T) (*bed, *StateStore, *Failover) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo.OnFailover = func(_, newCh *Channel) { ss.Rebind(newCh) }
+	fo.OnFailover = func(_, newCh *Channel) { ss.RebindShard(0, newCh) }
 	fo.RegisterWith(b.disp)
 	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
 		if !b.disp.Dispatch(ctx) {
@@ -194,7 +194,7 @@ func reliableFailoverBed(t *testing.T) (*bed, *StateStore, *Retransmitter, *Fail
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.SetRetransmitter(rt)
+	ss.SetShardRetransmitter(0, rt)
 	rt.Inner = ss
 	fo, err := NewFailover([]*Channel{probeP, probeS}, nil)
 	if err != nil {
@@ -204,7 +204,7 @@ func reliableFailoverBed(t *testing.T) (*bed, *StateStore, *Retransmitter, *Fail
 	fo.OnFailover = func(_, newProbe *Channel) {
 		data := dataOf[newProbe]
 		rt.Retarget(data)
-		ss.Rebind(data)
+		ss.RebindShard(0, data)
 	}
 	fo.RegisterWith(b.disp)
 	b.disp.Register(dataP, rt)

@@ -118,12 +118,7 @@ type LookupStats struct {
 	CreditFallbacks int64
 	// MissTimeouts counts remote lookups declared lost by the miss reaper.
 	MissTimeouts int64
-	// DegradedEntries / DegradedExits count SetDegraded edges.
-	DegradedEntries int64
-	DegradedExits   int64
-	// ModeChanges counts SetConsistencyMode transitions between distinct
-	// modes.
-	ModeChanges int64
+	PostureStats
 }
 
 // LookupTable is the lookup-table primitive (§4): a match-action table in
@@ -131,10 +126,16 @@ type LookupStats struct {
 // the data plane on a local-table miss. With N channels the entry space
 // stripes over them (entry i homes on server i mod N), which is how the
 // §2.2 million-entry tables outgrow a single server's region.
+//
+// The shared remote core carries the misses: an entry's home shard
+// correlates READ responses to in-flight lookups by request PSN (the
+// recirculation variant additionally indexes them by table index as the WQE
+// token), releases each miss credit exactly once (windows exist only when
+// MaxOutstandingMisses is set), and reaps lookups whose answers never
+// arrived.
 type LookupTable struct {
-	chans []*Channel
-	sw    *switchsim.Switch
-	cfg   LookupConfig
+	remote
+	cfg LookupConfig
 
 	cache *switchsim.CacheTable[wire.FlowKey, LookupAction]
 
@@ -149,23 +150,10 @@ type LookupTable struct {
 	// punting to the switch CPU, which holds (a shard of) the mapping, when
 	// remote memory is unreachable. Nil means degraded misses drop.
 	SlowPath func(key wire.FlowKey) (LookupAction, bool)
-	degraded bool
-	mode     ConsistencyMode
 
 	// pendingActions holds actions fetched by the recirculation variant,
 	// keyed by table index, until the parked packet comes around again.
 	pendingActions map[int]LookupAction
-
-	// credits are the per-channel miss admission windows (nil when
-	// MaxOutstandingMisses is 0). striped is the work queue over the
-	// channels: an entry's home shard correlates READ responses to
-	// in-flight lookups by request PSN (the recirculation variant
-	// additionally indexes them by table index as the WQE token), releases
-	// each miss credit exactly once, and reaps lookups whose answers never
-	// arrived.
-	credits []*Credits
-	striped *verbs.StripedQP
-	byQPN   map[uint32]int // channel QPN → shard, for response routing
 
 	Stats LookupStats
 }
@@ -181,44 +169,30 @@ func NewLookupTable(ch *Channel, cfg LookupConfig) (*LookupTable, error) {
 // so each region must hold ceil(Entries/N) entries.
 func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, error) {
 	cfg.fillDefaults()
-	if len(chans) == 0 {
-		return nil, fmt.Errorf("core: lookup table needs at least one channel")
-	}
 	if cfg.Entries <= 0 {
 		return nil, fmt.Errorf("core: lookup table needs a positive entry count")
 	}
-	perShard := (cfg.Entries + len(chans) - 1) / len(chans)
-	for _, ch := range chans {
-		if need := perShard * cfg.EntrySize(); need > ch.Size {
-			return nil, fmt.Errorf("core: lookup table needs %d bytes, region has %d", need, ch.Size)
+	t := &LookupTable{cfg: cfg, pendingActions: make(map[int]LookupAction)}
+	var credit *CreditConfig
+	if cfg.MaxOutstandingMisses > 0 {
+		credit = &CreditConfig{
+			Window: cfg.MaxOutstandingMisses, Low: cfg.MissLowWatermark,
+			Unlimited: cfg.UnlimitedWindow,
 		}
 	}
-	t := &LookupTable{
-		chans: chans, sw: chans[0].sw, cfg: cfg,
-		pendingActions: make(map[int]LookupAction),
-		byQPN:          make(map[uint32]int, len(chans)),
-	}
-	qps := make([]*verbs.QP, len(chans))
-	for i, ch := range chans {
-		t.byQPN[ch.ID] = i
-		var cr *Credits
-		if cfg.MaxOutstandingMisses > 0 {
-			cr = ch.EnsureCredits(CreditConfig{
-				Window: cfg.MaxOutstandingMisses, Low: cfg.MissLowWatermark,
-				Unlimited: cfg.UnlimitedWindow,
-			})
-			t.credits = append(t.credits, cr)
-		}
-		qps[i] = verbs.NewQP(ch, cr, verbs.QPConfig{
+	err := t.init("lookup table", chans, &t.Stats.PostureStats, cfg.Entries, credit,
+		verbs.QPConfig{
 			// The recirculation variant dedups concurrent fetches per table
 			// index, so the index doubles as the WQE token.
 			TokenIndex: cfg.Mode == LookupRecirculate,
 			Reap:       true,
 			Timeout:    cfg.MissTimeout,
 			OnExpired:  func(verbs.OpType, uint64) { t.Stats.MissTimeouts++ },
-		})
+		},
+		verbs.StripeConfig{EntrySize: cfg.EntrySize()})
+	if err != nil {
+		return nil, err
 	}
-	t.striped = verbs.NewStriped(qps, verbs.StripeConfig{EntrySize: cfg.EntrySize()})
 	t.Apply = t.ApplyDefault
 	if cfg.CacheEntries > 0 {
 		// A cached entry costs key (13B) + action (8B) ≈ 24B of SRAM.
@@ -235,61 +209,13 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 // Config returns the effective configuration.
 func (t *LookupTable) Config() LookupConfig { return t.cfg }
 
-// Channel returns the table's first (or only) RDMA channel.
-func (t *LookupTable) Channel() *Channel { return t.chans[0] }
-
-// Channels reports the table's shard count.
-func (t *LookupTable) Channels() int { return len(t.chans) }
-
 // Cache exposes the local cache (nil when disabled).
 func (t *LookupTable) Cache() *switchsim.CacheTable[wire.FlowKey, LookupAction] { return t.cache }
-
-// Credits exposes shard 0's miss admission window (nil when disabled).
-func (t *LookupTable) Credits() *Credits {
-	if len(t.credits) == 0 {
-		return nil
-	}
-	return t.credits[0]
-}
-
-// Transport exposes the table's striped work queue for introspection
-// (gem.Stats, per-shard tests).
-func (t *LookupTable) Transport() *verbs.StripedQP { return t.striped }
-
-// SetDegraded switches the table between normal operation and the CPU
-// slow-path degraded mode (no remote traffic while degraded).
-func (t *LookupTable) SetDegraded(on bool) {
-	if on && !t.degraded {
-		t.Stats.DegradedEntries++
-	} else if !on && t.degraded {
-		t.Stats.DegradedExits++
-	}
-	t.degraded = on
-}
-
-// Degraded reports whether the table is in degraded mode.
-func (t *LookupTable) Degraded() bool { return t.degraded }
-
-// SetConsistencyMode maps the consistency spectrum onto the table's two
-// postures: Eventual serves every miss from the CPU slow path (no remote
-// traffic — the local answer may be stale), while Strict and
-// BoundedStaleness resolve misses remotely (the fetch itself guarantees
-// freshness, so the table has no intermediate posture to bound).
-func (t *LookupTable) SetConsistencyMode(m ConsistencyMode) {
-	if m != t.mode {
-		t.Stats.ModeChanges++
-	}
-	t.mode = m
-	t.SetDegraded(m == Eventual)
-}
-
-// Mode reports the table's current consistency contract.
-func (t *LookupTable) Mode() ConsistencyMode { return t.mode }
 
 // Reconcile is the supervisor's recovery hook: degraded lookups kept no
 // local backlog (the slow path answered them terminally), so recovery is
 // just re-enabling remote resolution.
-func (t *LookupTable) Reconcile() { t.SetConsistencyMode(Strict) }
+func (t *LookupTable) Reconcile() { t.SetConsistencyMode(Strict, StalenessBound{}) }
 
 // Lookup is the data-plane action: resolve the action for frame (whose
 // parsed form is pkt) and apply it. Cache hits complete locally; misses go
@@ -322,7 +248,7 @@ func (t *LookupTable) LookupPrio(ctx *switchsim.Context, frame []byte, pkt *wire
 	}
 	idx := key.Index(t.cfg.Entries)
 	home := t.striped.Home(uint64(idx))
-	if len(t.credits) > 0 && t.needsMissRead(idx) {
+	if t.cfg.MaxOutstandingMisses > 0 && t.needsMissRead(idx) {
 		home.ReapExpired()
 		//gem:credit-ok reservation is consumed by the Post* in depositAndFetch/recircFetch below, or dropped by depositAndFetch's oversize bail
 		if !home.TryReserve(verbs.OpRead) {
@@ -461,16 +387,11 @@ func (t *LookupTable) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 	// the moment the answer lands, well-formed or not, releasing its credit.
 	// Middle/Last continuation packets (multi-packet deposit responses) and
 	// answers to already-reaped lookups simply miss the work queue. The
-	// echoed destination QPN routes the completion to its shard; a
-	// single-channel table tolerates responses from a rebound-away channel,
-	// a striped one skips completion for QPNs it no longer owns (PSN spaces
-	// are per-channel, so a cross-shard match would be a false retire).
+	// echoed destination QPN routes the completion to its shard (shardOf).
 	var cqe verbs.CQE
 	matched := false
-	if si, ok := t.byQPN[pkt.BTH.DestQP]; ok {
+	if si, ok := t.shardOf(pkt.BTH.DestQP); ok {
 		cqe, matched = t.striped.Shard(si).CompleteExact(pkt.BTH.PSN)
-	} else if len(t.chans) == 1 {
-		cqe, matched = t.striped.Shard(0).CompleteExact(pkt.BTH.PSN)
 	}
 	payload := pkt.Payload
 	if len(payload) < 8 {

@@ -87,7 +87,7 @@ func TestPacketBufferAcrossPSNWrap(t *testing.T) {
 		t.Fatalf("exact matching broke at the wrap: %d stale responses", pb.Stats.StaleResponses)
 	}
 	for i := 0; i < pb.Channels(); i++ {
-		if p := pb.Transport(i).Pending(); p != 0 {
+		if p := pb.Transport().Shard(i).Pending(); p != 0 {
 			t.Fatalf("channel %d transport still holds %d WQEs", i, p)
 		}
 	}

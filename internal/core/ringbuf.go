@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gem/internal/core/verbs"
@@ -113,12 +114,7 @@ type PacketBufferStats struct {
 	// watermark transitions.
 	SpillGateEntries int64
 	SpillGateExits   int64
-	// DegradedEntries / DegradedExits count SetDegraded edges.
-	DegradedEntries int64
-	DegradedExits   int64
-	// ModeChanges counts SetConsistencyMode transitions between distinct
-	// modes.
-	ModeChanges int64
+	PostureStats
 }
 
 // PacketBuffer is the packet-buffer primitive (§4): a ring buffer in remote
@@ -135,15 +131,15 @@ type PacketBufferStats struct {
 // striped transport (verbs.StripedQP): consecutive entries alternate
 // servers and each shard's slot index advances like a private ring.
 //
-// Since the work-queue refactor the buffer is a thin consumer of the verbs
-// transport: it decides *what* to spill and load (cursors, watermarks,
-// ordering) and posts READs through per-channel QPs; PSN tracking, stale
-// detection, response reassembly, credit release and timeout collection all
-// live in the transport. The ring-entry number g doubles as the WQE token.
+// The buffer decides *what* to spill and load (cursors, watermarks,
+// ordering); the shared remote core posts through per-channel QPs, each
+// with a private admission window (one credit per in-flight READ). PSN
+// tracking, stale detection, response reassembly, credit release and
+// timeout collection all live in the transport. The ring-entry number g
+// doubles as the WQE token.
 type PacketBuffer struct {
-	chans []*Channel
-	sw    *switchsim.Switch
-	cfg   PacketBufferConfig
+	remote
+	cfg PacketBufferConfig
 
 	// OutPort is the protected egress port.
 	OutPort int
@@ -158,19 +154,12 @@ type PacketBuffer struct {
 	cursors *switchsim.RegisterArray // 0=tail 1=readNext 2=emitNext
 	detour  bool
 	paused  bool
-	// degraded suspends spilling: new packets take the direct path (falling
-	// back to plain tail-drop queueing) while already-stored entries keep
-	// draining. The ordering rule is knowingly violated — that is the
-	// degradation contract when remote memory is unreliable.
-	degraded bool
-	mode     ConsistencyMode
+	// While degraded (remote.degraded) spilling is suspended: new packets
+	// take the direct path (falling back to plain tail-drop queueing) while
+	// already-stored entries keep draining, so leaving the degraded posture
+	// needs no reconcile step. The ordering rule is knowingly violated —
+	// that is the degradation contract when remote memory is unreliable.
 
-	byQPN map[uint32]int // channel ID → index in chans
-
-	// striped shards the work queue across the channels: per-shard QPs with
-	// private admission windows (one credit per in-flight READ), token =
-	// ring entry, merged behind one post/complete surface.
-	striped *verbs.StripedQP
 	// spillGated tracks the per-channel spill gate (SpillHighWaterBytes
 	// hysteresis on the memory-link egress queue).
 	spillGated []bool
@@ -197,51 +186,40 @@ const (
 // outPort. All channels should have the same region size and MTU.
 func NewPacketBuffer(chans []*Channel, outPort int, cfg PacketBufferConfig) (*PacketBuffer, error) {
 	cfg.fillDefaults()
-	if len(chans) == 0 {
-		return nil, fmt.Errorf("core: packet buffer needs at least one channel")
-	}
-	perChan := chans[0].Size / cfg.EntrySize
+	perChan := math.MaxInt
 	for _, ch := range chans {
-		if n := ch.Size / cfg.EntrySize; n < perChan {
-			perChan = n
-		}
+		perChan = min(perChan, ch.Size/cfg.EntrySize)
 	}
 	if perChan < 2 {
 		return nil, fmt.Errorf("core: ring would have %d entries per channel; need >= 2", perChan)
 	}
-	sw := chans[0].sw
-	regs, err := switchsim.NewRegisterArray(sw.SRAM,
-		fmt.Sprintf("pktbuf%d/cursors", chans[0].ID), 3)
-	if err != nil {
-		return nil, err
-	}
 	b := &PacketBuffer{
-		chans: chans, sw: sw, cfg: cfg, OutPort: outPort,
+		cfg: cfg, OutPort: outPort,
 		perChan: perChan, total: perChan * len(chans),
-		cursors:    regs,
-		byQPN:      make(map[uint32]int, len(chans)),
 		reorder:    make(map[uint64][]byte),
 		spillGated: make([]bool, len(chans)),
 	}
-	qps := make([]*verbs.QP, len(chans))
-	for i, ch := range chans {
-		b.byQPN[ch.ID] = i
-		credits := ch.EnsureCredits(CreditConfig{
+	err := b.init("packet buffer", chans, &b.Stats.PostureStats, 0,
+		&CreditConfig{
 			Window: cfg.PerChannelWindow, Low: cfg.ReadLowWatermark,
 			Unlimited: cfg.UnlimitedWindow,
-		})
-		qps[i] = verbs.NewQP(ch, credits, verbs.QPConfig{
+		},
+		verbs.QPConfig{
 			TokenIndex: true,
 			Timeout:    cfg.ReadTimeout,
 			// Progress guarantee: if a response is lost and the egress goes
 			// idle (no departures to re-trigger loading), this kick retries.
 			Kick:      b.maybeLoad,
 			KickDelay: cfg.ReadTimeout + sim.Microsecond,
-		})
+		},
+		verbs.StripeConfig{EntrySize: cfg.EntrySize, SlotsPerShard: perChan})
+	if err != nil {
+		return nil, err
 	}
-	b.striped = verbs.NewStriped(qps, verbs.StripeConfig{
-		EntrySize: cfg.EntrySize, SlotsPerShard: perChan,
-	})
+	if b.cursors, err = switchsim.NewRegisterArray(b.sw.SRAM,
+		fmt.Sprintf("pktbuf%d/cursors", chans[0].ID), 3); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -276,69 +254,21 @@ func (b *PacketBuffer) ResumeLoading() {
 	b.maybeLoad()
 }
 
-// SetDegraded suspends (true) or re-enables (false) spilling to the remote
-// ring. Stored entries continue to drain either way, so clearing degraded
-// mode needs no reconcile step.
-func (b *PacketBuffer) SetDegraded(on bool) {
-	if on && !b.degraded {
-		b.Stats.DegradedEntries++
-	} else if !on && b.degraded {
-		b.Stats.DegradedExits++
-	}
-	b.degraded = on
-}
-
-// Degraded reports whether spilling is suspended.
-func (b *PacketBuffer) Degraded() bool { return b.degraded }
-
-// SetConsistencyMode maps the consistency spectrum onto the buffer's two
-// postures: Eventual bypasses the remote ring (frames emit directly, losing
-// the ordering detour), Strict and BoundedStaleness spill normally — the
-// ring holds packets, not reconcilable state, so there is no intermediate
-// bounded posture.
-func (b *PacketBuffer) SetConsistencyMode(m ConsistencyMode) {
-	if m != b.mode {
-		b.Stats.ModeChanges++
-	}
-	b.mode = m
-	b.SetDegraded(m == Eventual)
-}
-
-// Mode reports the buffer's current consistency contract.
-func (b *PacketBuffer) Mode() ConsistencyMode { return b.mode }
-
 // Reconcile is the supervisor's recovery hook: stored entries drain on
-// their own (SetDegraded docs), so recovery is just re-enabling the spill
-// path and pulling whatever is ready.
+// their own, so recovery is just re-enabling the spill path and pulling
+// whatever is ready.
 func (b *PacketBuffer) Reconcile() {
-	b.SetConsistencyMode(Strict)
+	b.SetConsistencyMode(Strict, StalenessBound{})
 	b.maybeLoad()
 }
 
-// ChannelCredits exposes channel i's admission window for introspection.
-func (b *PacketBuffer) ChannelCredits(i int) *Credits { return b.striped.Shard(i).Credits() }
-
-// Transport exposes channel i's work queue for introspection (gem.Stats).
-func (b *PacketBuffer) Transport(i int) *verbs.QP { return b.striped.Shard(i) }
-
-// Channels reports how many channels stripe the ring.
-func (b *PacketBuffer) Channels() int { return len(b.chans) }
-
-// RebindChannel points stripe shard i at a replacement channel without
+// RebindShard points stripe shard i at a replacement channel without
 // disturbing its siblings: in-flight READs migrate (credits move
 // window-to-window, entries repost in global order so PSN assignment stays
 // reproducible). READs are idempotent, so reposting them is always safe;
-// responses still arriving from the old server complete as stale.
-func (b *PacketBuffer) RebindChannel(i int, ch *Channel) {
-	old := b.chans[i]
-	delete(b.byQPN, old.ID)
-	b.byQPN[ch.ID] = i
-	b.chans[i] = ch
-	credits := ch.EnsureCredits(CreditConfig{
-		Window: b.cfg.PerChannelWindow, Low: b.cfg.ReadLowWatermark,
-		Unlimited: b.cfg.UnlimitedWindow,
-	})
-	moved := b.striped.Shard(i).Retarget(ch, credits, nil)
+// responses the old server still sends are dropped (shardOf).
+func (b *PacketBuffer) RebindShard(i int, ch *Channel) {
+	moved := b.striped.Shard(i).Retarget(ch, b.rebind(i, ch), nil)
 	slices.Sort(moved)
 	for _, g := range moved {
 		if b.striped.Repost(g) {
@@ -509,7 +439,7 @@ func (b *PacketBuffer) PacketEnqueued(port int, queueBytes int) {}
 // original packet to the egress pipeline"). Matching, reassembly and stale
 // detection live in the channel's QP; the buffer consumes completions.
 func (b *PacketBuffer) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
-	c, ok := b.byQPN[pkt.BTH.DestQP]
+	c, ok := b.shardOf(pkt.BTH.DestQP)
 	if !ok {
 		ctx.Drop()
 		return

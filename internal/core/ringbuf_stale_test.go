@@ -74,7 +74,7 @@ func TestPacketBufferStaleResponseAfterRetry(t *testing.T) {
 	if got := b.hosts[2].Received; got != 1 {
 		t.Fatalf("receiver got %d frames, want exactly 1", got)
 	}
-	cr := pb.ChannelCredits(0)
+	cr := pb.ShardCredits(0)
 	if cr.Outstanding() != 0 {
 		t.Fatalf("credit leaked: outstanding %d after drain", cr.Outstanding())
 	}

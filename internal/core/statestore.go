@@ -92,13 +92,7 @@ type StateStoreStats struct {
 	// ShedUpdates counts PriorityLow updates refused at admission because
 	// the pending table crossed ShedPendingSlots (never silent loss).
 	ShedUpdates int64
-	// DegradedEntries / DegradedExits count transitions into and out of the
-	// degraded posture (SetDegraded edges plus Reconcile exits).
-	DegradedEntries int64
-	DegradedExits   int64
-	// ModeChanges counts SetConsistencyMode transitions between distinct
-	// modes (a supervisor relaxing and restoring the contract).
-	ModeChanges int64
+	PostureStats
 	// BoundFlushes counts flushes initiated by a staleness bound (MaxDelta
 	// crossed, or the MaxAge timer fired with deltas pending).
 	BoundFlushes int64
@@ -117,22 +111,16 @@ type StateStoreStats struct {
 // flushed — with the accumulated delta — as slots free up, so the remote
 // value stays exact.
 //
-// Since the work-queue refactor the store is a thin consumer of the verbs
-// transport: it decides *what* to flush (accumulate, batch, shed) and posts
-// FAAs through a striped QP — counter i homes on shard i mod N, each shard
-// a private QP/credit window/retransmitter over one server's channel; PSN
-// tracking, cumulative ACK matching, credit release, timeout reaping, and
-// (in doorbell mode) delta coalescing all live in the transport.
+// The store decides *what* to flush (accumulate, batch, shed); the shared
+// remote core posts FAAs through a striped QP — counter i homes on shard
+// i mod N, each shard a private QP and credit window over one server's
+// channel, with cumulative completion (an atomic ACK retires every FAA at or
+// before the echoed PSN) and the FIFO reaper standing in for RNIC-progress
+// tracking on the lossy path. PSN tracking, credit release, timeout reaping
+// and (in doorbell mode) delta coalescing all live in the transport.
 type StateStore struct {
-	chans []*Channel
-	sw    *switchsim.Switch
-	cfg   StateStoreConfig
-
-	// striped is the store's work-queue surface: cumulative completion per
-	// shard (atomic ACKs retire every FAA at or before the echoed PSN) with
-	// the FIFO reaper standing in for RNIC-progress tracking on the lossy
-	// path.
-	striped *verbs.StripedQP
+	remote
+	cfg StateStoreConfig
 
 	// rts carries a shard's FAAs through a Retransmitter instead of the bare
 	// channel: loss recovery moves to the retransmit window, so that shard's
@@ -140,16 +128,11 @@ type StateStore struct {
 	// late). Wire responses as failover → rt → store.
 	rts []*Retransmitter
 
-	// degraded pauses the flush path: updates accumulate on the switch until
-	// Reconcile. This is the store's explicit failure posture while its
-	// server is known-dead and no standby remains.
-	degraded bool
-
-	// mode is the store's consistency contract (Strict by default); bound
-	// parameterizes BoundedStaleness. oldestPendingAt tracks when the current
-	// backlog started (for the MaxAge trigger and staleness accounting);
-	// ageArmed notes a scheduled age-timer event.
-	mode            ConsistencyMode
+	// While degraded (remote.degraded) the flush path pauses: updates
+	// accumulate on the switch until Reconcile. bound parameterizes
+	// BoundedStaleness. oldestPendingAt tracks when the current backlog
+	// started (for the MaxAge trigger and staleness accounting); ageArmed
+	// notes a scheduled age-timer event.
 	bound           StalenessBound
 	oldestPendingAt sim.Time
 	ageArmed        bool
@@ -157,14 +140,9 @@ type StateStore struct {
 	// draining the backlog until it empties, then accumulation resumes.
 	draining bool
 
-	// credits are the per-channel shared admission windows (EnsureCredits):
-	// one credit per in-flight FAA, held and released by the shard's QP.
-	credits []*Credits
-
 	pending    map[int]uint64    // counter index → accumulated delta
 	dirty      []fifo.Queue[int] // per-shard FIFO of indexes with pending deltas
 	pendingSum uint64
-	byQPN      map[uint32]int // channel QPN → shard, for response routing
 
 	// mirrors, when set per shard, shadow-post that shard's FAAs onto a
 	// replica server (Replicate); replicaCh remembers the replica channel
@@ -188,49 +166,37 @@ func NewStateStore(ch *Channel, cfg StateStoreConfig) (*StateStore, error) {
 // scales with the per-server atomic ceilings.
 func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, error) {
 	cfg.fillDefaults()
-	if len(chans) == 0 {
-		return nil, fmt.Errorf("core: state store needs at least one channel")
-	}
 	if cfg.Counters <= 0 {
 		return nil, fmt.Errorf("core: state store needs a positive counter count")
 	}
-	perShard := (cfg.Counters + len(chans) - 1) / len(chans)
-	for _, ch := range chans {
-		if need := perShard * 8; need > ch.Size {
-			return nil, fmt.Errorf("core: %d counters need %d bytes, region has %d",
-				perShard, need, ch.Size)
-		}
-	}
-	// The pending table is switch SRAM: index (4B) + delta (8B) + slack.
-	if err := chans[0].sw.SRAM.Alloc(fmt.Sprintf("statestore%d/pending", chans[0].ID), cfg.PendingSlots*16); err != nil {
-		return nil, err
-	}
 	s := &StateStore{
-		chans: chans, sw: chans[0].sw, cfg: cfg,
+		cfg:         cfg,
 		pending:     make(map[int]uint64, cfg.PendingSlots),
 		dirty:       make([]fifo.Queue[int], len(chans)),
 		rts:         make([]*Retransmitter, len(chans)),
-		byQPN:       make(map[uint32]int, len(chans)),
 		mirrors:     make([]*verbs.MirroredQP, len(chans)),
 		replicaCh:   make([]*Channel, len(chans)),
 		mirrorByQPN: make(map[uint32]int),
 	}
-	qps := make([]*verbs.QP, len(chans))
-	for i, ch := range chans {
-		s.byQPN[ch.ID] = i
-		cr := ch.EnsureCredits(CreditConfig{
-			Window: cfg.MaxOutstanding, Low: cfg.LowWatermark,
-			Unlimited: cfg.UnlimitedWindow,
-		})
-		s.credits = append(s.credits, cr)
-		qps[i] = verbs.NewQP(ch, cr, verbs.QPConfig{
+	err := s.init("state store", chans, &s.Stats.PostureStats, cfg.Counters,
+		&CreditConfig{Window: cfg.MaxOutstanding, Low: cfg.LowWatermark, Unlimited: cfg.UnlimitedWindow},
+		verbs.QPConfig{
 			Cumulative: true,
 			Reap:       true,
 			Timeout:    cfg.OutstandingTimeout,
 			OnExpired:  func(verbs.OpType, uint64) { s.Stats.TimedOut++ },
-		})
-		if cfg.Doorbell {
-			qps[i].EnableDoorbell(verbs.DoorbellConfig{
+		},
+		verbs.StripeConfig{EntrySize: 8})
+	if err != nil {
+		return nil, err
+	}
+	// The pending table is switch SRAM: index (4B) + delta (8B) + slack.
+	if err := s.sw.SRAM.Alloc(fmt.Sprintf("statestore%d/pending", chans[0].ID), cfg.PendingSlots*16); err != nil {
+		return nil, err
+	}
+	if cfg.Doorbell {
+		for i := range chans {
+			s.striped.Shard(i).EnableDoorbell(verbs.DoorbellConfig{
 				MaxAge:     cfg.DoorbellFlush,
 				FlushDelta: cfg.Batch,
 			})
@@ -239,26 +205,11 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 	// Reflect the resolved window (WindowHint or credit default) back into
 	// the config so Config().MaxOutstanding reports the effective limit.
 	s.cfg.MaxOutstanding = s.credits[0].Config().Window
-	s.striped = verbs.NewStriped(qps, verbs.StripeConfig{EntrySize: 8})
 	return s, nil
 }
 
 // Config returns the effective configuration.
 func (s *StateStore) Config() StateStoreConfig { return s.cfg }
-
-// Channel returns the store's first (or only) RDMA channel.
-func (s *StateStore) Channel() *Channel { return s.chans[0] }
-
-// Channels reports the store's shard count.
-func (s *StateStore) Channels() int { return len(s.chans) }
-
-// Transport exposes the store's striped work queue for introspection
-// (gem.Stats, per-shard tests).
-func (s *StateStore) Transport() *verbs.StripedQP { return s.striped }
-
-// Rebind moves a single-channel store to a new channel (server failover);
-// striped stores rebind one shard at a time via RebindShard.
-func (s *StateStore) Rebind(ch *Channel) { s.RebindShard(0, ch) }
 
 // RebindShard moves shard si to a new channel without disturbing its
 // siblings. In-flight requests to the old server are abandoned; locally
@@ -269,20 +220,12 @@ func (s *StateStore) Rebind(ch *Channel) { s.RebindShard(0, ch) }
 // already committed to the dead server's DRAM are lost — the caller
 // accounts for them via the old region if it ever comes back.
 func (s *StateStore) RebindShard(si int, ch *Channel) {
-	perShard := (s.cfg.Counters + len(s.chans) - 1) / len(s.chans)
-	if need := perShard * 8; need > ch.Size {
-		panic(fmt.Sprintf("core: rebind target region too small: %d < %d", ch.Size, need))
-	}
 	// Abandoned in-flight FAAs return their credits to the old channel's
-	// window (nothing will ever answer them), then the shard adopts the new
-	// channel's window, carrying its configuration across.
+	// window (a late answer from the old server is dropped by shardOf), then
+	// the shard adopts the new channel and its window.
 	qp := s.striped.Shard(si)
 	qp.Abort()
-	delete(s.byQPN, s.chans[si].ID)
-	s.chans[si] = ch
-	s.byQPN[ch.ID] = si
-	s.credits[si] = ch.EnsureCredits(s.credits[si].Config())
-	qp.Rebind(ch, s.credits[si])
+	qp.Rebind(ch, s.rebind(si, ch))
 	s.flush()
 }
 
@@ -300,9 +243,8 @@ func (s *StateStore) Replicate(si int, replica *Channel, cfg verbs.MirrorConfig)
 	if s.mirrors[si] != nil {
 		return nil, fmt.Errorf("core: shard %d already replicated", si)
 	}
-	perShard := (s.cfg.Counters + len(s.chans) - 1) / len(s.chans)
-	if need := perShard * 8; need > replica.Size {
-		return nil, fmt.Errorf("core: replica region too small: %d < %d", replica.Size, need)
+	if s.shardBytes > replica.Size {
+		return nil, fmt.Errorf("core: replica region too small: %d < %d", replica.Size, s.shardBytes)
 	}
 	rqp := verbs.NewQP(replica, nil, verbs.QPConfig{Cumulative: true})
 	m := verbs.NewMirrored(s.striped.Shard(si), rqp, cfg)
@@ -373,16 +315,12 @@ func (s *StateStore) PromoteShard(si int) bool {
 	return true
 }
 
-// SetRetransmitter routes shard 0's FAAs through rt (reliable mode); use
-// SetShardRetransmitter for striped stores. The caller is responsible for
+// SetShardRetransmitter routes shard si's FAAs through rt (reliable mode).
+// The shard's QP becomes rt's completion queue (unless the caller wired one
+// already), so NAKs and retry-budget exhaustion surface as typed error
+// completions in the store's transport stats. The caller is responsible for
 // the response chain reaching rt before the store (rt.Inner = store) and
 // for retargeting rt on failover.
-func (s *StateStore) SetRetransmitter(rt *Retransmitter) { s.SetShardRetransmitter(0, rt) }
-
-// SetShardRetransmitter routes shard si's FAAs through rt. The shard's QP
-// becomes rt's completion queue (unless the caller wired one already), so
-// NAKs and retry-budget exhaustion surface as typed error completions in the
-// store's transport stats.
 func (s *StateStore) SetShardRetransmitter(si int, rt *Retransmitter) {
 	s.rts[si] = rt
 	if rt.CQ == nil {
@@ -390,20 +328,6 @@ func (s *StateStore) SetShardRetransmitter(si int, rt *Retransmitter) {
 	}
 	s.striped.Shard(si).SetReliable(rt)
 }
-
-// SetDegraded pauses (true) or re-enables (false) remote flushing; prefer
-// Reconcile for the re-enable edge, which also kicks the backlog out.
-func (s *StateStore) SetDegraded(on bool) {
-	if on && !s.degraded {
-		s.Stats.DegradedEntries++
-	} else if !on && s.degraded {
-		s.Stats.DegradedExits++
-	}
-	s.degraded = on
-}
-
-// Degraded reports whether the store is accumulating locally only.
-func (s *StateStore) Degraded() bool { return s.degraded }
 
 // SetConsistencyMode switches the store's state-access contract. Entering
 // BoundedStaleness fills b's defaults and arms the staleness machinery for
@@ -416,10 +340,7 @@ func (s *StateStore) SetConsistencyMode(m ConsistencyMode, b StalenessBound) {
 		b.fillDefaults()
 		s.bound = b
 	}
-	s.mode = m
-	if m != prev {
-		s.Stats.ModeChanges++
-	}
+	s.setMode(m)
 	switch {
 	case m == BoundedStaleness && s.pendingSum > 0:
 		s.armAgeTimer()
@@ -429,16 +350,12 @@ func (s *StateStore) SetConsistencyMode(m ConsistencyMode, b StalenessBound) {
 	}
 }
 
-// Mode reports the store's current consistency contract.
-func (s *StateStore) Mode() ConsistencyMode { return s.mode }
-
 // Bound reports the effective staleness bound (meaningful in
 // BoundedStaleness mode).
 func (s *StateStore) Bound() StalenessBound { return s.bound }
 
 // Reconcile converges the local copy with remote memory: any degraded
-// interval ends (through the single SetDegraded exit edge, so DegradedExits
-// counts the transition exactly once however recovery is spelled) and the
+// interval ends (through the single SetDegraded exit edge) and the
 // accumulated backlog flushes as outstanding slots allow. Safe to call
 // whether or not the store is degraded — a supervisor fires it on every
 // recovery without tracking which posture caused the backlog.
@@ -469,13 +386,6 @@ func (s *StateStore) Outstanding() int {
 	}
 	return n
 }
-
-// Credits exposes shard 0's admission window for introspection; striped
-// stores meter each shard separately (ShardCredits).
-func (s *StateStore) Credits() *Credits { return s.credits[0] }
-
-// ShardCredits exposes shard si's admission window.
-func (s *StateStore) ShardCredits(si int) *Credits { return s.credits[si] }
 
 // Pending reports the delta accumulated on the switch for counter idx but
 // not yet flushed — the pending-table accumulator plus any delta deferred
@@ -716,9 +626,8 @@ func (s *StateStore) flushShard(si int) {
 
 // HandleResponse consumes atomic ACKs, freeing outstanding slots and
 // flushing accumulated updates. The echoed destination QPN routes the ACK
-// to its shard; a single-channel store tolerates responses from a channel
-// it has already rebound away from (the pre-striping behaviour), while a
-// striped store ignores QPNs it no longer owns.
+// to its shard; an ACK from a channel the store was rebound away from is
+// dropped (shardOf).
 func (s *StateStore) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 	ctx.Drop() // responses never leave the switch
 	if pkt.BTH.Opcode != wire.OpAtomicAcknowledge {
@@ -733,12 +642,9 @@ func (s *StateStore) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 		s.mirrors[mi].AckReplica(pkt.BTH.PSN)
 		return
 	}
-	si, ok := s.byQPN[pkt.BTH.DestQP]
+	si, ok := s.shardOf(pkt.BTH.DestQP)
 	if !ok {
-		if len(s.chans) > 1 {
-			return
-		}
-		si = 0
+		return
 	}
 	// Cumulative completion: anything at or before the echoed PSN is
 	// answered or lost-and-answered-later.

@@ -154,7 +154,7 @@ func TestStateStoreNoDoubleFlushAcrossRebind(t *testing.T) {
 	ss.Update(0, 1) // posts immediately, occupying the single slot
 	ss.Update(1, 1)
 	ss.Update(1, 1) // parks: delta 2 < Batch while a FAA is outstanding
-	ss.Rebind(standby)
+	ss.RebindShard(0, standby)
 	b.net.Engine.Run()
 	v0, _ := b.memNICs[0].ReadCounter(primary.RKey, primary.Base)
 	v1, _ := b.memNICs[1].ReadCounter(standby.RKey, standby.Base+8)
@@ -166,6 +166,55 @@ func TestStateStoreNoDoubleFlushAcrossRebind(t *testing.T) {
 	}
 	if ss.PendingTotal() != 0 {
 		t.Fatalf("pending = %d after drain", ss.PendingTotal())
+	}
+}
+
+func TestStateStoreIgnoresLateAckAcrossRebind(t *testing.T) {
+	// Regression: a single-channel store rebinds while its old server still
+	// owes an ACK. Both channels' PSN spaces start at 0, so that late ACK
+	// names the same PSN as the FAA now in flight on the standby; it must not
+	// retire that FAA or release its credit. Only the standby's own ACK may.
+	b := newBedN(t, 1, 2, switchsim.Config{}, rnic.Config{})
+	primary := b.establishOn(t, 0, 64*8, rnic.PSNTolerant, false)
+	standby := b.establishOn(t, 1, 64*8, rnic.PSNTolerant, false)
+	ss, err := NewStateStore(primary, StateStoreConfig{Counters: 64, MaxOutstanding: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.disp.Register(primary, ss)
+	b.disp.Register(standby, ss)
+	lateAcks := 0
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		fromPrimary := ctx.Pkt != nil && ctx.Pkt.IsRoCE && ctx.Pkt.BTH.DestQP == primary.ID
+		if !b.disp.Dispatch(ctx) {
+			ctx.Drop()
+			return
+		}
+		if fromPrimary {
+			lateAcks++
+			if n := ss.Transport().Pending(); n != 1 {
+				t.Errorf("late primary ACK retired the standby's FAA: %d in flight, want 1", n)
+			}
+			if n := ss.ShardCredits(0).Outstanding(); n != 1 {
+				t.Errorf("late primary ACK released the standby's credit: %d outstanding, want 1", n)
+			}
+		}
+	})
+	ss.Update(0, 1) // PSN 0 on the primary
+	b.net.Engine.RunFor(200 * sim.Nanosecond)
+	ss.RebindShard(0, standby)
+	ss.Update(1, 1) // PSN 0 on the standby, answered after the primary's ACK
+	b.net.Engine.Run()
+	if lateAcks != 1 {
+		t.Fatalf("primary ACKs after the rebind = %d, want 1", lateAcks)
+	}
+	if n := ss.Transport().Pending(); n != 0 {
+		t.Fatalf("standby's own ACK did not retire its FAA: %d in flight", n)
+	}
+	v0, _ := b.memNICs[0].ReadCounter(primary.RKey, primary.Base)
+	v1, _ := b.memNICs[1].ReadCounter(standby.RKey, standby.Base+8)
+	if v0 != 1 || v1 != 1 {
+		t.Fatalf("counters primary=%d standby=%d, want 1 and 1", v0, v1)
 	}
 }
 
@@ -193,7 +242,7 @@ func TestStateStoreDoorbellNoDoubleFlushAcrossRebind(t *testing.T) {
 	ss.Update(1, 1)
 	ss.Update(1, 1)
 	ss.Update(1, 1) // delta 3 < Batch: resident in the ring, age timer armed
-	ss.Rebind(standby)
+	ss.RebindShard(0, standby)
 	ss.Update(1, 1)    // delta 4 = Batch: posts once, to the new endpoint
 	b.net.Engine.Run() // the pre-rebind age timer also fires in here
 	v0, _ := b.memNICs[0].ReadCounter(primary.RKey, primary.Base+8)
@@ -401,10 +450,10 @@ func TestStripedStateStoreShardFailoverUnderLoss(t *testing.T) {
 	}
 }
 
-func TestPacketBufferRebindChannelMidFlight(t *testing.T) {
+func TestPacketBufferRebindShardMidFlight(t *testing.T) {
 	// Single-channel failover on the striped ring: channel 0's server dies
 	// with READs in flight; a standby holding a mirror of the ring region
-	// takes over via RebindChannel. In-flight READs migrate (Retarget) and
+	// takes over via RebindShard. In-flight READs migrate (Retarget) and
 	// repost against the standby; channel 1 is untouched; delivery stays
 	// lossless and in order.
 	swCfg := switchsim.Config{BufferBytes: 128 << 10}
@@ -461,11 +510,11 @@ func TestPacketBufferRebindChannelMidFlight(t *testing.T) {
 	b.memNICs[0].Fail()
 	pb.ResumeLoading()
 	b.net.Engine.RunFor(100 * sim.Microsecond)
-	if pb.Transport(0).Pending() == 0 {
+	if pb.Transport().Shard(0).Pending() == 0 {
 		t.Fatal("no shard-0 READs in flight at rebind time")
 	}
 	// Phase 3: rebind shard 0 to the standby; the hung READs migrate.
-	pb.RebindChannel(0, standby)
+	pb.RebindShard(0, standby)
 	b.net.Engine.Run()
 	if len(got) != 2*n {
 		t.Fatalf("delivered %d/%d across the failover (stats %+v)", len(got), 2*n, pb.Stats)
@@ -487,8 +536,8 @@ func TestPacketBufferRebindChannelMidFlight(t *testing.T) {
 	if pb.Stats.ReadRetries == 0 {
 		t.Fatal("no READs migrated across the rebind")
 	}
-	if pb.Transport(1).Stats.Read.Retried != 0 {
-		t.Fatalf("sibling shard retried %d READs", pb.Transport(1).Stats.Read.Retried)
+	if pb.Transport().Shard(1).Stats.Read.Retried != 0 {
+		t.Fatalf("sibling shard retried %d READs", pb.Transport().Shard(1).Stats.Read.Retried)
 	}
 	if pb.Detouring() {
 		t.Fatal("stuck in detour after drain")

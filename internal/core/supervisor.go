@@ -325,75 +325,56 @@ func (s *Supervisor) apply(t *supTarget, m ConsistencyMode) {
 	t.Apply(m, s.cfg.Bound)
 }
 
-// GovernStateStore wires a state store (with its optional retransmitters
-// and failover group) as a supervisor target: typed errors from the striped
-// QP, liveness from the retransmitters' retry budgets and the failover
-// group's standby exhaustion, recovery through Reconcile.
-func GovernStateStore(name string, ss *StateStore, rts []*Retransmitter, fo *Failover) SupervisorTarget {
-	return SupervisorTarget{
-		Name:   name,
-		Errors: ss.Transport().Errors,
-		Exhausted: func() bool {
-			if fo != nil && fo.Exhausted {
+// governed is what Govern needs of a primitive: the shared remote core's
+// error source and posture levers, and the primitive's own Reconcile.
+type governed interface {
+	Transport() *verbs.StripedQP
+	SetConsistencyMode(ConsistencyMode, StalenessBound)
+	SetDegraded(bool)
+	Reconcile()
+}
+
+// Govern wires a primitive as a supervisor target: typed errors from its
+// striped QP, modes through SetConsistencyMode, the degraded posture through
+// SetDegraded, recovery through Reconcile. Liveness comes from the failover
+// group fo (nil = none) running out of standbys and, for a state store,
+// from its retransmitters' retry budgets; their backoff is a suspect signal.
+// A state store's worst replica lag feeds the pressure signal (MirrorLagTier:
+// half the lag bound is tier 1, past the bound tier 2), so a mirror falling
+// behind walks the store toward Suspect → Degraded exactly like memory
+// pressure does; typed CQReplicaLost completions already count as errors.
+func Govern(name string, p governed, fo *Failover) SupervisorTarget {
+	var rts []*Retransmitter
+	t := SupervisorTarget{
+		Name:    name,
+		Errors:  p.Transport().Errors,
+		Apply:   p.SetConsistencyMode,
+		Degrade: p.SetDegraded,
+		Recover: p.Reconcile,
+	}
+	if ss, ok := p.(*StateStore); ok {
+		rts = ss.rts
+		t.Pressure = ss.MirrorLagTier
+	}
+	t.Exhausted = func() bool {
+		if fo != nil && fo.Exhausted {
+			return true
+		}
+		for _, rt := range rts {
+			if rt != nil && rt.Exhausted() {
 				return true
 			}
-			for _, rt := range rts {
-				if rt != nil && rt.Exhausted() {
-					return true
-				}
-			}
-			return false
-		},
-		Backoff: func() int {
-			max := 0
-			for _, rt := range rts {
-				if rt != nil && rt.BackoffLevel() > max {
-					max = rt.BackoffLevel()
-				}
-			}
-			return max
-		},
-		Apply:   ss.SetConsistencyMode,
-		Degrade: ss.SetDegraded,
-		Recover: ss.Reconcile,
+		}
+		return false
 	}
-}
-
-// GovernReplicatedStateStore is GovernStateStore with the replication lag
-// feeding the pressure signal: the worst shard mirror's lag tier (half the
-// lag bound → tier 1 / Suspect territory, past the bound → tier 2 /
-// Degrade) rides the same ladder input the allocator's pressure tiers use,
-// so a replica falling behind walks the store toward Suspect → Degraded
-// exactly like memory pressure does. Typed CQReplicaLost completions
-// already flow through the Errors rate via the shard QP.
-func GovernReplicatedStateStore(name string, ss *StateStore, rts []*Retransmitter, fo *Failover) SupervisorTarget {
-	t := GovernStateStore(name, ss, rts, fo)
-	t.Pressure = ss.MirrorLagTier
+	t.Backoff = func() int {
+		max := 0
+		for _, rt := range rts {
+			if rt != nil && rt.BackoffLevel() > max {
+				max = rt.BackoffLevel()
+			}
+		}
+		return max
+	}
 	return t
-}
-
-// GovernLookupTable wires a lookup table as a supervisor target.
-func GovernLookupTable(name string, t *LookupTable) SupervisorTarget {
-	return SupervisorTarget{
-		Name:    name,
-		Errors:  t.Transport().Errors,
-		Apply:   func(m ConsistencyMode, _ StalenessBound) { t.SetConsistencyMode(m) },
-		Recover: t.Reconcile,
-	}
-}
-
-// GovernPacketBuffer wires a packet buffer as a supervisor target.
-func GovernPacketBuffer(name string, b *PacketBuffer) SupervisorTarget {
-	return SupervisorTarget{
-		Name: name,
-		Errors: func() verbs.ErrStats {
-			var e verbs.ErrStats
-			for i := 0; i < b.Channels(); i++ {
-				e = e.Add(b.Transport(i).Stats.Errors)
-			}
-			return e
-		},
-		Apply:   func(m ConsistencyMode, _ StalenessBound) { b.SetConsistencyMode(m) },
-		Recover: b.Reconcile,
-	}
 }

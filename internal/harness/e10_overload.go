@@ -233,7 +233,7 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	pt.RingDrops = pb.Stats.RingDrops
 	pt.SpillGateEntries = pb.Stats.SpillGateEntries
 	for i := 0; i < 2; i++ {
-		if p := pb.ChannelCredits(i).Stats.Peak; p > pt.PeakReads {
+		if p := pb.ShardCredits(i).Stats.Peak; p > pt.PeakReads {
 			pt.PeakReads = p
 		}
 		if p := tb.MemNICs[i].Port().PeakQueuedFrames(); p > pt.NICPeakTx {
@@ -373,8 +373,8 @@ func e10storm(cfg E10Config, interval sim.Duration, bounded bool, res *E10Result
 	pt.ShedUpdates = ss.Stats.ShedUpdates
 	pt.ShedMisses = lt.Stats.ShedMisses
 	pt.Fallbacks = lt.Stats.CreditFallbacks
-	pt.FAAPeak = ss.Credits().Stats.Peak
-	pt.MissPeak = lt.Credits().Stats.Peak
+	pt.FAAPeak = ss.ShardCredits(0).Stats.Peak
+	pt.MissPeak = lt.ShardCredits(0).Stats.Peak
 	pt.DroppedUpdates = ss.Stats.DroppedUpdates
 	if bounded && interval == cfg.StormFastInterval {
 		res.Snap = res.Snap.Add(tb.Stats())

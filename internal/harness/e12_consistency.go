@@ -158,7 +158,7 @@ func e12a(cfg E12Config, res *E12Result) {
 	if err != nil {
 		panic(err)
 	}
-	ss.SetRetransmitter(rt) // wires rt's typed errors to the store's CQ
+	ss.SetShardRetransmitter(0, rt) // wires rt's typed errors to the store's CQ
 	rt.Inner = ss
 	fo, err := gem.NewFailover([]*gem.Channel{probeP, probeS}, nil)
 	if err != nil {
@@ -168,7 +168,7 @@ func e12a(cfg E12Config, res *E12Result) {
 	fo.OnFailover = func(_, newProbe *gem.Channel) {
 		data := dataOf[newProbe]
 		rt.Retarget(data)
-		ss.Rebind(data)
+		ss.RebindShard(0, data)
 	}
 	rt.OnExhausted = func() { fo.ForceFailover() }
 	fo.RegisterWith(tb.Dispatcher)
@@ -177,7 +177,7 @@ func e12a(cfg E12Config, res *E12Result) {
 	e9Dispatch(tb)
 
 	sup := gem.NewSupervisor(tb.Engine, gem.SupervisorConfig{DegradeErrors: 1})
-	idx := sup.Govern(gem.GovernStateStore("store", ss, []*gem.Retransmitter{rt}, fo))
+	idx := sup.Govern(gem.Govern("store", ss, fo))
 	fo.Start()
 	sup.Start()
 
@@ -292,7 +292,7 @@ func e12storm(cfg E12Config, mode gem.ConsistencyMode, res *E12Result) E12ModePo
 	})
 
 	sup := gem.NewSupervisor(tb.Engine, gem.SupervisorConfig{})
-	sup.Govern(gem.GovernLookupTable("lookup", lt))
+	sup.Govern(gem.Govern("lookup", lt, nil))
 	sup.Start()
 
 	highPorts, lowPorts := e10StormPorts(tb, entries, frameLen, 4, 12)

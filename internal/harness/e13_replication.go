@@ -196,7 +196,7 @@ func (b *e13bed) start(cfg E13Config, supCfg gem.SupervisorConfig, onFailover fu
 	b.fo = fo
 
 	b.sup = gem.NewSupervisor(b.tb.Engine, supCfg)
-	b.sup.Govern(gem.GovernReplicatedStateStore("store", b.ss, nil, fo))
+	b.sup.Govern(gem.Govern("store", b.ss, fo))
 
 	fo.Start()
 	b.sup.Start()
@@ -262,7 +262,7 @@ func e13crash(cfg E13Config, mode gem.ReplicationMode, res *E13Result) E13Arm {
 			b.ss.PromoteShard(0)
 			return
 		}
-		b.ss.Rebind(dataOf[newProbe])
+		b.ss.RebindShard(0, dataOf[newProbe])
 	}
 	b.start(cfg, gem.SupervisorConfig{}, onFailover)
 

@@ -611,7 +611,7 @@ func RunE8f(cfg E8fConfig) (*Table, E8fResult) {
 		panic(err)
 	}
 	fo.HeartbeatInterval = cfg.HeartbeatInterval
-	fo.OnFailover = func(_, newCh *gem.Channel) { ss.Rebind(newCh) }
+	fo.OnFailover = func(_, newCh *gem.Channel) { ss.RebindShard(0, newCh) }
 	fo.RegisterWith(tb.Dispatcher)
 	tb.SetPipeline(func(ctx *gem.Context) {
 		if !tb.Dispatcher.Dispatch(ctx) {

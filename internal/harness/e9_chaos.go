@@ -145,7 +145,7 @@ func e9a(cfg E9Config, res *E9Result) {
 	if err != nil {
 		panic(err)
 	}
-	ss.SetRetransmitter(rt)
+	ss.SetShardRetransmitter(0, rt)
 	rt.Inner = ss
 	tb.Dispatcher.Register(ch, rt)
 	e9Dispatch(tb)
@@ -240,7 +240,7 @@ func e9b(cfg E9Config, res *E9Result) {
 	if err != nil {
 		panic(err)
 	}
-	ss.SetRetransmitter(rt)
+	ss.SetShardRetransmitter(0, rt)
 	rt.Inner = ss
 	fo, err := gem.NewFailover([]*gem.Channel{probeP, probeS}, nil)
 	if err != nil {
@@ -249,7 +249,7 @@ func e9b(cfg E9Config, res *E9Result) {
 	fo.OnFailover = func(_, newProbe *gem.Channel) {
 		data := dataOf[newProbe]
 		rt.Retarget(data)
-		ss.Rebind(data)
+		ss.RebindShard(0, data)
 	}
 	rt.OnExhausted = func() { fo.ForceFailover() }
 	fo.RegisterWith(tb.Dispatcher)

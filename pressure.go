@@ -460,15 +460,17 @@ func (tb *Testbed) Stats() StatsSnapshot {
 	seen := make(map[core.ResponseHandler]bool)
 	var visit func(h core.ResponseHandler)
 	visit = func(h core.ResponseHandler) {
-		if h == nil {
-			return
-		}
-		switch v := h.(type) {
-		case *core.Retransmitter:
+		switch h.(type) {
+		case *core.Retransmitter, *core.Failover, *core.StateStore, *core.LookupTable, *core.PacketBuffer:
 			if seen[h] {
 				return
 			}
 			seen[h] = true
+		default:
+			return
+		}
+		switch v := h.(type) {
+		case *core.Retransmitter:
 			snap.Retransmits += v.Retransmits
 			snap.NaksSeen += v.NaksSeen
 			snap.Resyncs += v.Resyncs
@@ -477,56 +479,29 @@ func (tb *Testbed) Stats() StatsSnapshot {
 			snap.RTTSamples += v.RTTSamples
 			visit(v.Inner)
 		case *core.Failover:
-			if seen[h] {
-				return
-			}
-			seen[h] = true
 			snap.Failovers += v.Failovers
 			snap.Failbacks += v.Failbacks
 			snap.StaleDropped += v.StaleDropped
 			snap.FailoverForcedNoops += v.ForcedWhileExhausted
 			visit(v.Inner)
 		case *core.StateStore:
-			if seen[h] {
-				return
-			}
-			seen[h] = true
-			snap.DegradedEntries += v.Stats.DegradedEntries
-			snap.DegradedExits += v.Stats.DegradedExits
 			snap.Reconciles += v.Stats.Reconciles
 			snap.DegradedUpdates += v.Stats.DegradedUpdates
 			snap.ShedUpdates += v.Stats.ShedUpdates
-			snap.ModeChanges += v.Stats.ModeChanges
 			snap.BoundFlushes += v.Stats.BoundFlushes
 			t := v.Transport().Stats()
 			t.Mirror = v.MirrorStats()
-			snap.Transport = snap.Transport.Add(t)
+			snap.addPrimitive(v.Stats.PostureStats, t)
 		case *core.LookupTable:
-			if seen[h] {
-				return
-			}
-			seen[h] = true
-			snap.DegradedEntries += v.Stats.DegradedEntries
-			snap.DegradedExits += v.Stats.DegradedExits
 			snap.DegradedMisses += v.Stats.DegradedMisses
 			snap.ShedMisses += v.Stats.ShedMisses
 			snap.CreditFallbacks += v.Stats.CreditFallbacks
-			snap.ModeChanges += v.Stats.ModeChanges
-			snap.Transport = snap.Transport.Add(v.Transport().Stats())
+			snap.addPrimitive(v.Stats.PostureStats, v.Transport().Stats())
 		case *core.PacketBuffer:
-			if seen[h] {
-				return
-			}
-			seen[h] = true
-			snap.DegradedEntries += v.Stats.DegradedEntries
-			snap.DegradedExits += v.Stats.DegradedExits
 			snap.DegradedBypassed += v.Stats.DegradedBypassed
 			snap.ShedFrames += v.Stats.ShedLowPrio
 			snap.PressureBypassed += v.Stats.PressureBypassed
-			snap.ModeChanges += v.Stats.ModeChanges
-			for i := 0; i < v.Channels(); i++ {
-				snap.Transport = snap.Transport.Add(v.Transport(i).Stats)
-			}
+			snap.addPrimitive(v.Stats.PostureStats, v.Transport().Stats())
 		}
 	}
 	for _, h := range tb.Dispatcher.Handlers() {
@@ -556,4 +531,13 @@ func (tb *Testbed) Stats() StatsSnapshot {
 		snap.ScrubRepairs += sc.Stats.Repairs
 	}
 	return snap
+}
+
+// addPrimitive folds what every primitive reports alike: its posture edges
+// and its transport counters.
+func (s *StatsSnapshot) addPrimitive(p core.PostureStats, t verbs.Stats) {
+	s.DegradedEntries += p.DegradedEntries
+	s.DegradedExits += p.DegradedExits
+	s.ModeChanges += p.ModeChanges
+	s.Transport = s.Transport.Add(t)
 }

@@ -110,7 +110,7 @@ func TestStatsSnapshotWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.EnableAdaptiveRTO() // RTT samples only accrue in adaptive mode
-	ss.SetRetransmitter(rt)
+	ss.SetShardRetransmitter(0, rt)
 	rt.Inner = ss
 	tb.Dispatcher.Register(ch, rt)
 	tb.SetPipeline(func(ctx *Context) {
