@@ -458,9 +458,9 @@ func (tb *Testbed) ReadRemoteCounter(ch *Channel, offset int) (uint64, error) {
 
 // NewScrubber builds an anti-entropy scrubber comparing length bytes at
 // offset of primary's region against the same window of replica's, and
-// registers it so Stats reports its work. The windows alias server DRAM
-// (they survive a crash wipe — clear() zeroes in place), so the scrubber
-// sees exactly what RDMA readers would. Call Start on the result.
+// registers it so Stats reports its work. The scrubber reads and repairs
+// both regions through their data path, so it sees exactly what RDMA
+// readers would, crash wipes included. Call Start on the result.
 func (tb *Testbed) NewScrubber(primary, replica *Channel, offset, length int, cfg ScrubConfig) (*Scrubber, error) {
 	pr, rr := tb.Region(primary), tb.Region(replica)
 	if pr == nil || rr == nil {
@@ -470,7 +470,7 @@ func (tb *Testbed) NewScrubber(primary, replica *Channel, offset, length int, cf
 		return nil, fmt.Errorf("gem: scrub window [%d,%d) outside regions (%d/%d bytes)",
 			offset, offset+length, pr.Size, rr.Size)
 	}
-	sc := core.NewScrubber(tb.Engine, pr.Bytes()[offset:offset+length], rr.Bytes()[offset:offset+length], cfg)
+	sc := core.NewScrubber(tb.Engine, pr, rr, offset, length, cfg)
 	tb.scrubbers = append(tb.scrubbers, sc)
 	return sc, nil
 }

@@ -51,17 +51,17 @@ func TestStateStoreReplicaCrashScrubReseeds(t *testing.T) {
 	}
 	b.net.Engine.Run()
 
-	pwin := b.memNICs[0].LookupRegion(primary.RKey).Bytes()[:8*8]
-	rwin := b.memNICs[1].LookupRegion(replica.RKey).Bytes()[:8*8]
-	if !bytes.Equal(pwin, rwin) {
+	preg := b.memNICs[0].LookupRegion(primary.RKey)
+	rreg := b.memNICs[1].LookupRegion(replica.RKey)
+	if !bytes.Equal(preg.Bytes()[:8*8], rreg.Bytes()[:8*8]) {
 		t.Fatal("mirrored copies diverge before the crash")
 	}
 
 	// Replica crash-with-wipe: the region bytes are gone, the mirror's
 	// accounting says everything was acknowledged — only a scrub can notice.
-	clear(rwin)
+	b.memNICs[1].WipeRegions()
 
-	sc := NewScrubber(b.net.Engine, pwin, rwin, ScrubConfig{
+	sc := NewScrubber(b.net.Engine, preg, rreg, 0, 8*8, ScrubConfig{
 		Interval: sim.Microsecond, Chunk: 16,
 		Live: func() bool {
 			return !m.Promoted() && m.Lag() == 0 && ss.Outstanding() == 0
@@ -74,7 +74,7 @@ func TestStateStoreReplicaCrashScrubReseeds(t *testing.T) {
 	if sc.Stats.Diverged == 0 || sc.Stats.Repairs == 0 || sc.Stats.BytesRepaired == 0 {
 		t.Fatalf("scrub saw no divergence: %+v", sc.Stats)
 	}
-	if !bytes.Equal(pwin, rwin) {
+	if !bytes.Equal(preg.Bytes()[:8*8], rreg.Bytes()[:8*8]) {
 		t.Fatal("replica not re-seeded to byte equality")
 	}
 	if got := remoteCounterSum(b, ss); got != 1+2+3+4+5+6+7+8 {

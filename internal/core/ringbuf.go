@@ -173,6 +173,10 @@ type PacketBuffer struct {
 	// entries (nil marks a malformed entry consumed without forwarding).
 	reorder map[uint64][]byte
 
+	// retry is the scratch list of READs to repost (retryStale,
+	// RebindShard), reused so a retry allocates nothing.
+	retry []uint64
+
 	Stats PacketBufferStats
 }
 
@@ -268,9 +272,9 @@ func (b *PacketBuffer) Reconcile() {
 // reproducible). READs are idempotent, so reposting them is always safe;
 // responses the old server still sends are dropped (shardOf).
 func (b *PacketBuffer) RebindShard(i int, ch *Channel) {
-	moved := b.striped.Shard(i).Retarget(ch, b.rebind(i, ch), nil)
-	slices.Sort(moved)
-	for _, g := range moved {
+	b.retry = b.striped.Shard(i).Retarget(ch, b.rebind(i, ch), b.retry[:0])
+	slices.Sort(b.retry)
+	for _, g := range b.retry {
 		if b.striped.Repost(g) {
 			b.Stats.ReadRetries++
 		}
@@ -413,9 +417,9 @@ func (b *PacketBuffer) retryStale() {
 	// Retries issue READs, which consume PSNs: collect the timed-out entries
 	// from every shard and re-issue in entry order so the PSN assignment
 	// (and therefore the whole trace) is reproducible.
-	stale := b.striped.AppendExpired(nil)
-	slices.Sort(stale)
-	for _, g := range stale {
+	b.retry = b.striped.AppendExpired(b.retry[:0])
+	slices.Sort(b.retry)
+	for _, g := range b.retry {
 		if b.striped.Repost(g) {
 			b.Stats.ReadRetries++
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gem/internal/rnic"
 	"gem/internal/sim"
 )
 
@@ -56,24 +57,28 @@ func (s ScrubStats) Add(o ScrubStats) ScrubStats {
 }
 
 // Scrubber periodically compares a primary byte window against its replica
-// and repairs divergence in the replica. The windows alias the two servers'
-// registered region memory (they survive a wipe: clear() zeroes in place).
+// and repairs divergence in the replica. It reads and repairs the two
+// servers' registered regions through their data path (ReadAt/WriteAt),
+// like RDMA does, so it sees a crash wipe and never holds region memory.
 type Scrubber struct {
-	eng     *sim.Engine
-	primary []byte
-	replica []byte
-	cfg     ScrubConfig
-	cursor  int
-	stopped bool
-	started bool
+	eng              *sim.Engine
+	primary, replica *rnic.Region
+	offset, length   int
+	pbuf, rbuf       []byte // one chunk of each side
+	cfg              ScrubConfig
+	cursor           int
+	stopped          bool
+	started          bool
 
 	Stats ScrubStats
 }
 
-// NewScrubber builds a scrubber over two equal-length windows.
-func NewScrubber(eng *sim.Engine, primary, replica []byte, cfg ScrubConfig) *Scrubber {
-	if len(primary) == 0 || len(primary) != len(replica) {
-		panic("core: scrubber needs equal-length non-empty windows")
+// NewScrubber builds a scrubber over the length bytes at offset of both
+// regions.
+func NewScrubber(eng *sim.Engine, primary, replica *rnic.Region, offset, length int, cfg ScrubConfig) *Scrubber {
+	if length <= 0 || !primary.Contains(primary.Base+uint64(offset), length) ||
+		!replica.Contains(replica.Base+uint64(offset), length) {
+		panic("core: scrubber needs a non-empty window inside both regions")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * sim.Microsecond
@@ -81,7 +86,10 @@ func NewScrubber(eng *sim.Engine, primary, replica []byte, cfg ScrubConfig) *Scr
 	if cfg.Chunk <= 0 {
 		cfg.Chunk = 64
 	}
-	return &Scrubber{eng: eng, primary: primary, replica: replica, cfg: cfg}
+	return &Scrubber{
+		eng: eng, primary: primary, replica: replica, offset: offset, length: length,
+		pbuf: make([]byte, cfg.Chunk), rbuf: make([]byte, cfg.Chunk), cfg: cfg,
+	}
 }
 
 // Start begins scrubbing. Call once.
@@ -103,7 +111,7 @@ func (s *Scrubber) Start() {
 func (s *Scrubber) Stop() { s.stopped = true }
 
 func (s *Scrubber) chunks() int {
-	return (len(s.primary) + s.cfg.Chunk - 1) / s.cfg.Chunk
+	return (s.length + s.cfg.Chunk - 1) / s.cfg.Chunk
 }
 
 func (s *Scrubber) tick() {
@@ -123,18 +131,18 @@ func (s *Scrubber) tick() {
 // check compares chunk i's checksums and repairs the replica on mismatch.
 func (s *Scrubber) check(i int) {
 	lo := i * s.cfg.Chunk
-	hi := lo + s.cfg.Chunk
-	if hi > len(s.primary) {
-		hi = len(s.primary)
-	}
+	n := min(s.cfg.Chunk, s.length-lo)
+	p, r := s.pbuf[:n], s.rbuf[:n]
+	s.primary.ReadAt(p, s.primary.Base+uint64(s.offset+lo))
+	s.replica.ReadAt(r, s.replica.Base+uint64(s.offset+lo))
 	s.Stats.ChunksChecked++
-	if fnv64(s.primary[lo:hi]) == fnv64(s.replica[lo:hi]) {
+	if fnv64(p) == fnv64(r) {
 		return
 	}
 	s.Stats.Diverged++
-	copy(s.replica[lo:hi], s.primary[lo:hi])
+	s.replica.WriteAt(p, s.replica.Base+uint64(s.offset+lo))
 	s.Stats.Repairs++
-	s.Stats.BytesRepaired += int64(hi - lo)
+	s.Stats.BytesRepaired += int64(n)
 }
 
 // fnv64 is FNV-1a, inlined so the scrub tick stays allocation-free.

@@ -167,20 +167,35 @@ type CQE struct {
 
 // WQE is a work-queue entry: one in-flight request. Offset/Len/RespPkts are
 // retained so Repost can re-issue the identical request with fresh PSNs.
+// Op sits beside the flags so the struct packs into one 64-byte size class.
 type WQE struct {
-	Op       OpType
 	Token    uint64
 	Offset   int
 	Len      int
 	RespPkts uint32
 	PSN      uint32
 	Issued   sim.Time
+	Op       OpType
 
-	hasCredit bool // holds one credit, released exactly once at retire
-	queued    bool // resident in the FIFO (freelisted only when popped)
-	done      bool // retired; lazily removed from the FIFO
-	next      *WQE // freelist link
+	hasCredit bool   // holds one credit, released exactly once at retire
+	queued    bool   // resident in the FIFO (freelisted only when popped)
+	done      bool   // retired; lazily removed from the FIFO
+	seq       uint64 // stamp of the latest issue (retry-mode issue order)
+	next      *WQE   // freelist link
 }
+
+// issueRef is one issue of a READ in a retry-mode QP's issue-ordered FIFO:
+// the WQE and the stamp it was given at that issue. Issued cannot tell two
+// issues apart (two can share a nanosecond, and WQEs are recycled through
+// the freelist), but the per-QP stamp can: the entry is live only while its
+// WQE is unretired and still carries the stamp. A retire, a repost (fresh
+// stamp) or a recycle leaves the entry stale, to be dropped lazily.
+type issueRef struct {
+	w   *WQE
+	seq uint64
+}
+
+func (e issueRef) live() bool { return !e.w.done && e.w.seq == e.seq }
 
 // QPConfig fixes a queue pair's completion and expiry discipline.
 type QPConfig struct {
@@ -189,7 +204,8 @@ type QPConfig struct {
 	Cumulative bool
 	// TokenIndex maintains a token→WQE index: TokenPending answers "is this
 	// token in flight" and Repost re-issues by token. Tokens must be unique
-	// among live WQEs.
+	// among live WQEs. Without Reap this is the retry mode: the QP also
+	// keeps its READs in issue order for AppendExpired and Retarget.
 	TokenIndex bool
 	// Reap enables the FIFO-ordered expiry reaper: ReapExpired releases the
 	// credit of any WQE older than Timeout and discards it (the caller's
@@ -226,6 +242,12 @@ type QP struct {
 	byToken map[uint64]*WQE // token index (nil unless TokenIndex)
 	queue   fifo.Queue[*WQE]
 	free    *WQE
+
+	// Retry mode only: every issue of a READ in issue order (so in Issued
+	// order), each stamped from seq. Repost appends a fresh entry, which
+	// moves the WQE to the back; stale entries are dropped lazily.
+	issued  fifo.Queue[issueRef]
+	seq     uint64
 	live    int  // WQEs posted and not yet retired
 	reserve bool // one admission credit reserved, not yet bound to a post
 
@@ -363,12 +385,39 @@ func (q *QP) track(token uint64, offset, n int, respPkts, psn uint32, hasCredit 
 	q.byPSN[psn] = w
 	if q.cfg.TokenIndex {
 		q.byToken[token] = w
+		if !q.cfg.Reap {
+			q.stamp(w)
+		}
 	}
 	if q.cfg.Reap && hasCredit {
 		w.queued = true
 		q.queue.Push(w)
 	}
 	q.live++
+}
+
+// stamp appends w's current issue to the issue-ordered FIFO under a fresh
+// stamp. Stale entries pinned behind a live head are compacted away once
+// they outnumber the live ones, so the ring stays O(live) (amortized O(1)).
+func (q *QP) stamp(w *WQE) {
+	q.dropStaleIssues()
+	if q.issued.Len() >= 2*q.live+8 {
+		for n := q.issued.Len(); n > 0; n-- {
+			if e := q.issued.Pop(); e.live() {
+				q.issued.Push(e)
+			}
+		}
+	}
+	q.seq++
+	w.seq = q.seq
+	q.issued.Push(issueRef{w, q.seq})
+}
+
+// dropStaleIssues pops stale entries off the head of the issue FIFO.
+func (q *QP) dropStaleIssues() {
+	for q.issued.Len() > 0 && !q.issued.Peek().live() {
+		q.issued.Pop()
+	}
 }
 
 // retire marks a WQE complete: tracking removed, credit released exactly
@@ -507,6 +556,9 @@ func (q *QP) Repost(token uint64) bool {
 	w.PSN = psn
 	w.Issued = q.ep.Now()
 	q.byPSN[psn] = w
+	if !q.cfg.Reap {
+		q.stamp(w)
+	}
 	q.Stats.Read.Retried++
 	q.scheduleKick()
 	return true
@@ -689,18 +741,27 @@ func (q *QP) ReapExpired() int {
 }
 
 // AppendExpired appends the tokens of every WQE older than Timeout to buf
-// (TokenIndex QPs): the repost discipline, where the caller sorts the
+// (retry-mode QPs): the repost discipline, where the caller sorts the
 // merged set and re-issues each via Repost for a reproducible PSN order.
+// The walk follows issue order and stops at the first live WQE that has not
+// expired, so it costs O(1) when nothing has expired and O(expired)
+// otherwise. An expired WQE whose repost is refused keeps its place at the
+// head and is collected again by the next call.
 func (q *QP) AppendExpired(buf []uint64) []uint64 {
-	if q.cfg.Timeout <= 0 || q.live == 0 {
+	if q.cfg.Timeout <= 0 {
 		return buf
 	}
+	q.dropStaleIssues()
 	now := q.ep.Now()
-	//gem:deterministic — collecting keys for sorting is order-independent
-	for _, w := range q.byToken {
-		if now.Sub(w.Issued) > q.cfg.Timeout {
-			buf = append(buf, w.Token)
+	for i := 0; i < q.issued.Len(); i++ {
+		e := q.issued.At(i)
+		if !e.live() {
+			continue
 		}
+		if now.Sub(e.w.Issued) <= q.cfg.Timeout {
+			break
+		}
+		buf = append(buf, e.w.Token)
 	}
 	return buf
 }
@@ -732,6 +793,9 @@ func (q *QP) Abort() {
 	if q.byToken != nil {
 		clear(q.byToken)
 	}
+	for q.issued.Len() > 0 {
+		q.issued.Pop()
+	}
 	q.cur = nil
 	q.live = 0
 }
@@ -747,17 +811,18 @@ func (q *QP) Rebind(ep Endpoint, credits *Credits) {
 
 // Retarget points the QP at a new endpoint WITHOUT abandoning in-flight
 // work — the failover path for READ workloads whose requests must
-// eventually be satisfied (TokenIndex QPs). Every live WQE's held credit
+// eventually be satisfied (retry-mode QPs). Every live WQE's held credit
 // moves from the old window to the new one, and its token is appended to
-// buf for the caller to sort and re-issue via Repost against the new
-// endpoint. Responses still arriving from the old endpoint complete as
-// stale.
+// buf, in issue order, for the caller to sort and re-issue via Repost
+// against the new endpoint. Responses still arriving from the old endpoint
+// complete as stale.
 func (q *QP) Retarget(ep Endpoint, credits *Credits, buf []uint64) []uint64 {
-	//gem:deterministic — credit moves and key collection are order-independent
-	for _, w := range q.byToken {
-		if w.done {
+	for i := 0; i < q.issued.Len(); i++ {
+		e := q.issued.At(i)
+		if !e.live() {
 			continue
 		}
+		w := e.w
 		if w.hasCredit && q.credits != credits {
 			q.credits.Release()
 			credits.Acquire()

@@ -35,6 +35,15 @@ func (q *Queue[T]) Peek() T {
 	return q.buf[q.head]
 }
 
+// At returns the i-th element counted from the head (At(0) is Peek). It
+// panics if i is out of range.
+func (q *Queue[T]) At(i int) T {
+	if i < 0 || i >= q.n {
+		panic("fifo: At out of range")
+	}
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
 // Pop removes and returns the head element. It panics on an empty queue;
 // check Len first.
 func (q *Queue[T]) Pop() T {

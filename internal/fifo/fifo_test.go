@@ -27,7 +27,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 // TestFIFOWrap interleaves pushes and pops so the head wraps around the ring
-// repeatedly, including across grows.
+// repeatedly, including across grows, and indexes every element with At.
 func TestFIFOWrap(t *testing.T) {
 	var q Queue[int]
 	next, expect := 0, 0
@@ -41,6 +41,11 @@ func TestFIFOWrap(t *testing.T) {
 				t.Fatalf("round %d: Pop = %d, want %d", round, got, expect)
 			}
 			expect++
+		}
+		for i := 0; i < q.Len(); i++ {
+			if got := q.At(i); got != expect+i {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, got, expect+i)
+			}
 		}
 	}
 	for q.Len() > 0 {
@@ -62,6 +67,7 @@ func TestFIFOPanics(t *testing.T) {
 	}{
 		{"Pop", func() { q.Pop() }},
 		{"Peek", func() { q.Peek() }},
+		{"At", func() { q.At(0) }},
 	} {
 		func() {
 			defer func() {

@@ -207,21 +207,20 @@ func (n *NIC) LookupQP(qpn uint32) *QP { return n.qps[qpn] }
 func (n *NIC) Fail()    { n.failed = true }
 func (n *NIC) Recover() { n.failed = false }
 
-// WipeRegions zeroes every registered memory region — the DRAM contents a
-// real reboot loses — and returns the number of bytes lost (every registered
-// byte; a region nothing touched yet has no backing to clear). It models a
-// power-cycle restart (faults.CrashWipe routes here); the regions stay
-// registered with their rkeys, only their contents are gone. Note the
+// WipeRegions drops the backing of every registered memory region — the
+// DRAM contents a real reboot loses — and returns the number of bytes lost
+// (every registered byte). A wiped region is like a fresh one: it reads as
+// zeros, holds no memory, and allocates pages again only where written. It
+// models a power-cycle restart (faults.CrashWipe routes here); the regions
+// stay registered with their rkeys, only their contents are gone. Note the
 // atomic-replay caches (QP.atomicReplay) are deliberately NOT cleared: they are
 // NIC-side transport state, and wiping them would turn a retransmitted FAA
 // into a double-apply, which is a different fault than data loss.
 func (n *NIC) WipeRegions() int {
 	total := 0
-	//gem:deterministic — zeroing every region is order-independent
+	//gem:deterministic — dropping every region is order-independent
 	for _, r := range n.regions {
-		for _, p := range r.pages {
-			clear(p)
-		}
+		r.pages, r.grow = nil, 0
 		total += r.Size
 	}
 	return total

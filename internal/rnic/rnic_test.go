@@ -613,7 +613,17 @@ func TestRegionAllocatesWhereTouched(t *testing.T) {
 	if string(r.region.Bytes()[5<<20:5<<20+11]) != "first touch" {
 		t.Fatal("the WRITE is not visible through Bytes")
 	}
-	if r.server.WipeRegions(); !bytes.Equal(r.region.Bytes()[5<<20:5<<20+11], make([]byte, 11)) {
+	r.region.Bytes() // fold into one slab: the wipe must drop that too
+	r.server.WipeRegions()
+	if r.region.pages != nil {
+		t.Fatalf("WipeRegions kept %d pages, want none", touchedPages(r.region))
+	}
+	r.req.PostRead(0x10000+5<<20, r.region.RKey, 11, func(b []byte) { got = b })
+	r.net.Engine.Run()
+	if !bytes.Equal(got, make([]byte, 11)) || r.region.pages != nil {
+		t.Fatalf("READ after a wipe returned %x with %d pages, want zeros and no backing", got, touchedPages(r.region))
+	}
+	if !bytes.Equal(r.region.Bytes()[5<<20:5<<20+11], make([]byte, 11)) {
 		t.Fatal("WipeRegions left written bytes behind")
 	}
 }

@@ -456,19 +456,35 @@ func (p *Packet) decodeRoCE(frame, rest []byte) error {
 //
 // RoCE packets end with a 32-bit invariant CRC computed over the packet with
 // per-hop-variant fields masked. We use the Ethernet CRC-32 polynomial (as
-// the spec does) over the frame from the IP header onward, masking the
-// fields the spec masks: IP TOS/TTL/checksum, the UDP checksum, and the BTH
-// reserved byte. This is a faithful simplification: both ends of the
-// simulation compute it the same way, so corruption and truncation are
-// detectable, which is what the primitives rely on.
+// the spec does) over the frame from the IP (v2) or GRH (v1) header onward,
+// masking the fields the spec masks: IP TOS/TTL/checksum, the UDP checksum
+// and the BTH reserved byte (v2), or the GRH traffic class and hop limit and
+// the BTH reserved byte (v1). This is a faithful simplification: both ends
+// of the simulation compute it the same way, so corruption and truncation
+// are detectable, which is what the primitives rely on.
+//
+// The mask is applied in place: computeICRC saves the few variant bytes of
+// the caller's frame, overwrites them with their masked values, runs one
+// crc32.ChecksumIEEE over the whole body and restores them. One call over
+// the body is what lets the slicing-8/CLMUL kernels engage; a masked header
+// copy on the stack would escape to the heap through crc32, so the frame
+// itself is the scratch. That is safe because a frame is owned by the event
+// that handles it and the engine is single-threaded: nothing else observes
+// the bytes between the mask and the restore.
 
-// icrcFF feeds Update the masked 0xFF substitutions without copying.
-var icrcFF = [2]byte{0xFF, 0xFF}
+// Body offsets (from the IP or GRH header) of the bytes the ICRC masks.
+const (
+	icrcIPTOS   = 1
+	icrcIPTTL   = 8
+	icrcIPCsum  = 10          // two bytes
+	icrcUDPCsum = IPv4Len + 6 // two bytes
+	icrcBTHRsvd = IPv4Len + UDPLen + 4
+	icrcV1Hop   = 7
+	icrcV1Rsvd  = GRHLen + 4
+)
 
-// computeICRC runs CRC-32 incrementally over the frame's body slices,
-// substituting the masked bytes in place of a full body copy. Chaining
-// crc32.Update over sub-slices is bit-identical to ChecksumIEEE over the
-// concatenation, so the wire format is unchanged.
+// computeICRC masks the frame's variant bytes in place, checksums the body
+// in one pass, and restores the bytes (see the block comment above).
 func computeICRC(frame []byte) (uint32, bool) {
 	v1 := IsRoCEv1Frame(frame)
 	min := roceFixedLen
@@ -479,32 +495,21 @@ func computeICRC(frame []byte) (uint32, bool) {
 		return 0, false
 	}
 	b := frame[EthernetLen : len(frame)-ICRCLen]
-	t := crc32.IEEETable
-	var crc uint32
 	if v1 {
-		// Mask the variant GRH fields: traffic class (OR-masks, so two
-		// scratch bytes) and hop limit, plus the BTH reserved byte.
-		m := [2]byte{b[0] | 0x0F, b[1] | 0xF0}
-		crc = crc32.Update(crc, t, m[:])
-		crc = crc32.Update(crc, t, b[2:7])
-		crc = crc32.Update(crc, t, icrcFF[:1]) // hop limit
-		crc = crc32.Update(crc, t, b[8:GRHLen+4])
-		crc = crc32.Update(crc, t, icrcFF[:1]) // BTH reserved
-		crc = crc32.Update(crc, t, b[GRHLen+5:])
+		// Traffic class straddles the first two GRH bytes: OR-mask its bits.
+		tc0, tc1, hop, rsv := b[0], b[1], b[icrcV1Hop], b[icrcV1Rsvd]
+		b[0], b[1], b[icrcV1Hop], b[icrcV1Rsvd] = tc0|0x0F, tc1|0xF0, 0xFF, 0xFF
+		crc := crc32.ChecksumIEEE(b)
+		b[0], b[1], b[icrcV1Hop], b[icrcV1Rsvd] = tc0, tc1, hop, rsv
 		return crc, true
 	}
-	// Mask variant fields: IP TOS/TTL/checksum, UDP checksum, BTH reserved.
-	crc = crc32.Update(crc, t, b[0:1])
-	crc = crc32.Update(crc, t, icrcFF[:1]) // IP TOS
-	crc = crc32.Update(crc, t, b[2:8])
-	crc = crc32.Update(crc, t, icrcFF[:1]) // IP TTL
-	crc = crc32.Update(crc, t, b[9:10])
-	crc = crc32.Update(crc, t, icrcFF[:]) // IP checksum
-	crc = crc32.Update(crc, t, b[12:IPv4Len+6])
-	crc = crc32.Update(crc, t, icrcFF[:]) // UDP checksum
-	crc = crc32.Update(crc, t, b[IPv4Len+8:IPv4Len+UDPLen+4])
-	crc = crc32.Update(crc, t, icrcFF[:1]) // BTH reserved
-	crc = crc32.Update(crc, t, b[IPv4Len+UDPLen+5:])
+	tos, ttl, ipc0, ipc1 := b[icrcIPTOS], b[icrcIPTTL], b[icrcIPCsum], b[icrcIPCsum+1]
+	udc0, udc1, rsv := b[icrcUDPCsum], b[icrcUDPCsum+1], b[icrcBTHRsvd]
+	b[icrcIPTOS], b[icrcIPTTL], b[icrcIPCsum], b[icrcIPCsum+1] = 0xFF, 0xFF, 0xFF, 0xFF
+	b[icrcUDPCsum], b[icrcUDPCsum+1], b[icrcBTHRsvd] = 0xFF, 0xFF, 0xFF
+	crc := crc32.ChecksumIEEE(b)
+	b[icrcIPTOS], b[icrcIPTTL], b[icrcIPCsum], b[icrcIPCsum+1] = tos, ttl, ipc0, ipc1
+	b[icrcUDPCsum], b[icrcUDPCsum+1], b[icrcBTHRsvd] = udc0, udc1, rsv
 	return crc, true
 }
 
