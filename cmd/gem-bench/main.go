@@ -5,7 +5,6 @@
 //
 //	gem-bench             # run everything at full settings
 //	gem-bench -run E2,E3  # run a subset
-//	gem-bench -run E10 -snapshot BENCH_PR4.json  # overload run + counters
 //	gem-bench -quick      # reduced settings (seconds, for smoke tests)
 //	gem-bench -parallel 4 # fan experiments across 4 workers
 //
@@ -16,7 +15,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -66,8 +64,6 @@ func main() {
 	runList := flag.String("run", "all",
 		"comma-separated experiment ids (E1..E7, E8a..E8f, E9, E10, E11, E12, E13) or 'all'")
 	quick := flag.Bool("quick", false, "reduced parameters for a fast smoke run")
-	snapshot := flag.String("snapshot", "",
-		"write the E10/E13 runs' aggregated robustness counters as JSON to this file")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of experiments to run concurrently")
 	flag.Parse()
@@ -78,17 +74,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
+	workers := min(max(*parallel, 1), len(selected))
 
 	type result struct {
 		out     bytes.Buffer
-		res     any
 		elapsed time.Duration
 	}
 	// One single-use channel per experiment lets main stream results in
@@ -106,8 +95,8 @@ func main() {
 			defer wg.Done()
 			for i := range jobs {
 				start := time.Now()
-				table, res := selected[i].Run(*quick)
-				r := &result{res: res, elapsed: time.Since(start)}
+				table := selected[i].Run(*quick)
+				r := &result{elapsed: time.Since(start)}
 				table.Fprint(&r.out)
 				results[i] <- r
 			}
@@ -120,43 +109,10 @@ func main() {
 		close(jobs)
 	}()
 
-	var (
-		e10Res *harness.E10Result
-		e13Res *harness.E13Result
-	)
 	for i, e := range selected {
 		r := <-results[i]
 		os.Stdout.Write(r.out.Bytes())
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, r.elapsed.Round(time.Millisecond))
-		switch res := r.res.(type) {
-		case harness.E10Result:
-			e10Res = &res
-		case harness.E13Result:
-			e13Res = &res
-		}
 	}
 	wg.Wait()
-
-	if *snapshot != "" {
-		if e10Res == nil && e13Res == nil {
-			fmt.Fprintln(os.Stderr, "-snapshot requires E10 or E13 in the run set")
-			os.Exit(2)
-		}
-		doc := struct {
-			GeneratedAt string
-			E10         *harness.E10Result `json:",omitempty"`
-			E13         *harness.E13Result `json:",omitempty"`
-		}{GeneratedAt: time.Now().UTC().Format(time.RFC3339), E10: e10Res, E13: e13Res}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*snapshot, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "[snapshot written to %s]\n", *snapshot)
-	}
 }

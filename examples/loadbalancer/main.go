@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"gem"
 	"gem/internal/flowgen"
@@ -33,13 +35,19 @@ var (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Host 0 = client; hosts 1..backends = servers; one memory server.
 	tb, err := gem.New(gem.Options{
 		Seed: 13, Hosts: backends + 1, MemoryServers: 1,
 		NIC: rnic.Config{MTU: 4096},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := gem.LookupConfig{
 		Entries:      1 << 16, // 64k connection buckets in remote DRAM
@@ -48,11 +56,11 @@ func main() {
 	}
 	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: cfg.Entries * cfg.EntrySize()})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lb, err := gem.NewLookupTable(ch, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Control plane: assign each connection bucket a backend DIP.
@@ -60,7 +68,7 @@ func main() {
 	for i := 0; i < cfg.Entries; i++ {
 		dip := tb.Hosts[1+i%backends].IP
 		if err := gem.PopulateLookupEntry(region, cfg, i, gem.SetDstIPAction(dip)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -135,17 +143,18 @@ func main() {
 	for _, n := range perBackend {
 		total += n
 	}
-	fmt.Printf("connections: %d, packets: %d (delivered %d)\n",
+	fmt.Fprintf(w, "connections: %d, packets: %d (delivered %d)\n",
 		connections, connections*pktsPerConn, total)
-	fmt.Printf("per-connection consistency violations: %d\n", inconsistent)
-	fmt.Println("backend distribution:")
+	fmt.Fprintf(w, "per-connection consistency violations: %d\n", inconsistent)
+	fmt.Fprintln(w, "backend distribution:")
 	for i := 1; i <= backends; i++ {
 		ip := tb.Hosts[i].IP
-		fmt.Printf("  %v: %5d packets (%.1f%%)\n", ip, perBackend[ip],
+		fmt.Fprintf(w, "  %v: %5d packets (%.1f%%)\n", ip, perBackend[ip],
 			float64(perBackend[ip])/float64(total)*100)
 	}
-	fmt.Printf("connection table: %d buckets in remote DRAM (%.1f MB), SRAM cache %d entries\n",
+	fmt.Fprintf(w, "connection table: %d buckets in remote DRAM (%.1f MB), SRAM cache %d entries\n",
 		cfg.Entries, float64(cfg.Entries*cfg.EntrySize())/(1<<20), cfg.CacheEntries)
-	fmt.Printf("cache hit rate: %.1f%%, remote lookups: %d, server CPU ops: %d\n",
+	fmt.Fprintf(w, "cache hit rate: %.1f%%, remote lookups: %d, server CPU ops: %d\n",
 		lb.Cache().HitRate()*100, lb.Stats.RemoteLookups, tb.ServerCPUOps())
+	return nil
 }

@@ -6,16 +6,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"gem"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// 1. Build the testbed: 2 hosts + 1 memory server behind one ToR.
 	tb, err := gem.New(gem.Options{Seed: 42, Hosts: 2, MemoryServers: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 2. Control plane (runs once): reserve 1 MB of server DRAM, register
@@ -23,15 +31,15 @@ func main() {
 	// switch registers.
 	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: 1 << 20})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("channel up: qpn=%#x rkey=%#x base=%#x size=%d\n",
+	fmt.Fprintf(w, "channel up: qpn=%#x rkey=%#x base=%#x size=%d\n",
 		ch.PeerQPN, ch.RKey, ch.Base, ch.Size)
 
 	// 3. Attach the state-store primitive: 4096 remote counters.
 	counters, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: 4096})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tb.Dispatcher.Register(ch, counters)
 
@@ -70,10 +78,11 @@ func main() {
 	}
 	v, err := tb.ReadRemoteCounter(ch, counters.CounterOffset(key.Index(4096)))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("delivered: %d/%d packets\n", tb.Hosts[1].Received, packets)
-	fmt.Printf("remote counter for the flow: %d (exact: %v)\n", v, v == packets)
-	fmt.Printf("memory server CPU operations after setup: %d\n", tb.ServerCPUOps())
-	fmt.Printf("virtual time elapsed: %v\n", tb.Now())
+	fmt.Fprintf(w, "delivered: %d/%d packets\n", tb.Hosts[1].Received, packets)
+	fmt.Fprintf(w, "remote counter for the flow: %d (exact: %v)\n", v, v == packets)
+	fmt.Fprintf(w, "memory server CPU operations after setup: %d\n", tb.ServerCPUOps())
+	fmt.Fprintf(w, "virtual time elapsed: %v\n", tb.Now())
+	return nil
 }

@@ -31,8 +31,8 @@
 //	tb.SetPipeline(func(ctx *gem.Context) { ... ss.UpdateFlow(...) ... })
 //	tb.Run()
 //
-// See examples/ for complete programs and internal/harness for the
-// experiment reproductions.
+// See examples/ for complete programs, internal/harness for the experiment
+// reproductions (cmd/gem-bench prints them) and bench/ for the benchmark.
 package gem
 
 import (

@@ -72,7 +72,7 @@ type Channel struct {
 
 	// credits is the channel's per-QP admission window, installed lazily by
 	// the first primitive that needs one (EnsureCredits).
-	credits *Credits
+	credits *verbs.Credits
 
 	// cap, when set, rate-limits the channel's request traffic — §7:
 	// "use a bandwidth cap to prevent RDMA packets taking too much
@@ -139,18 +139,18 @@ func newChannel(sw *switchsim.Switch, id uint32, port int) (*Channel, error) {
 
 // Credits returns the channel's admission window (nil until a primitive
 // installs one via EnsureCredits).
-func (c *Channel) Credits() *Credits { return c.credits }
+func (c *Channel) Credits() *verbs.Credits { return c.credits }
 
 // EnsureCredits returns the channel's admission window, creating it from cfg
 // if absent. The first caller's configuration wins: the window models the
 // QP's responder resources, which are a property of the channel, not of the
 // primitive using it.
-func (c *Channel) EnsureCredits(cfg CreditConfig) *Credits {
+func (c *Channel) EnsureCredits(cfg verbs.CreditConfig) *verbs.Credits {
 	if c.credits == nil {
 		if cfg.Window <= 0 && c.WindowHint > 0 {
 			cfg.Window = c.WindowHint
 		}
-		c.credits = NewCredits(cfg)
+		c.credits = verbs.NewCredits(cfg)
 	}
 	return c.credits
 }

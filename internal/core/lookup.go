@@ -68,7 +68,7 @@ type LookupConfig struct {
 	// are shed (PriorityLow) or resolved via SlowPath (PriorityHigh). 0 =
 	// unbounded, the paper's original stateless behaviour.
 	MaxOutstandingMisses int
-	// MissLowWatermark is the window's gate-release point (see Credits).
+	// MissLowWatermark is the window's gate-release point (see verbs.Credits).
 	MissLowWatermark int
 	// MissTimeout declares an unanswered remote lookup lost, releasing its
 	// credit. Zero = 500 µs.
@@ -173,9 +173,9 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 		return nil, fmt.Errorf("core: lookup table needs a positive entry count")
 	}
 	t := &LookupTable{cfg: cfg, pendingActions: make(map[int]LookupAction)}
-	var credit *CreditConfig
+	var credit *verbs.CreditConfig
 	if cfg.MaxOutstandingMisses > 0 {
-		credit = &CreditConfig{
+		credit = &verbs.CreditConfig{
 			Window: cfg.MaxOutstandingMisses, Low: cfg.MissLowWatermark,
 			Unlimited: cfg.UnlimitedWindow,
 		}

@@ -32,7 +32,7 @@ type remote struct {
 	striped *verbs.StripedQP
 	// credits are the per-shard admission windows, one per channel (nil
 	// entries when the primitive runs unmetered).
-	credits []*Credits
+	credits []*verbs.Credits
 	byQPN   map[uint32]int // channel QPN → shard, for response routing
 	// shardBytes is the region size a shard's channel must hold.
 	shardBytes int
@@ -50,7 +50,7 @@ type remote struct {
 // entries, or ceil(keys/N) when that is 0, so its region must hold that many
 // stripe.EntrySize slots.
 func (r *remote) init(what string, chans []*Channel, posture *PostureStats, keys int,
-	credit *CreditConfig, qcfg verbs.QPConfig, stripe verbs.StripeConfig) error {
+	credit *verbs.CreditConfig, qcfg verbs.QPConfig, stripe verbs.StripeConfig) error {
 	if len(chans) == 0 {
 		return fmt.Errorf("core: %s needs at least one channel", what)
 	}
@@ -67,7 +67,7 @@ func (r *remote) init(what string, chans []*Channel, posture *PostureStats, keys
 	}
 	r.chans, r.sw, r.posture = chans, chans[0].sw, posture
 	r.byQPN = make(map[uint32]int, len(chans))
-	r.credits = make([]*Credits, len(chans))
+	r.credits = make([]*verbs.Credits, len(chans))
 	qps := make([]*verbs.QP, len(chans))
 	for i, ch := range chans {
 		r.byQPN[ch.ID] = i
@@ -91,7 +91,7 @@ func (r *remote) Channels() int { return len(r.chans) }
 func (r *remote) Transport() *verbs.StripedQP { return r.striped }
 
 // ShardCredits exposes shard si's admission window (nil when unmetered).
-func (r *remote) ShardCredits(si int) *Credits { return r.credits[si] }
+func (r *remote) ShardCredits(si int) *verbs.Credits { return r.credits[si] }
 
 // shardOf routes a response by its destination QPN. A QPN the primitive no
 // longer owns — a channel it was rebound away from — has no shard: every
@@ -106,7 +106,7 @@ func (r *remote) shardOf(qpn uint32) (int, bool) {
 // configuration carries across, an unmetered shard stays unmetered. It
 // returns the new window. What happens to the shard's in-flight work is the
 // primitive's policy.
-func (r *remote) rebind(si int, ch *Channel) *Credits {
+func (r *remote) rebind(si int, ch *Channel) *verbs.Credits {
 	if r.shardBytes > ch.Size {
 		panic(fmt.Sprintf("core: rebind target region too small: %d < %d", ch.Size, r.shardBytes))
 	}

@@ -204,7 +204,7 @@ func NewPacketBuffer(chans []*Channel, outPort int, cfg PacketBufferConfig) (*Pa
 		spillGated: make([]bool, len(chans)),
 	}
 	err := b.init("packet buffer", chans, &b.Stats.PostureStats, 0,
-		&CreditConfig{
+		&verbs.CreditConfig{
 			Window: cfg.PerChannelWindow, Low: cfg.ReadLowWatermark,
 			Unlimited: cfg.UnlimitedWindow,
 		},

@@ -179,7 +179,7 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 		mirrorByQPN: make(map[uint32]int),
 	}
 	err := s.init("state store", chans, &s.Stats.PostureStats, cfg.Counters,
-		&CreditConfig{Window: cfg.MaxOutstanding, Low: cfg.LowWatermark, Unlimited: cfg.UnlimitedWindow},
+		&verbs.CreditConfig{Window: cfg.MaxOutstanding, Low: cfg.LowWatermark, Unlimited: cfg.UnlimitedWindow},
 		verbs.QPConfig{
 			Cumulative: true,
 			Reap:       true,

@@ -26,20 +26,11 @@ type LatencyHist struct {
 
 // Observe records one post→CQE latency sample.
 func (h *LatencyHist) Observe(d sim.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= LatencyBuckets {
-		i = LatencyBuckets - 1
-	}
-	h.Buckets[i]++
+	ns := max(int64(d), 0)
+	h.Buckets[min(bits.Len64(uint64(ns)), LatencyBuckets-1)]++
 	h.Count++
 	h.SumNs += ns
-	if ns > h.MaxNs {
-		h.MaxNs = ns
-	}
+	h.MaxNs = max(h.MaxNs, ns)
 }
 
 // Add returns the element-wise sum of h and o (Max takes the max).
@@ -49,9 +40,7 @@ func (h LatencyHist) Add(o LatencyHist) LatencyHist {
 	}
 	h.Count += o.Count
 	h.SumNs += o.SumNs
-	if o.MaxNs > h.MaxNs {
-		h.MaxNs = o.MaxNs
-	}
+	h.MaxNs = max(h.MaxNs, o.MaxNs)
 	return h
 }
 

@@ -28,6 +28,8 @@ package verbs
 // replica never saw (dropped during a replica blip) and corrupt the loss
 // accounting that E13 pins.
 
+import "math/bits"
+
 // ReplicationMode selects how a mirrored post completes.
 type ReplicationMode uint8
 
@@ -95,22 +97,10 @@ type LagHist struct {
 
 // Observe records one lag sample.
 func (h *LagHist) Observe(lag int) {
-	v := int64(lag)
-	if v < 0 {
-		v = 0
-	}
-	i := 0
-	for x := v; x > 0; x >>= 1 {
-		i++
-	}
-	if i >= MirrorLagBuckets {
-		i = MirrorLagBuckets - 1
-	}
-	h.Buckets[i]++
+	v := max(int64(lag), 0)
+	h.Buckets[min(bits.Len64(uint64(v)), MirrorLagBuckets-1)]++
 	h.Count++
-	if v > h.Max {
-		h.Max = v
-	}
+	h.Max = max(h.Max, v)
 }
 
 // Add returns the element-wise sum of h and o (Max takes the max).
@@ -119,9 +109,7 @@ func (h LagHist) Add(o LagHist) LagHist {
 		h.Buckets[i] += o.Buckets[i]
 	}
 	h.Count += o.Count
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
+	h.Max = max(h.Max, o.Max)
 	return h
 }
 

@@ -34,8 +34,7 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	var out bytes.Buffer
 	for _, e := range Experiments {
-		tab, _ := e.Run(false)
-		tab.Fprint(&out)
+		e.Run(false).Fprint(&out)
 	}
 
 	var results bytes.Buffer
