@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	gem-bench             # run everything at full settings
+//	gem-bench             # run everything
 //	gem-bench -run E2,E3  # run a subset
-//	gem-bench -quick      # reduced settings (seconds, for smoke tests)
 //	gem-bench -parallel 4 # fan experiments across 4 workers
 //
 // Each experiment owns a private discrete-event engine, so experiments are
@@ -15,8 +14,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -61,17 +62,29 @@ func selectExperiments(runList string, table []harness.Experiment) ([]harness.Ex
 }
 
 func main() {
-	runList := flag.String("run", "all",
+	// run has already reported any error on stderr.
+	if err := run(os.Stdout, os.Stderr, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+}
+
+// run is gem-bench with its streams and arguments passed in: tables go to
+// stdout in table order, timing lines and errors to stderr.
+func run(stdout, stderr io.Writer, args []string) error {
+	fs := flag.NewFlagSet("gem-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all",
 		"comma-separated experiment ids (E1..E7, E8a..E8f, E9, E10, E11, E12, E13) or 'all'")
-	quick := flag.Bool("quick", false, "reduced parameters for a fast smoke run")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of experiments to run concurrently")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	selected, err := selectExperiments(*runList, harness.Experiments)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return err
 	}
 
 	workers := min(max(*parallel, 1), len(selected))
@@ -80,7 +93,7 @@ func main() {
 		out     bytes.Buffer
 		elapsed time.Duration
 	}
-	// One single-use channel per experiment lets main stream results in
+	// One single-use channel per experiment lets run stream results in
 	// experiment order while workers complete out of order.
 	results := make([]chan *result, len(selected))
 	for i := range results {
@@ -95,7 +108,7 @@ func main() {
 			defer wg.Done()
 			for i := range jobs {
 				start := time.Now()
-				table := selected[i].Run(*quick)
+				table := selected[i].Run()
 				r := &result{elapsed: time.Since(start)}
 				table.Fprint(&r.out)
 				results[i] <- r
@@ -111,8 +124,9 @@ func main() {
 
 	for i, e := range selected {
 		r := <-results[i]
-		os.Stdout.Write(r.out.Bytes())
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, r.elapsed.Round(time.Millisecond))
+		stdout.Write(r.out.Bytes())
+		fmt.Fprintf(stderr, "[%s done in %v]\n", e.ID, r.elapsed.Round(time.Millisecond))
 	}
 	wg.Wait()
+	return nil
 }

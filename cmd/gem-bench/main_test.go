@@ -1,11 +1,39 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"gem/internal/harness"
 )
+
+// TestRunPrintsInTableOrder runs a subset out of table order on three
+// workers, so workers may finish out of order, and checks that stdout is
+// exactly those tables' blocks of the full golden output, in table order.
+func TestRunPrintsInTableOrder(t *testing.T) {
+	golden, err := os.ReadFile("../../internal/harness/testdata/gem-bench.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each table prints as "== <ID>: ..." through its trailing blank line.
+	blocks := map[string]string{}
+	for _, b := range strings.SplitAfter(string(golden), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(b, "== "), ":")
+		blocks[id] = b
+	}
+	want := blocks["E2"] + blocks["E7"] + blocks["E8b"]
+
+	var out bytes.Buffer
+	if err := run(&out, io.Discard, []string{"-run", "E7,E2,E8B", "-parallel", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != want {
+		t.Errorf("stdout differs from the E2, E7 and E8b blocks of gem-bench.golden:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
 
 func TestSelectExperiments(t *testing.T) {
 	table := []harness.Experiment{{ID: "E1"}, {ID: "E8A"}, {ID: "E11"}}

@@ -195,7 +195,6 @@ func reliableFailoverBed(t *testing.T) (*bed, *StateStore, *Retransmitter, *Fail
 		t.Fatal(err)
 	}
 	ss.SetShardRetransmitter(0, rt)
-	rt.Inner = ss
 	fo, err := NewFailover([]*Channel{probeP, probeS}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -160,12 +160,6 @@ func (r *Retransmitter) Exhausted() bool { return r.exhausted }
 // reads it as an early-warning signal before the retry budget is spent.
 func (r *Retransmitter) BackoffLevel() int { return r.backoff }
 
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (r *Retransmitter) SRTT() sim.Duration { return r.srtt }
-
-// RTO returns the timeout the next armed timer would use.
-func (r *Retransmitter) RTO() sim.Duration { return r.rto() }
-
 func (r *Retransmitter) chParams(psn uint32) wire.RoCEParams {
 	p := r.ch.params(psn)
 	p.AckReq = true

@@ -219,6 +219,36 @@ func TestRetransmitterForwardsToInner(t *testing.T) {
 	}
 }
 
+// SetShardRetransmitter chains the store behind a bare retransmitter, and
+// keeps an Inner handler the caller wired first.
+func TestSetShardRetransmitterInner(t *testing.T) {
+	b := newBed(t, 1, switchsim.Config{}, rnic.Config{})
+	ch := b.establish(t, 4096, rnic.PSNStrict, true)
+	ss, err := NewStateStore(ch, StateStoreConfig{Counters: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bare, err := NewRetransmitter(ch, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.SetShardRetransmitter(0, bare)
+	if bare.Inner != ResponseHandler(ss) {
+		t.Fatalf("Inner = %v, want the store", bare.Inner)
+	}
+
+	wired, err := NewRetransmitter(ch, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired.Inner = handlerFunc(func(ctx *switchsim.Context, _ *wire.Packet) { ctx.Drop() })
+	ss.SetShardRetransmitter(0, wired)
+	if _, ok := wired.Inner.(handlerFunc); !ok {
+		t.Fatalf("Inner = %T, want the caller's handler kept", wired.Inner)
+	}
+}
+
 // scriptedDrops is a deterministic fault injector: it drops the frames whose
 // 0-based transmit index is listed, and nothing else.
 type scriptedDrops struct {

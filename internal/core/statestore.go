@@ -316,15 +316,18 @@ func (s *StateStore) PromoteShard(si int) bool {
 }
 
 // SetShardRetransmitter routes shard si's FAAs through rt (reliable mode).
-// The shard's QP becomes rt's completion queue (unless the caller wired one
-// already), so NAKs and retry-budget exhaustion surface as typed error
-// completions in the store's transport stats. The caller is responsible for
-// the response chain reaching rt before the store (rt.Inner = store) and
-// for retargeting rt on failover.
+// The shard's QP becomes rt's completion queue and the store becomes rt's
+// Inner handler, unless the caller wired either already, so NAKs and
+// retry-budget exhaustion surface as typed error completions in the store's
+// transport stats. The caller registers rt (not the store) with the
+// dispatcher, so responses reach rt first, and retargets rt on failover.
 func (s *StateStore) SetShardRetransmitter(si int, rt *Retransmitter) {
 	s.rts[si] = rt
 	if rt.CQ == nil {
 		rt.CQ = s.striped.Shard(si)
+	}
+	if rt.Inner == nil {
+		rt.Inner = s
 	}
 	s.striped.Shard(si).SetReliable(rt)
 }

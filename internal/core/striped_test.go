@@ -400,7 +400,6 @@ func TestStripedStateStoreShardFailoverUnderLoss(t *testing.T) {
 	rt0.Timeout, rt1.Timeout = 20*sim.Microsecond, 20*sim.Microsecond
 	ss.SetShardRetransmitter(0, rt0)
 	ss.SetShardRetransmitter(1, rt1)
-	rt0.Inner, rt1.Inner = ss, ss
 	b.disp.Register(ch0, rt0)
 	b.disp.Register(ch1, rt1)
 	b.disp.Register(standby, rt0)

@@ -72,9 +72,6 @@ func (q *QP) EnableDoorbell(cfg DoorbellConfig) {
 	q.db.flushFn = q.ringFromTimer
 }
 
-// DoorbellEnabled reports whether the QP has a pending ring.
-func (q *QP) DoorbellEnabled() bool { return q.db != nil }
-
 // DoorbellPending returns the number of entries resident in the ring.
 func (q *QP) DoorbellPending() int {
 	if q.db == nil {

@@ -43,12 +43,3 @@ func (h LatencyHist) Add(o LatencyHist) LatencyHist {
 	h.MaxNs = max(h.MaxNs, o.MaxNs)
 	return h
 }
-
-// BucketFloorNs returns the inclusive lower bound of bucket i in
-// nanoseconds: 0 for bucket 0, else 2^(i-1).
-func BucketFloorNs(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return int64(1) << (i - 1)
-}

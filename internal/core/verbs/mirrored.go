@@ -202,9 +202,6 @@ func NewMirrored(primary, replica *QP, cfg MirrorConfig) *MirroredQP {
 // Primary returns the wrapped primary QP.
 func (m *MirroredQP) Primary() *QP { return m.primary }
 
-// Replica returns the replica-side QP.
-func (m *MirroredQP) Replica() *QP { return m.replica }
-
 // Mode returns the configured replication mode.
 func (m *MirroredQP) Mode() ReplicationMode { return m.cfg.Mode }
 

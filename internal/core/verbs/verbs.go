@@ -153,10 +153,6 @@ func (s CQStatus) String() string {
 	return "Unknown"
 }
 
-// IsError reports whether s is a typed error completion (as opposed to a
-// successful, in-progress, or merely stale one).
-func (s CQStatus) IsError() bool { return s >= CQNakPSN }
-
 // CQE is a completion-queue entry: the identity of the work request a
 // response satisfied.
 type CQE struct {
@@ -222,12 +218,6 @@ type QPConfig struct {
 	// other event would retrigger the caller's issue loop.
 	Kick      func()
 	KickDelay sim.Duration
-	// OnError, when set, observes every typed error completion delivered via
-	// CompleteError (NAKs, retry exhaustion, failover dead ends). Credit
-	// refusals and Abort cancellations are counted in Stats.Errors but not
-	// delivered here: refusals are a hot-path backpressure signal, and Abort
-	// drains an unordered index.
-	OnError func(CQE, CQStatus)
 }
 
 // QP is one queue pair: the per-channel work-queue/completion-queue state.
@@ -585,8 +575,7 @@ func (q *QP) CompleteExact(psn uint32) (CQE, bool) {
 
 // CompleteError delivers a typed error completion: the CQE identifies the
 // faulted request (or request stream position, for stream-level faults like
-// a NAK), st classifies it, the matching Stats.Errors counter advances, and
-// the configured OnError consumer — typically a supervisor — observes it.
+// a NAK), st classifies it, and the matching Stats.Errors counter advances.
 // Error completions do not retire WQEs: the retransmitter or failover engine
 // that reported the fault still owns recovery of the in-flight work.
 func (q *QP) CompleteError(op OpType, token uint64, psn uint32, st CQStatus) CQE {
@@ -606,9 +595,6 @@ func (q *QP) CompleteError(op OpType, token uint64, psn uint32, st CQStatus) CQE
 		q.Stats.Errors.Canceled++
 	case CQReplicaLost:
 		q.Stats.Errors.ReplicaLost++
-	}
-	if q.cfg.OnError != nil {
-		q.cfg.OnError(cqe, st)
 	}
 	return cqe
 }
@@ -768,8 +754,7 @@ func (q *QP) AppendExpired(buf []uint64) []uint64 {
 
 // Abort abandons every in-flight WQE, returning held credits to the
 // current window — the rebind path when the peer is gone and nothing will
-// ever answer. Each abandoned WQE counts a Canceled typed error (no OnError
-// delivery: the PSN index drains in unordered map order).
+// ever answer. Each abandoned WQE counts a Canceled typed error.
 func (q *QP) Abort() {
 	for q.queue.Len() > 0 {
 		w := q.queue.Pop()

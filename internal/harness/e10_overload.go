@@ -178,9 +178,6 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	}
 
 	tb.SetPipeline(func(ctx *gem.Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
 		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
 			ctx.Drop()
 			return
@@ -253,120 +250,19 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	return pt
 }
 
-// e10StormPorts picks UDP source ports whose lookup-table hash indexes are
-// pairwise distinct (so concurrent deposits never race on an entry) and
-// whose counter index (port % 64) falls in the high band [0,8) or the low
-// band [8,64).
-func e10StormPorts(tb *gem.Testbed, entries, frameLen, nHigh, nLow int) (high, low []uint16) {
-	used := make(map[int]bool)
-	for port := uint16(1000); len(high) < nHigh || len(low) < nLow; port++ {
-		wantHigh := int(port)%64 < 8
-		if wantHigh && len(high) >= nHigh || !wantHigh && len(low) >= nLow {
-			continue
-		}
-		frame := tb.DataFrame(0, 1, frameLen, port, 9999)
-		var p wire.Packet
-		err := p.DecodeFromBytes(frame)
-		idx := wire.FlowOf(&p).Index(entries)
-		wire.DefaultPool.Put(frame) // probe only; never enters the fabric
-		if err != nil {
-			continue
-		}
-		if used[idx] {
-			continue
-		}
-		used[idx] = true
-		if wantHigh {
-			high = append(high, port)
-		} else {
-			low = append(low, port)
-		}
-	}
-	return high, low
-}
-
 // e10storm runs one lookup-miss + counter storm. Every packet updates the
 // state store and misses the lookup table; every 4th packet is high
 // priority. bounded=false is the UnlimitedWindow ablation.
 func e10storm(cfg E10Config, interval sim.Duration, bounded bool, res *E10Result) E10StormPoint {
-	const (
-		entries  = 256
-		frameLen = 192
-		counters = 64
-	)
-	pt := E10StormPoint{IntervalNs: int64(interval)}
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 2, MemoryServers: 1})
-	if err != nil {
-		panic(err)
-	}
-	ltCfg := gem.LookupConfig{
-		Entries: entries, MaxPktBytes: 256,
-		MaxOutstandingMisses: 2,
-		UnlimitedWindow:      !bounded,
-	}
-	chLT, err := tb.Establish(0, gem.ChannelSpec{
-		RegionBase: 0x10000000, RegionSize: entries * ltCfg.EntrySize(),
-	})
-	if err != nil {
-		panic(err)
-	}
-	chSS, err := tb.Establish(0, gem.ChannelSpec{RegionBase: 0x20000000, RegionSize: 4096})
-	if err != nil {
-		panic(err)
-	}
-	lt, err := gem.NewLookupTable(chLT, ltCfg)
-	if err != nil {
-		panic(err)
-	}
-	lt.DefaultOutPort = tb.SwitchPortOfHost(1)
-	// The CPU slow path resolves high-priority misses the window refuses;
-	// zeroed remote entries already decode as ActNop (forward).
-	lt.SlowPath = func(wire.FlowKey) (gem.LookupAction, bool) {
-		return gem.LookupAction{}, true
-	}
-	ss, err := gem.NewStateStore(chSS, gem.StateStoreConfig{
-		Counters: counters, MaxOutstanding: 4,
-		PendingSlots: 32, ShedPendingSlots: 8,
-		UnlimitedWindow: !bounded,
-	})
-	if err != nil {
-		panic(err)
-	}
-	tb.Dispatcher.Register(chLT, lt)
-	tb.Dispatcher.Register(chSS, ss)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		ss.UpdatePrio(int(ctx.Pkt.UDP.SrcPort)%counters, 1, ctx.Priority)
-		lt.LookupPrio(ctx, ctx.Frame, ctx.Pkt, ctx.Priority)
-	})
+	b := newStormBed(cfg.Seed, !bounded)
+	b.start(interval, cfg.StormPackets)
+	b.tb.Run()
 
-	highPorts, lowPorts := e10StormPorts(tb, entries, frameLen, 4, 12)
-	sent, lowIdx := 0, 0
-	tb.Engine.Ticker(interval, func() bool {
-		var frame []byte
-		if sent%4 == 0 {
-			frame = tb.DataFrame(0, 1, frameLen, highPorts[(sent/4)%len(highPorts)], 9999)
-			wire.SetDSCP(frame, 46)
-			pt.HighUpdates++
-		} else {
-			frame = tb.DataFrame(0, 1, frameLen, lowPorts[lowIdx%len(lowPorts)], 9999)
-			lowIdx++
-		}
-		tb.SendFrame(0, frame)
-		sent++
-		return sent < cfg.StormPackets
-	})
-	tb.Run()
-
+	ss, lt := b.ss, b.lt
+	pt := E10StormPoint{IntervalNs: int64(interval), HighUpdates: b.highSent}
+	// Ports in the high band count on counters [0, 8).
+	pt.HighRemote = remoteSum(b.tb, ss, nil, 8)
 	for i := 0; i < 8; i++ {
-		v, _ := tb.ReadRemoteCounter(chSS, ss.CounterOffset(i))
-		pt.HighRemote += v
 		pt.HighPending += ss.Pending(i)
 	}
 	pt.HighExact = pt.HighRemote+pt.HighPending == uint64(pt.HighUpdates)
@@ -377,9 +273,9 @@ func e10storm(cfg E10Config, interval sim.Duration, bounded bool, res *E10Result
 	pt.MissPeak = lt.ShardCredits(0).Stats.Peak
 	pt.DroppedUpdates = ss.Stats.DroppedUpdates
 	if bounded && interval == cfg.StormFastInterval {
-		res.Snap = res.Snap.Add(tb.Stats())
+		res.Snap = res.Snap.Add(b.tb.Stats())
 	}
-	res.PendingEvents += tb.PendingEvents()
+	res.PendingEvents += b.tb.PendingEvents()
 	return pt
 }
 

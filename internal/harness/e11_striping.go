@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"gem"
-	"gem/internal/flowgen"
-	"gem/internal/netsim"
 	"gem/internal/rnic"
 	"gem/internal/sim"
 )
@@ -128,13 +126,7 @@ func e11FAARun(cfg E11Config, servers int) (rateMops float64, exact bool, pendin
 	faaInWindow := ss.Stats.FAAIssued
 
 	tb.Run() // drain the backlog
-	var remote uint64
-	for i := 0; i < cfg.Counters; i++ {
-		ch, off := ss.CounterHome(i)
-		if v, err := tb.ReadRemoteCounter(ch, off); err == nil {
-			remote += v
-		}
-	}
+	remote := remoteSum(tb, ss, nil, cfg.Counters)
 	exact = remote+ss.PendingTotal() == injected && ss.Stats.DroppedUpdates == 0
 	rateMops = float64(faaInWindow) / cfg.Window.Seconds() / 1e6
 	return rateMops, exact, tb.PendingEvents()
@@ -143,62 +135,13 @@ func e11FAARun(cfg E11Config, servers int) (rateMops float64, exact bool, pendin
 // e11ReadRun preloads a striped ring, then drains it with each NIC's READ
 // payload rate as the bottleneck and reports the forward goodput.
 func e11ReadRun(cfg E11Config, servers int) (gbps float64, pending int) {
-	tb, err := gem.New(gem.Options{
+	// The 3 Gbps preload stays below the throttled WRITE service rate.
+	b := newSpillBed(gem.Options{
 		Seed: cfg.Seed, Hosts: 2, MemoryServers: servers,
 		NIC: rnic.Config{MTU: 4096, ReadPayloadBps: cfg.ReadGbpsPerNIC * 1e9},
-	})
-	if err != nil {
-		panic(err)
-	}
-	chans := make([]*gem.Channel, servers)
-	for i := range chans {
-		ch, err := tb.Establish(i, gem.ChannelSpec{RegionSize: 4 << 20})
-		if err != nil {
-			panic(err)
-		}
-		chans[i] = ch
-	}
-	pb, err := gem.NewPacketBuffer(chans, tb.SwitchPortOfHost(1), gem.PacketBufferConfig{
-		EntrySize:      cfg.FrameLen + 4,
-		HighWaterBytes: 1, LowWaterBytes: 256 << 10, // store everything, load eagerly
-		MaxOutstandingReads: 32,
-	})
-	if err != nil {
-		panic(err)
-	}
-	pb.RegisterWith(tb.Dispatcher)
-	tb.Switch.Hooks = pb
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if ctx.Pkt == nil || ctx.Pkt.IsRoCE {
-			ctx.Drop()
-			return
-		}
-		pb.Admit(ctx, ctx.Frame)
-	})
-
-	// Preload below the throttled WRITE service rate, loading paused.
-	pb.PauseLoading()
-	gen := &flowgen.CBR{
-		Src: tb.Hosts[0], Dst: tb.Hosts[1], Port: tb.HostPort(0),
-		FrameLen: cfg.FrameLen, RateBps: 3e9,
-	}
-	gen.Start(tb.Engine, int64(cfg.ReadFrames))
-	tb.Run()
-	if pb.Stats.Stored != int64(cfg.ReadFrames) {
-		return 0, tb.PendingEvents() // preload failed; poison visibly
-	}
-
-	start := tb.Now()
-	var lastDelivery sim.Time
-	tb.Hosts[1].Handler = func(_ *netsim.Port, _ []byte) { lastDelivery = tb.Now() }
-	pb.ResumeLoading()
-	tb.Run()
-	if tb.Hosts[1].Received != int64(cfg.ReadFrames) {
-		return 0, tb.PendingEvents()
-	}
-	elapsed := lastDelivery.Sub(start)
-	gbps = float64(cfg.ReadFrames) * float64(cfg.FrameLen) * 8 / elapsed.Seconds() / 1e9
-	return gbps, tb.PendingEvents()
+	}, 4<<20, cfg.FrameLen, 3)
+	gbps = b.drainGbps(cfg.ReadFrames, cfg.FrameLen)
+	return gbps, b.tb.PendingEvents()
 }
 
 // e11DoorbellRun replays the same paced update stream with or without
@@ -234,13 +177,7 @@ func e11DoorbellRun(cfg E11Config, doorbell bool) (frames int64, exact bool, pen
 		return injected < cfg.DoorbellUpdates
 	})
 	tb.Run() // includes the final age-triggered flush
-	var remote uint64
-	for i := 0; i < 8; i++ {
-		chI, off := ss.CounterHome(i)
-		if v, err := tb.ReadRemoteCounter(chI, off); err == nil {
-			remote += v
-		}
-	}
+	remote := remoteSum(tb, ss, nil, 8)
 	exact = remote+ss.PendingTotal() == uint64(cfg.DoorbellUpdates) &&
 		ss.Stats.DroppedUpdates == 0
 	return ss.Stats.FAAIssued, exact, tb.PendingEvents()

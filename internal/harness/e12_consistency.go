@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"gem"
-	"gem/internal/faults"
 	"gem/internal/sim"
-	"gem/internal/wire"
 )
 
 // E12 is the consistency-spectrum experiment: the degraded postures that E9
@@ -118,104 +116,24 @@ type E12Result struct {
 	PendingEvents int
 }
 
-// e12a: the E9b failover bed, self-healing. Primary + standby with separate
-// probe and data channels; the retransmitter's retry budget escalates to
-// ForceFailover. The supervisor is the only actor touching the store's
-// degraded posture: DegradeErrors=1 treats any typed error completion
-// (the RetryExhausted escalation, Canceled in-flight FAAs at rebind) as a
-// hard fault, and backoff climbing past two rounds is the Suspect signal.
+// e12a: the E9b failover bed, self-healing. The supervisor is the only actor
+// touching the store's degraded posture: DegradeErrors=1 treats any typed
+// error completion (the RetryExhausted escalation, Canceled in-flight FAAs at
+// rebind) as a hard fault, and backoff climbing past two rounds is the
+// Suspect signal.
 func e12a(cfg E12Config, res *E12Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 2})
-	if err != nil {
-		panic(err)
-	}
-	mkpair := func(mem int) (probe, data *gem.Channel) {
-		probe, err := tb.Establish(mem, gem.ChannelSpec{
-			RegionBase: 0x10000000, RegionSize: 64, Mode: gem.PSNTolerant,
-		})
-		if err != nil {
-			panic(err)
-		}
-		data, err = tb.Establish(mem, gem.ChannelSpec{
-			RegionBase: 0x20000000, RegionSize: 4096, Mode: gem.PSNStrict, AckReq: true,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return probe, data
-	}
-	probeP, dataP := mkpair(0)
-	probeS, dataS := mkpair(1)
-	dataOf := map[*gem.Channel]*gem.Channel{probeP: dataP, probeS: dataS}
-
-	rt, err := gem.NewRetransmitter(dataP, 8)
-	if err != nil {
-		panic(err)
-	}
-	rt.EnableAdaptiveRTO()
-	rt.MaxRetries = 4
-	ss, err := gem.NewStateStore(dataP, gem.StateStoreConfig{Counters: 8})
-	if err != nil {
-		panic(err)
-	}
-	ss.SetShardRetransmitter(0, rt) // wires rt's typed errors to the store's CQ
-	rt.Inner = ss
-	fo, err := gem.NewFailover([]*gem.Channel{probeP, probeS}, nil)
-	if err != nil {
-		panic(err)
-	}
-	fo.CQ = ss.Transport().Shard(0)
-	fo.OnFailover = func(_, newProbe *gem.Channel) {
-		data := dataOf[newProbe]
-		rt.Retarget(data)
-		ss.RebindShard(0, data)
-	}
-	rt.OnExhausted = func() { fo.ForceFailover() }
-	fo.RegisterWith(tb.Dispatcher)
-	tb.Dispatcher.Register(dataP, rt)
-	tb.Dispatcher.Register(dataS, rt)
-	e9Dispatch(tb)
-
-	sup := gem.NewSupervisor(tb.Engine, gem.SupervisorConfig{DegradeErrors: 1})
-	idx := sup.Govern(gem.Govern("store", ss, fo))
-	fo.Start()
-	sup.Start()
-
-	// ANoLoss pins committed+pending >= admitted across the outage; the
-	// failed-back primary must keep its pre-crash counters, so this is a
-	// memory-intact restart (E13 models the wiped-DRAM case).
-	sched := faults.CrashRestart(tb.MemNICs[0], cfg.ACrashAt, cfg.ARestartAt)
-	sched.Loss = faults.CrashPreserve
-	sched.Install(tb.Engine)
-
-	issued := 0
-	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
-		ss.Update(issued%8, 1)
-		issued++
-		return issued < cfg.AUpdates
-	})
-	tb.RunFor(sim.Duration(cfg.ARestartAt) + 1500*sim.Microsecond)
-	fo.Stop()
-	sup.Stop()
-	tb.Run()
-
-	sum := func(ch *gem.Channel) uint64 {
-		var s uint64
-		for i := 0; i < 8; i++ {
-			v, _ := tb.ReadRemoteCounter(ch, ss.CounterOffset(i))
-			s += v
-		}
-		return s
-	}
+	b := runFailoverBed(cfg.Seed, &gem.SupervisorConfig{DegradeErrors: 1},
+		cfg.ACrashAt, cfg.ARestartAt, cfg.AUpdates, 1500*sim.Microsecond)
+	ss, sup := b.ss, b.sup
 	res.AUpdates = ss.Stats.Updates
-	res.ACommitted = sum(dataP) + sum(dataS)
+	res.ACommitted = remoteSum(b.tb, ss, b.dataP, bedCounters) + remoteSum(b.tb, ss, b.dataS, bedCounters)
 	res.APending = ss.PendingTotal()
 	// Retargeting is at-least-once: duplicates may inflate the committed
 	// sum, but nothing may be lost.
 	res.ANoLoss = res.ACommitted+res.APending >= uint64(res.AUpdates)
 	res.AErrors = ss.Transport().Errors().Total()
-	res.AEscalations = rt.Escalations
-	res.AFailovers = fo.Failovers
+	res.AEscalations = b.rt.Escalations
+	res.AFailovers = b.fo.Failovers
 	res.ADegradedEntries = ss.Stats.DegradedEntries
 	res.ADegradedExits = ss.Stats.DegradedExits
 	res.AReconciles = ss.Stats.Reconciles
@@ -224,10 +142,10 @@ func e12a(cfg E12Config, res *E12Result) {
 	res.ASupDegraded = sup.Stats.DegradedEntries
 	res.ASupRecoveries = sup.Stats.Recoveries
 	res.ASupHealthy = sup.Stats.HealthyReturns
-	res.AFinalState = sup.State(idx).String()
+	res.AFinalState = sup.State(0).String()
 	res.ASelfHealed = res.ADegradedExits > 0 && res.ASupRecoveries > 0 &&
 		res.AFinalState == "healthy"
-	res.PendingEvents += tb.PendingEvents()
+	res.PendingEvents += b.tb.PendingEvents()
 }
 
 // e12storm replays the E10 lookup-miss + counter storm at the fast interval
@@ -235,89 +153,21 @@ func e12a(cfg E12Config, res *E12Result) {
 // under a default-threshold supervisor in every arm, so credit refusals from
 // the miss window drive its automatic Suspect/Degraded/slow-path cycle.
 func e12storm(cfg E12Config, mode gem.ConsistencyMode, res *E12Result) E12ModePoint {
-	const (
-		entries  = 256
-		frameLen = 192
-		counters = 64
-	)
-	pt := E12ModePoint{Mode: mode.String()}
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 2, MemoryServers: 1})
-	if err != nil {
-		panic(err)
-	}
-	ltCfg := gem.LookupConfig{
-		Entries: entries, MaxPktBytes: 256,
-		MaxOutstandingMisses: 2,
-	}
-	chLT, err := tb.Establish(0, gem.ChannelSpec{
-		RegionBase: 0x10000000, RegionSize: entries * ltCfg.EntrySize(),
-	})
-	if err != nil {
-		panic(err)
-	}
-	chSS, err := tb.Establish(0, gem.ChannelSpec{RegionBase: 0x20000000, RegionSize: 4096})
-	if err != nil {
-		panic(err)
-	}
-	lt, err := gem.NewLookupTable(chLT, ltCfg)
-	if err != nil {
-		panic(err)
-	}
-	lt.DefaultOutPort = tb.SwitchPortOfHost(1)
-	lt.SlowPath = func(wire.FlowKey) (gem.LookupAction, bool) {
-		return gem.LookupAction{}, true
-	}
-	ss, err := gem.NewStateStore(chSS, gem.StateStoreConfig{
-		Counters: counters, MaxOutstanding: 4,
-		PendingSlots: 32, ShedPendingSlots: 8,
-	})
-	if err != nil {
-		panic(err)
-	}
+	b := newStormBed(cfg.Seed, false)
+	ss, lt := b.ss, b.lt
 	ss.SetConsistencyMode(mode, gem.StalenessBound{
 		MaxAge: cfg.BoundMaxAge, MaxDelta: cfg.BoundMaxDelta,
 	})
-	tb.Dispatcher.Register(chLT, lt)
-	tb.Dispatcher.Register(chSS, ss)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		ss.UpdatePrio(int(ctx.Pkt.UDP.SrcPort)%counters, 1, ctx.Priority)
-		lt.LookupPrio(ctx, ctx.Frame, ctx.Pkt, ctx.Priority)
-	})
-
-	sup := gem.NewSupervisor(tb.Engine, gem.SupervisorConfig{})
+	sup := gem.NewSupervisor(b.tb.Engine, gem.SupervisorConfig{})
 	sup.Govern(gem.Govern("lookup", lt, nil))
 	sup.Start()
-
-	highPorts, lowPorts := e10StormPorts(tb, entries, frameLen, 4, 12)
-	sent, lowIdx := 0, 0
-	tb.Engine.Ticker(cfg.StormInterval, func() bool {
-		var frame []byte
-		if sent%4 == 0 {
-			frame = tb.DataFrame(0, 1, frameLen, highPorts[(sent/4)%len(highPorts)], 9999)
-			wire.SetDSCP(frame, 46)
-		} else {
-			frame = tb.DataFrame(0, 1, frameLen, lowPorts[lowIdx%len(lowPorts)], 9999)
-			lowIdx++
-		}
-		tb.SendFrame(0, frame)
-		sent++
-		return sent < cfg.StormPackets
-	})
-	tb.RunFor(cfg.StormInterval*sim.Duration(cfg.StormPackets) + 200*sim.Microsecond)
+	b.start(cfg.StormInterval, cfg.StormPackets)
+	b.tb.RunFor(cfg.StormInterval*sim.Duration(cfg.StormPackets) + 200*sim.Microsecond)
 	sup.Stop()
-	tb.Run()
+	b.tb.Run()
 
-	for i := 0; i < counters; i++ {
-		v, _ := tb.ReadRemoteCounter(chSS, ss.CounterOffset(i))
-		pt.Remote += v
-	}
+	pt := E12ModePoint{Mode: mode.String()}
+	pt.Remote = remoteSum(b.tb, ss, nil, stormCounters)
 	pt.Pending = ss.PendingTotal()
 	pt.Updates = ss.Stats.Updates
 	pt.Shed = ss.Stats.ShedUpdates
@@ -331,7 +181,7 @@ func e12storm(cfg E12Config, mode gem.ConsistencyMode, res *E12Result) E12ModePo
 	pt.SupSuspect = sup.Stats.SuspectEntries
 	pt.SupDegraded = sup.Stats.DegradedEntries
 	pt.SlowPathMisses = lt.Stats.DegradedMisses
-	res.PendingEvents += tb.PendingEvents()
+	res.PendingEvents += b.tb.PendingEvents()
 	return pt
 }
 

@@ -62,10 +62,6 @@ func DefaultE13Config() E13Config {
 	}
 }
 
-// e13Counters is the per-arm counter count; 8 counters × 8 bytes is the
-// scrub window.
-const e13Counters = 8
-
 // E13Arm is one arm's outcome. Flat and comparable.
 type E13Arm struct {
 	Mode         string
@@ -172,14 +168,14 @@ func e13mkbed(cfg E13Config) *e13bed {
 		pMem: pMem, rMem: rMem,
 	}
 	b.ss, err = gem.NewStateStore(dataP, gem.StateStoreConfig{
-		Counters: e13Counters, MaxOutstanding: 8,
+		Counters: bedCounters, MaxOutstanding: 8,
 	})
 	if err != nil {
 		panic(err)
 	}
 	tb.Dispatcher.Register(dataP, b.ss)
 	tb.Dispatcher.Register(dataR, b.ss)
-	e9Dispatch(tb)
+	tb.SetPipeline(func(ctx *gem.Context) { ctx.Drop() })
 	return b
 }
 
@@ -201,12 +197,7 @@ func (b *e13bed) start(cfg E13Config, supCfg gem.SupervisorConfig, onFailover fu
 	fo.Start()
 	b.sup.Start()
 
-	issued := 0
-	b.tb.Engine.Ticker(1*sim.Microsecond, func() bool {
-		b.ss.Update(issued%e13Counters, 1)
-		issued++
-		return issued < cfg.Updates
-	})
+	tickUpdates(b.tb, b.ss, cfg.Updates)
 }
 
 // finish drains the arm and reads the common counters; remote sums the
@@ -219,10 +210,7 @@ func (b *e13bed) finish(cfg E13Config, until sim.Time, chans ...*gem.Channel) E1
 
 	var arm E13Arm
 	for _, ch := range chans {
-		for i := 0; i < e13Counters; i++ {
-			v, _ := b.tb.ReadRemoteCounter(ch, b.ss.CounterOffset(i))
-			arm.Remote += v
-		}
+		arm.Remote += remoteSum(b.tb, b.ss, ch, bedCounters)
 	}
 	arm.Updates = b.ss.Stats.Updates
 	arm.Pending = b.ss.PendingTotal()
@@ -315,7 +303,7 @@ func e13scrub(cfg E13Config, res *E13Result) {
 	// promotion gate is moot here (no failover) but spelled out anyway —
 	// after a promotion the replica is authoritative and must not be
 	// overwritten from a wiped primary.
-	sc, err := b.tb.NewScrubber(b.dataP, b.dataR, 0, e13Counters*8, gem.ScrubConfig{
+	sc, err := b.tb.NewScrubber(b.dataP, b.dataR, 0, bedCounters*8, gem.ScrubConfig{
 		Interval: 5 * sim.Microsecond,
 		Live: func() bool {
 			return !m.Promoted() && m.Lag() == 0 && b.ss.Outstanding() == 0
@@ -344,8 +332,8 @@ func e13scrub(cfg E13Config, res *E13Result) {
 	res.ScrubRepairs = sc.Stats.Repairs
 	res.ScrubBytes = sc.Stats.BytesRepaired
 	res.ScrubSuspect = b.sup.Stats.SuspectEntries
-	pw := b.tb.Region(b.dataP).Bytes()[:e13Counters*8]
-	rw := b.tb.Region(b.dataR).Bytes()[:e13Counters*8]
+	pw := b.tb.Region(b.dataP).Bytes()[:bedCounters*8]
+	rw := b.tb.Region(b.dataR).Bytes()[:bedCounters*8]
 	res.ScrubConverged = string(pw) == string(rw)
 	res.PendingEvents += b.tb.PendingEvents()
 }

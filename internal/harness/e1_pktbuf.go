@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gem"
-	"gem/internal/flowgen"
 	"gem/internal/netsim"
 	"gem/internal/rnic"
 	"gem/internal/sim"
@@ -45,50 +44,13 @@ type E1Result struct {
 	ServerCPUOps      int64
 }
 
-// e1Bed builds the §5 microbenchmark: a sender, a destination, one memory
-// server, and a P4 program that stores every incoming packet to the remote
-// ring and (when loading is resumed) loads and forwards it.
-type e1Bed struct {
-	tb  *gem.Testbed
-	pb  *gem.PacketBuffer
-	gen *flowgen.CBR
-}
-
-func newE1Bed(cfg E1Config, rateGbps float64) *e1Bed {
-	tb, err := gem.New(gem.Options{
+// newE1Bed builds the §5 microbenchmark over one memory server, its source
+// offering rateGbps.
+func newE1Bed(cfg E1Config, rateGbps float64) *spillBed {
+	return newSpillBed(gem.Options{
 		Seed: 1, Hosts: 2, MemoryServers: 1,
 		NIC: rnic.Config{MTU: 4096},
-	})
-	if err != nil {
-		panic(err)
-	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: 256 << 20})
-	if err != nil {
-		panic(err)
-	}
-	// One full-sized Ethernet frame per entry, as in the prototype.
-	pb, err := gem.NewPacketBuffer([]*gem.Channel{ch}, tb.SwitchPortOfHost(1), gem.PacketBufferConfig{
-		EntrySize:      cfg.FrameLen + 4,
-		HighWaterBytes: 1, LowWaterBytes: 256 << 10, // watermark 1: store everything
-		MaxOutstandingReads: 32,
-	})
-	if err != nil {
-		panic(err)
-	}
-	pb.RegisterWith(tb.Dispatcher)
-	tb.Switch.Hooks = pb
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if ctx.Pkt == nil || ctx.Pkt.IsRoCE {
-			ctx.Drop()
-			return
-		}
-		pb.Admit(ctx, ctx.Frame)
-	})
-	gen := &flowgen.CBR{
-		Src: tb.Hosts[0], Dst: tb.Hosts[1], Port: tb.HostPort(0),
-		FrameLen: cfg.FrameLen, RateBps: rateGbps * 1e9,
-	}
-	return &e1Bed{tb: tb, pb: pb, gen: gen}
+	}, 256<<20, cfg.FrameLen, rateGbps)
 }
 
 // e1StoreAttempt offers rateGbps of frames for cfg.Window with loading
@@ -117,25 +79,7 @@ func e1StoreAttempt(cfg E1Config, rateGbps float64) (lossless bool, storedGbps f
 // and measures the pure load+forward goodput.
 func e1Forward(cfg E1Config) float64 {
 	b := newE1Bed(cfg, 30) // safe store rate for the preload phase
-	b.pb.PauseLoading()
-	b.gen.Start(b.tb.Engine, int64(cfg.DrainFrames))
-	b.tb.Run()
-	if got := b.pb.Stats.Stored; got != int64(cfg.DrainFrames) {
-		return 0 // preload failed; make it visible
-	}
-	start := b.tb.Now()
-	var lastDelivery sim.Time
-	b.tb.Hosts[1].Handler = func(_ *netsim.Port, _ []byte) { lastDelivery = b.tb.Now() }
-	b.pb.ResumeLoading()
-	b.tb.Run()
-	rx := b.tb.Hosts[1].Received
-	if rx != int64(cfg.DrainFrames) {
-		return 0 // loss during forward; poison the result visibly
-	}
-	// Measure to the last delivery (the engine keeps idle read-timeout
-	// timers alive past it).
-	elapsed := lastDelivery.Sub(start)
-	return float64(rx) * float64(cfg.FrameLen) * 8 / elapsed.Seconds() / 1e9
+	return b.drainGbps(cfg.DrainFrames, cfg.FrameLen)
 }
 
 // e1Native measures host↔host native RDMA WRITE and READ goodput — the

@@ -5,7 +5,6 @@ import (
 
 	"gem"
 	"gem/internal/flowgen"
-	"gem/internal/rnic"
 	"gem/internal/switchsim"
 )
 
@@ -66,30 +65,10 @@ func e2Baseline(size, rounds int) float64 {
 // the DSCP-rewrite action from remote memory for *every* packet (the
 // paper's program: no caching, every packet pays the remote round trip).
 func e2Lookup(size, rounds int) float64 {
-	tb, err := gem.New(gem.Options{
-		Seed: 2, Hosts: 2, MemoryServers: 1,
-		NIC: rnic.Config{MTU: 4096},
-	})
-	if err != nil {
-		panic(err)
-	}
-	cfg := gem.LookupConfig{Entries: 1024, MaxPktBytes: 1536}
-	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: cfg.Entries * cfg.EntrySize()})
-	if err != nil {
-		panic(err)
-	}
-	lt, err := gem.NewLookupTable(ch, cfg)
-	if err != nil {
-		panic(err)
-	}
 	// The demo action of §5: "modifies the value of the DSCP field of
 	// IPv4 header to a specific value stored in the remote table".
-	region := tb.Region(ch)
-	for i := 0; i < cfg.Entries; i++ {
-		if err := gem.PopulateLookupEntry(region, cfg, i, gem.SetDSCPAction(46)); err != nil {
-			panic(err)
-		}
-	}
+	tb, lt := lookupBed(2, gem.LookupConfig{Entries: 1024, MaxPktBytes: 1536},
+		func(int) gem.LookupAction { return gem.SetDSCPAction(46) })
 	// Route by MAC after applying the action (both directions traverse
 	// the primitive).
 	lt.Apply = func(ctx *switchsim.Context, frame []byte, action gem.LookupAction) {
@@ -109,14 +88,6 @@ func e2Lookup(size, rounds int) float64 {
 		}
 		ctx.Emit(out, frame)
 	}
-	tb.Dispatcher.Register(ch, lt)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
-	})
 	pp := &flowgen.PingPong{
 		Engine: tb.Engine, A: tb.Hosts[0], B: tb.Hosts[1],
 		APort: tb.HostPort(0), BPort: tb.HostPort(1), FrameLen: size,

@@ -97,22 +97,14 @@ func e3Run(cfg E3Config, size int, withPrimitive bool) E3Point {
 	p.Size = size
 	// Snapshot the memory-link meters over the window, before the drain.
 	if withPrimitive {
-		memPort := tb.Switch.Port(tb.SwitchPortOfMem(0))
-		faaBytes := memPort.TxMeter.Bytes + memPort.RxMeter.Bytes
-		p.FAALinkGbps = float64(faaBytes) * 8 / cfg.Window.Seconds() / 1e9
+		p.FAALinkGbps = float64(memLinkBytes(tb)) * 8 / cfg.Window.Seconds() / 1e9
 	}
 	delivered := tb.Hosts[1].Received
 	p.E2EGbps = float64(delivered) * float64(size) * 8 / cfg.Window.Seconds() / 1e9
 
 	tb.Run() // drain
 	if ss != nil {
-		var remote uint64
-		for i := 0; i < 4096; i++ {
-			v, err := tb.ReadRemoteCounter(ss.Channel(), ss.CounterOffset(i))
-			if err == nil {
-				remote += v
-			}
-		}
+		remote := remoteSum(tb, ss, nil, 4096)
 		truth := uint64(ss.Stats.Updates)
 		p.CounterOK = remote+ss.PendingTotal() == truth && ss.Stats.DroppedUpdates == 0
 		p.Updates = ss.Stats.Updates

@@ -5,8 +5,6 @@ import (
 
 	"gem"
 	"gem/internal/flowgen"
-	"gem/internal/netsim"
-	"gem/internal/rnic"
 	"gem/internal/sim"
 	"gem/internal/stats"
 	"gem/internal/switchsim"
@@ -58,11 +56,14 @@ type E5Result struct {
 	BaselineCPUOps       int64   // slow-path server CPU (large)
 }
 
-// e5Flow materializes flow i as a frame between the two hosts.
-func e5Frame(tb *gem.Testbed, i, size int) []byte {
-	sp, dp := flowgen.FlowID(i)
-	return wire.BuildDataFrame(tb.Hosts[0].MAC, tb.Hosts[1].MAC,
-		tb.Hosts[0].IP, tb.Hosts[1].IP, sp, dp, size, nil)
+// e5Drive runs the closed-loop Zipf workload through tb and returns the p50
+// and p99 one-way latency in µs.
+func e5Drive(tb *gem.Testbed, cfg E5Config) (p50, p99 float64) {
+	lat := &stats.Histogram{}
+	zipf := flowgen.NewZipf(5, cfg.Mappings, cfg.ZipfSkew)
+	closedLoop(tb, cfg.Packets, func(int) []byte { return flowFrame(tb, zipf.Next(), 256) },
+		lat.AddDuration)
+	return float64(lat.Percentile(50)) / 1e3, float64(lat.Percentile(99)) / 1e3
 }
 
 // e5Baseline: the switch holds only CacheEntries mappings in SRAM; misses
@@ -77,8 +78,6 @@ func e5Baseline(cfg E5Config) (slowFrac, p50, p99 float64, cpuOps int64) {
 	if err != nil {
 		panic(err)
 	}
-	lat := &stats.Histogram{}
-	var sentAt sim.Time
 	var slow int64
 	tb.SetPipeline(func(ctx *gem.Context) {
 		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
@@ -102,87 +101,23 @@ func e5Baseline(cfg E5Config) (slowFrac, p50, p99 float64, cpuOps int64) {
 			tb.Switch.Inject(1, frame)
 		})
 	})
-	zipf := flowgen.NewZipf(5, cfg.Mappings, cfg.ZipfSkew)
-	// Closed-loop: send next packet when the previous is delivered, so
-	// per-packet latency is clean.
-	var send func()
-	i := 0
-	tb.Hosts[1].Handler = func(_ *netsim.Port, frame []byte) {
-		lat.AddDuration(tb.Now().Sub(sentAt))
-		i++
-		if i < cfg.Packets {
-			send()
-		}
-	}
-	send = func() {
-		sentAt = tb.Now()
-		tb.SendFrame(0, e5Frame(tb, zipf.Next(), 256))
-	}
-	send()
-	tb.Run()
-	return float64(slow) / float64(cfg.Packets),
-		float64(lat.Percentile(50)) / 1e3, float64(lat.Percentile(99)) / 1e3, cpuOps
+	p50, p99 = e5Drive(tb, cfg)
+	return float64(slow) / float64(cfg.Packets), p50, p99, cpuOps
 }
 
 // e5Primitive: the full mapping lives in remote DRAM; the SRAM cache holds
 // the hot set; misses are served by the lookup primitive in-network.
 func e5Primitive(cfg E5Config) (remoteFrac, p50, p99, hitRate float64, sramMB float64, srvCPU int64) {
-	tb, err := gem.New(gem.Options{
-		Seed: 5, Hosts: 2, MemoryServers: 1,
-		NIC: rnic.Config{MTU: 4096},
-	})
-	if err != nil {
-		panic(err)
-	}
 	lcfg := gem.LookupConfig{
 		Entries:      cfg.Mappings,
 		MaxPktBytes:  512,
 		CacheEntries: cfg.CacheEntries,
 	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: lcfg.Entries * lcfg.EntrySize()})
-	if err != nil {
-		panic(err)
-	}
-	lt, err := gem.NewLookupTable(ch, lcfg)
-	if err != nil {
-		panic(err)
-	}
-	lt.DefaultOutPort = 1
-	region := tb.Region(ch)
-	for i := 0; i < lcfg.Entries; i++ {
-		phys := wire.IP4FromUint32(0x0B000000 | uint32(i))
-		if err := gem.PopulateLookupEntry(region, lcfg, i, gem.SetDstIPAction(phys)); err != nil {
-			panic(err)
-		}
-	}
-	tb.Dispatcher.Register(ch, lt)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
+	tb, lt := lookupBed(5, lcfg, func(i int) gem.LookupAction {
+		return gem.SetDstIPAction(wire.IP4FromUint32(0x0B000000 | uint32(i)))
 	})
-	lat := &stats.Histogram{}
-	var sentAt sim.Time
-	zipf := flowgen.NewZipf(5, cfg.Mappings, cfg.ZipfSkew)
-	i := 0
-	var send func()
-	tb.Hosts[1].Handler = func(_ *netsim.Port, frame []byte) {
-		lat.AddDuration(tb.Now().Sub(sentAt))
-		i++
-		if i < cfg.Packets {
-			send()
-		}
-	}
-	send = func() {
-		sentAt = tb.Now()
-		tb.SendFrame(0, e5Frame(tb, zipf.Next(), 256))
-	}
-	send()
-	tb.Run()
-	return float64(lt.Stats.RemoteLookups) / float64(cfg.Packets),
-		float64(lat.Percentile(50)) / 1e3, float64(lat.Percentile(99)) / 1e3,
+	p50, p99 = e5Drive(tb, cfg)
+	return float64(lt.Stats.RemoteLookups) / float64(cfg.Packets), p50, p99,
 		lt.Cache().HitRate(),
 		float64(tb.Switch.SRAM.Used()) / (1 << 20),
 		tb.ServerCPUOps()

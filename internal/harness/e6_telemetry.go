@@ -8,7 +8,6 @@ import (
 	"gem"
 	"gem/internal/flowgen"
 	"gem/internal/sketch"
-	"gem/internal/wire"
 )
 
 // E6Config parameterizes the §2.3 telemetry use case: a Count Sketch whose
@@ -92,10 +91,7 @@ func RunE6(cfg E6Config) (*Table, E6Result) {
 	for i := 0; i < cfg.Packets; i++ {
 		f := zipf.Next()
 		truth[f]++
-		sp, dp := flowgen.FlowID(f)
-		frame := wire.BuildDataFrame(tb.Hosts[0].MAC, tb.Hosts[1].MAC,
-			tb.Hosts[0].IP, tb.Hosts[1].IP, sp, dp, 128, nil)
-		tb.SendFrame(0, frame)
+		tb.SendFrame(0, flowFrame(tb, f, 128))
 		if i%512 == 511 {
 			tb.Run() // keep host-port FIFOs shallow
 		}

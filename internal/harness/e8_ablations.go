@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"gem"
-	"gem/internal/flowgen"
-	"gem/internal/netsim"
-	"gem/internal/rnic"
 	"gem/internal/sim"
 	"gem/internal/switchsim"
-	"gem/internal/wire"
 )
 
 // ---- E8a: Fetch-and-Add batching (§7: "combine multiple counter updates
@@ -51,50 +48,21 @@ func RunE8a(cfg E8aConfig) (*Table, []E8aPoint) {
 		Columns: []string{"batch", "FAA issued", "FAA link bw (Gbps)", "mean staleness (counts)", "exact"},
 	}
 	for _, batch := range cfg.Batches {
-		tb, err := gem.New(gem.Options{Seed: 8, Hosts: 2, MemoryServers: 1})
-		if err != nil {
-			panic(err)
-		}
-		ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: 1 << 16})
-		if err != nil {
-			panic(err)
-		}
-		ss, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: 64, Batch: batch})
-		if err != nil {
-			panic(err)
-		}
-		tb.Dispatcher.Register(ch, ss)
-		tb.SetPipeline(func(ctx *gem.Context) {
-			if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-				ctx.Drop()
-				return
-			}
-			ss.UpdateFlow(gem.FlowOf(ctx.Pkt))
-			ctx.Emit(1, ctx.Frame)
-		})
-		gen := &flowgen.CBR{
-			Src: tb.Hosts[0], Dst: tb.Hosts[1], Port: tb.HostPort(0),
-			FrameLen: cfg.FrameLen, RateBps: cfg.OfferedGbps * 1e9, FlowCount: 2,
-		}
-		gen.Start(tb.Engine, 0)
+		b := newFlowCountBed(switchsim.Config{}, false, batch, cfg.FrameLen, cfg.OfferedGbps)
+		ss := b.ss
 		var staleSum float64
 		samples := 0
-		tb.Engine.Ticker(20*sim.Microsecond, func() bool {
+		b.tb.Engine.Ticker(20*sim.Microsecond, func() bool {
 			staleSum += float64(ss.PendingTotal())
 			samples++
-			return tb.Now() < gem.Time(cfg.Window)
+			return b.tb.Now() < gem.Time(cfg.Window)
 		})
-		tb.RunFor(cfg.Window)
-		gen.Stop()
-		memPort := tb.Switch.Port(tb.SwitchPortOfMem(0))
-		linkBytes := memPort.TxMeter.Bytes + memPort.RxMeter.Bytes
-		tb.Run()
+		b.tb.RunFor(cfg.Window)
+		b.gen.Stop()
+		linkBytes := memLinkBytes(b.tb)
+		b.tb.Run()
 
-		var remote uint64
-		for i := 0; i < 64; i++ {
-			v, _ := tb.ReadRemoteCounter(ch, i*8)
-			remote += v
-		}
+		remote := remoteSum(b.tb, ss, nil, flowCounters)
 		p := E8aPoint{
 			Batch:     batch,
 			FAAIssued: ss.Stats.FAAIssued,
@@ -138,79 +106,25 @@ type E8bPoint struct {
 }
 
 func e8bRun(size, packets int, mode gem.LookupConfig) (bytesPerOp, medianUs, passesPerOp float64) {
-	tb, err := gem.New(gem.Options{
-		Seed: 8, Hosts: 2, MemoryServers: 1,
-		NIC: rnic.Config{MTU: 4096},
-	})
-	if err != nil {
-		panic(err)
-	}
 	cfg := mode
 	cfg.Entries = 512
 	cfg.MaxPktBytes = 1536
-	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: cfg.Entries * cfg.EntrySize()})
-	if err != nil {
-		panic(err)
-	}
-	lt, err := gem.NewLookupTable(ch, cfg)
-	if err != nil {
-		panic(err)
-	}
-	lt.DefaultOutPort = 1
-	region := tb.Region(ch)
-	for i := 0; i < cfg.Entries; i++ {
-		if err := gem.PopulateLookupEntry(region, cfg, i, gem.SetDSCPAction(40)); err != nil {
-			panic(err)
-		}
-	}
-	tb.Dispatcher.Register(ch, lt)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
-	})
+	tb, lt := lookupBed(8, cfg, func(int) gem.LookupAction { return gem.SetDSCPAction(40) })
 	var lat []sim.Duration
-	var sentAt sim.Time
-	i := 0
-	var send func()
-	tb.Hosts[1].Handler = func(_ *netsim.Port, frame []byte) {
-		lat = append(lat, tb.Now().Sub(sentAt))
-		i++
-		if i < packets {
-			send()
-		}
-	}
-	send = func() {
-		sentAt = tb.Now()
-		sp, dp := flowgen.FlowID(i)
-		tb.SendFrame(0, wire.BuildDataFrame(tb.Hosts[0].MAC, tb.Hosts[1].MAC,
-			tb.Hosts[0].IP, tb.Hosts[1].IP, sp, dp, size, nil))
-	}
-	send()
-	tb.Run()
-	memPort := tb.Switch.Port(tb.SwitchPortOfMem(0))
-	total := float64(memPort.TxMeter.Bytes + memPort.RxMeter.Bytes)
+	closedLoop(tb, packets, func(i int) []byte { return flowFrame(tb, i, size) },
+		func(d sim.Duration) { lat = append(lat, d) })
+	total := float64(memLinkBytes(tb))
 	ops := float64(lt.Stats.RemoteLookups)
 	if ops == 0 {
 		ops = 1
 	}
 	mid := len(lat) / 2
-	sortDurations(lat)
+	slices.Sort(lat)
 	var med float64
 	if len(lat) > 0 {
 		med = lat[mid].Seconds() * 1e6
 	}
 	return total / ops, med, float64(lt.Stats.RecircPasses) / ops
-}
-
-func sortDurations(d []sim.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 // RunE8b executes the deposit-vs-recirculation ablation.
@@ -285,37 +199,9 @@ func e8cUnreliable(loss float64, updates int) float64 {
 }
 
 func e8cReliable(loss float64, updates int) (float64, int64) {
-	tb, err := gem.New(gem.Options{Seed: 8, Hosts: 1, MemoryServers: 1, MemLinkLossRate: loss})
-	if err != nil {
-		panic(err)
-	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{
-		RegionSize: 4096, Mode: gem.PSNStrict, AckReq: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	rt, err := gem.NewRetransmitter(ch, 8)
-	if err != nil {
-		panic(err)
-	}
+	tb, ch, rt := reliableBed(8, loss, 8)
 	rt.Timeout = 20 * sim.Microsecond
-	tb.Dispatcher.Register(ch, rt)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if !tb.Dispatcher.Dispatch(ctx) {
-			ctx.Drop()
-		}
-	})
-	issued := 0
-	tb.Engine.Ticker(500*sim.Nanosecond, func() bool {
-		for issued < updates && rt.CanSend() {
-			rt.FetchAdd(0, 1)
-			issued++
-		}
-		return issued < updates || rt.Unacked() > 0
-	})
-	tb.Run()
-	v, _ := tb.ReadRemoteCounter(ch, 0)
+	v := pumpFAA(tb, ch, rt, updates, 500*sim.Nanosecond)
 	return 1 - float64(v)/float64(updates), rt.Retransmits
 }
 
@@ -379,46 +265,17 @@ func RunE8d(cfg E8dConfig) (*Table, []E8dPoint) {
 		Columns: []string{"cap (Gbps)", "FAA link bw (Gbps)", "FAA issued", "cap refusals", "exact"},
 	}
 	for _, cap := range cfg.CapsGbps {
-		tb, err := gem.New(gem.Options{Seed: 8, Hosts: 2, MemoryServers: 1})
-		if err != nil {
-			panic(err)
-		}
-		ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: 1 << 16})
-		if err != nil {
-			panic(err)
-		}
+		b := newFlowCountBed(switchsim.Config{}, false, 0, cfg.FrameLen, cfg.OfferedGbps)
+		ch, ss := b.ch, b.ss
 		if cap > 0 {
 			ch.SetBandwidthCap(cap*1e9/2, 16<<10) // half the budget for requests, half for responses
 		}
-		ss, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: 64})
-		if err != nil {
-			panic(err)
-		}
-		tb.Dispatcher.Register(ch, ss)
-		tb.SetPipeline(func(ctx *gem.Context) {
-			if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-				ctx.Drop()
-				return
-			}
-			ss.UpdateFlow(gem.FlowOf(ctx.Pkt))
-			ctx.Emit(1, ctx.Frame)
-		})
-		gen := &flowgen.CBR{
-			Src: tb.Hosts[0], Dst: tb.Hosts[1], Port: tb.HostPort(0),
-			FrameLen: cfg.FrameLen, RateBps: cfg.OfferedGbps * 1e9, FlowCount: 2,
-		}
-		gen.Start(tb.Engine, 0)
-		tb.RunFor(cfg.Window)
-		gen.Stop()
-		memPort := tb.Switch.Port(tb.SwitchPortOfMem(0))
-		linkBytes := memPort.TxMeter.Bytes + memPort.RxMeter.Bytes
-		tb.Run()
+		b.tb.RunFor(cfg.Window)
+		b.gen.Stop()
+		linkBytes := memLinkBytes(b.tb)
+		b.tb.Run()
 
-		var remote uint64
-		for i := 0; i < 64; i++ {
-			v, _ := tb.ReadRemoteCounter(ch, i*8)
-			remote += v
-		}
+		remote := remoteSum(b.tb, ss, nil, flowCounters)
 		p := E8dPoint{
 			CapGbps:   cap,
 			LinkGbps:  float64(linkBytes) * 8 / cfg.Window.Seconds() / 1e9,
@@ -466,54 +323,19 @@ type E8ePoint struct {
 }
 
 func e8eRun(cfg E8eConfig, priority bool) E8ePoint {
-	tb, err := gem.New(gem.Options{
-		Seed: 8, Hosts: 1, MemoryServers: 1,
-		Switch: switchCfg(priority),
-	})
-	if err != nil {
-		panic(err)
-	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{RegionSize: 1 << 16})
-	if err != nil {
-		panic(err)
-	}
-	ss, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: 64})
-	if err != nil {
-		panic(err)
-	}
-	tb.Dispatcher.Register(ch, ss)
-	memPort := tb.SwitchPortOfMem(0)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
-		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
-			ctx.Drop()
-			return
-		}
-		// Background traffic rides to the memory server's host; the
-		// switch counts it in the remote state store on the way — the
-		// FAAs then share the congested memory link with the traffic
-		// they measure.
-		ss.UpdateFlow(gem.FlowOf(ctx.Pkt))
-		ctx.Emit(memPort, ctx.Frame)
-	})
-	gen := &flowgen.CBR{
-		Src: tb.Hosts[0], Dst: tb.MemHosts[0], Port: tb.HostPort(0),
-		FrameLen: cfg.FrameLen, RateBps: cfg.BackgroundGbps * 1e9, FlowCount: 2,
-	}
-	gen.Start(tb.Engine, 0)
-	tb.RunFor(cfg.Window)
-	gen.Stop()
-	delivered := tb.MemHosts[0].Received
+	// Background traffic rides to the memory server's host; the switch
+	// counts it in the remote state store on the way — the FAAs then share
+	// the congested memory link with the traffic they measure.
+	b := newFlowCountBed(switchsim.Config{RDMAPriority: priority}, true, 0,
+		cfg.FrameLen, cfg.BackgroundGbps)
+	ss := b.ss
+	b.tb.RunFor(cfg.Window)
+	b.gen.Stop()
+	delivered := b.tb.MemHosts[0].Received
 	bgGbps := float64(delivered) * float64(cfg.FrameLen) * 8 / cfg.Window.Seconds() / 1e9
-	tb.Run()
+	b.tb.Run()
 
-	var remote uint64
-	for i := 0; i < 64; i++ {
-		v, _ := tb.ReadRemoteCounter(ch, i*8)
-		remote += v
-	}
+	remote := remoteSum(b.tb, ss, nil, flowCounters)
 	return E8ePoint{
 		Priority:   priority,
 		FAAIssued:  ss.Stats.FAAIssued,
@@ -523,11 +345,6 @@ func e8eRun(cfg E8eConfig, priority bool) E8ePoint {
 			uint64(ss.Stats.Updates)-uint64(ss.Stats.DroppedUpdates),
 		BackgroundGbps: bgGbps,
 	}
-}
-
-func switchCfg(priority bool) (c switchsim.Config) {
-	c.RDMAPriority = priority
-	return c
 }
 
 // RunE8e executes the prioritization ablation.
@@ -613,11 +430,7 @@ func RunE8f(cfg E8fConfig) (*Table, E8fResult) {
 	fo.HeartbeatInterval = cfg.HeartbeatInterval
 	fo.OnFailover = func(_, newCh *gem.Channel) { ss.RebindShard(0, newCh) }
 	fo.RegisterWith(tb.Dispatcher)
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if !tb.Dispatcher.Dispatch(ctx) {
-			ctx.Drop()
-		}
-	})
+	tb.SetPipeline(func(ctx *gem.Context) { ctx.Drop() })
 	fo.Start()
 
 	interval := sim.Duration(1e9 / cfg.UpdateRatePerSec)

@@ -113,42 +113,18 @@ type E9Result struct {
 	PendingEvents int
 }
 
-func e9Dispatch(tb *gem.Testbed) {
-	tb.SetPipeline(func(ctx *gem.Context) {
-		if !tb.Dispatcher.Dispatch(ctx) {
-			ctx.Drop()
-		}
-	})
-}
-
 // e9a: one reliable state store against one server, with composed link
 // faults in both directions and a crash/restart cycle. Because the server
 // restarts (DRAM and atomic replay cache intact) rather than being replaced,
 // the retransmit window gives exactly-once counting.
 func e9a(cfg E9Config, res *E9Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 1})
-	if err != nil {
-		panic(err)
-	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{
-		RegionSize: 4096, Mode: gem.PSNStrict, AckReq: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	rt, err := gem.NewRetransmitter(ch, 8)
-	if err != nil {
-		panic(err)
-	}
+	tb, ch, rt := reliableBed(cfg.Seed, 0, 8)
 	rt.EnableAdaptiveRTO()
-	ss, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: 8})
+	ss, err := gem.NewStateStore(ch, gem.StateStoreConfig{Counters: bedCounters})
 	if err != nil {
 		panic(err)
 	}
 	ss.SetShardRetransmitter(0, rt)
-	rt.Inner = ss
-	tb.Dispatcher.Register(ch, rt)
-	e9Dispatch(tb)
 
 	// A hotter burst-entry rate than DefaultGilbertElliott: the invariant
 	// "loss actually happened" must hold at every seed, and 0.002/frame over
@@ -175,19 +151,10 @@ func e9a(cfg E9Config, res *E9Result) {
 	schedA.Loss = faults.CrashPreserve
 	schedA.Install(tb.Engine)
 
-	issued := 0
-	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
-		ss.Update(issued%8, 1)
-		issued++
-		return issued < cfg.AUpdates
-	})
+	tickUpdates(tb, ss, cfg.AUpdates)
 	tb.Run()
 
-	var remote uint64
-	for i := 0; i < 8; i++ {
-		v, _ := tb.ReadRemoteCounter(ch, ss.CounterOffset(i))
-		remote += v
-	}
+	remote := remoteSum(tb, ss, nil, bedCounters)
 	res.AUpdates = ss.Stats.Updates
 	res.ARemote = remote
 	res.APending = ss.PendingTotal()
@@ -201,99 +168,22 @@ func e9a(cfg E9Config, res *E9Result) {
 	res.PendingEvents += tb.PendingEvents()
 }
 
-// e9b: primary + standby. Probe channels (tolerant) are separate from the
-// strict data channels — an untracked lost probe on a strict QP would wedge
-// its PSN stream, which is exactly why real deployments split control and
-// data QPs. The retransmitter's retry budget escalates to ForceFailover; the
-// recovered primary is failed back to after answering probes.
+// e9b: failover to the standby when the primary dies, escalated by the
+// retransmitter's retry budget, then failback once it answers probes again.
 func e9b(cfg E9Config, res *E9Result) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 2})
-	if err != nil {
-		panic(err)
-	}
-	mkpair := func(mem int) (probe, data *gem.Channel) {
-		probe, err := tb.Establish(mem, gem.ChannelSpec{
-			RegionBase: 0x10000000, RegionSize: 64, Mode: gem.PSNTolerant,
-		})
-		if err != nil {
-			panic(err)
-		}
-		data, err = tb.Establish(mem, gem.ChannelSpec{
-			RegionBase: 0x20000000, RegionSize: 4096, Mode: gem.PSNStrict, AckReq: true,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return probe, data
-	}
-	probeP, dataP := mkpair(0)
-	probeS, dataS := mkpair(1)
-	dataOf := map[*gem.Channel]*gem.Channel{probeP: dataP, probeS: dataS}
-
-	rt, err := gem.NewRetransmitter(dataP, 8)
-	if err != nil {
-		panic(err)
-	}
-	rt.EnableAdaptiveRTO()
-	rt.MaxRetries = 4
-	ss, err := gem.NewStateStore(dataP, gem.StateStoreConfig{Counters: 8})
-	if err != nil {
-		panic(err)
-	}
-	ss.SetShardRetransmitter(0, rt)
-	rt.Inner = ss
-	fo, err := gem.NewFailover([]*gem.Channel{probeP, probeS}, nil)
-	if err != nil {
-		panic(err)
-	}
-	fo.OnFailover = func(_, newProbe *gem.Channel) {
-		data := dataOf[newProbe]
-		rt.Retarget(data)
-		ss.RebindShard(0, data)
-	}
-	rt.OnExhausted = func() { fo.ForceFailover() }
-	fo.RegisterWith(tb.Dispatcher)
-	tb.Dispatcher.Register(dataP, rt)
-	tb.Dispatcher.Register(dataS, rt)
-	e9Dispatch(tb)
-	fo.Start()
-
-	// BNoLoss depends on the failed-back primary keeping its pre-crash
-	// counters: preserve DRAM across the restart.
-	schedB := faults.CrashRestart(tb.MemNICs[0], cfg.BCrashAt, cfg.BRestartAt)
-	schedB.Loss = faults.CrashPreserve
-	schedB.Install(tb.Engine)
-
-	issued := 0
-	tb.Engine.Ticker(1*sim.Microsecond, func() bool {
-		ss.Update(issued%8, 1)
-		issued++
-		return issued < cfg.BUpdates
-	})
-	tb.RunFor(sim.Duration(cfg.BRestartAt) + 900*sim.Microsecond)
-	fo.Stop()
-	tb.Run()
-
-	sum := func(ch *gem.Channel) uint64 {
-		var s uint64
-		for i := 0; i < 8; i++ {
-			v, _ := tb.ReadRemoteCounter(ch, ss.CounterOffset(i))
-			s += v
-		}
-		return s
-	}
-	res.BFailovers = fo.Failovers
-	res.BFailbacks = fo.Failbacks
-	res.BStaleDropped = fo.StaleDropped
-	res.BEscalations = rt.Escalations
-	res.BRetargeted = rt.Retargeted
-	res.BOnPrimary = sum(dataP)
-	res.BOnStandby = sum(dataS)
-	res.BPending = ss.PendingTotal()
+	b := runFailoverBed(cfg.Seed, nil, cfg.BCrashAt, cfg.BRestartAt, cfg.BUpdates, 900*sim.Microsecond)
+	res.BFailovers = b.fo.Failovers
+	res.BFailbacks = b.fo.Failbacks
+	res.BStaleDropped = b.fo.StaleDropped
+	res.BEscalations = b.rt.Escalations
+	res.BRetargeted = b.rt.Retargeted
+	res.BOnPrimary = remoteSum(b.tb, b.ss, b.dataP, bedCounters)
+	res.BOnStandby = remoteSum(b.tb, b.ss, b.dataS, bedCounters)
+	res.BPending = b.ss.PendingTotal()
 	// Retargeting is at-least-once: duplicates may inflate the committed
 	// sum, but nothing may be lost.
 	res.BNoLoss = res.BOnPrimary+res.BOnStandby+res.BPending >= uint64(cfg.BUpdates)
-	res.PendingEvents += tb.PendingEvents()
+	res.PendingEvents += b.tb.PendingEvents()
 }
 
 // e9c: lookup table, state store, and packet buffer all running while the
@@ -333,7 +223,7 @@ func e9c(cfg E9Config, res *E9Result) {
 	}
 	lt.DefaultOutPort = 1
 	lt.SlowPath = func(wire.FlowKey) (gem.LookupAction, bool) { return action, true }
-	ss, err := gem.NewStateStore(chSS, gem.StateStoreConfig{Counters: 8})
+	ss, err := gem.NewStateStore(chSS, gem.StateStoreConfig{Counters: bedCounters})
 	if err != nil {
 		panic(err)
 	}
@@ -350,14 +240,11 @@ func e9c(cfg E9Config, res *E9Result) {
 	pb.RegisterWith(tb.Dispatcher)
 	tb.Switch.Hooks = pb
 	tb.SetPipeline(func(ctx *gem.Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
 		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
 			ctx.Drop()
 			return
 		}
-		ss.Update(int(ctx.Pkt.UDP.SrcPort)%8, 1)
+		ss.Update(int(ctx.Pkt.UDP.SrcPort)%bedCounters, 1)
 		if ctx.Pkt.UDP.SrcPort%2 == 0 {
 			lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
 		} else {
@@ -395,11 +282,7 @@ func e9c(cfg E9Config, res *E9Result) {
 	})
 	tb.Run()
 
-	var remote uint64
-	for i := 0; i < 8; i++ {
-		v, _ := tb.ReadRemoteCounter(chSS, ss.CounterOffset(i))
-		remote += v
-	}
+	remote := remoteSum(tb, ss, nil, bedCounters)
 	res.CRemote = remote
 	res.CPending = ss.PendingTotal()
 	res.CExact = remote+ss.PendingTotal() == uint64(ss.Stats.Updates)
@@ -416,43 +299,19 @@ func e9c(cfg E9Config, res *E9Result) {
 // the request path), once with the fixed 100 µs timeout and once with the
 // adaptive RTO. Both stay exact; the adaptive run retransmits less.
 func e9d(cfg E9Config, adaptive bool) (retransmits int64, exact bool) {
-	tb, err := gem.New(gem.Options{Seed: cfg.Seed, Hosts: 1, MemoryServers: 1})
-	if err != nil {
-		panic(err)
-	}
-	ch, err := tb.Establish(0, gem.ChannelSpec{
-		RegionSize: 4096, Mode: gem.PSNStrict, AckReq: true,
-	})
-	if err != nil {
-		panic(err)
-	}
 	// Window 1 isolates the retransmission *timer*: with a pipelined window
 	// a delayed request shows up as a PSN gap and the NIC's NAK recovers it
 	// at RTT timescale regardless of the RTO policy (both arms would measure
 	// the NAK fast path and tie). One request in flight means no gap signal
 	// ever exists and the timer alone decides when to resend.
-	rt, err := gem.NewRetransmitter(ch, 1)
-	if err != nil {
-		panic(err)
-	}
+	tb, ch, rt := reliableBed(cfg.Seed, 0, 1)
 	if adaptive {
 		rt.EnableAdaptiveRTO()
 	}
-	tb.Dispatcher.Register(ch, rt)
-	e9Dispatch(tb)
 	tb.MemNICs[0].Port().Peer().SetFaultInjector(&faults.LinkFaults{
 		Jitter: &faults.Jitter{SpikeRate: cfg.DSpikeRate, Spike: cfg.DSpike},
 	})
-	issued := 0
-	tb.Engine.Ticker(2*sim.Microsecond, func() bool {
-		for issued < cfg.DUpdates && rt.CanSend() {
-			rt.FetchAdd(0, 1)
-			issued++
-		}
-		return issued < cfg.DUpdates || rt.Unacked() > 0
-	})
-	tb.Run()
-	v, _ := tb.ReadRemoteCounter(ch, 0)
+	v := pumpFAA(tb, ch, rt, cfg.DUpdates, 2*sim.Microsecond)
 	return rt.Retransmits, v == uint64(cfg.DUpdates)
 }
 

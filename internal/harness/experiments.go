@@ -1,119 +1,40 @@
 package harness
 
-import "gem/internal/sim"
-
-// Experiment is one table gem-bench prints: its id and how to run it. Run
-// returns the rendered table; quick swaps in reduced settings for a fast
-// smoke run.
+// Experiment is one table gem-bench prints: its id and how to run it at the
+// experiment's default settings.
 type Experiment struct {
 	ID  string
-	Run func(quick bool) *Table
+	Run func() *Table
 }
 
-// tableOf keeps a RunE* call's table and drops its typed result, which only
-// tests read.
-func tableOf[R any](t *Table, _ R) *Table { return t }
+// experiment runs run on the defaults cfg returns and keeps the table; the
+// typed result is only for tests.
+func experiment[C, R any](id string, run func(C) (*Table, R), cfg func() C) Experiment {
+	return Experiment{id, func() *Table {
+		t, _ := run(cfg())
+		return t
+	}}
+}
 
 // Experiments lists every experiment in output order — the single table
 // gem-bench runs and TestGoldenOutput pins.
 var Experiments = []Experiment{
-	{"E1", func(quick bool) *Table {
-		cfg := DefaultE1Config()
-		if quick {
-			cfg.Window = 1 * sim.Millisecond
-			cfg.SweepStart, cfg.SweepStep = 33, 1
-			cfg.DrainFrames = 800
-		}
-		return tableOf(RunE1(cfg))
-	}},
-	{"E2", func(quick bool) *Table {
-		cfg := DefaultE2Config()
-		if quick {
-			cfg.Rounds = 15
-		}
-		return tableOf(RunE2(cfg))
-	}},
-	{"E3", func(quick bool) *Table {
-		cfg := DefaultE3Config()
-		if quick {
-			cfg.Window = 1 * sim.Millisecond
-			cfg.Sizes = []int{64, 256, 1024}
-		}
-		return tableOf(RunE3(cfg))
-	}},
-	{"E4", func(quick bool) *Table {
-		cfg := DefaultE4Config()
-		if quick {
-			cfg.BurstMBs = []int{12, 25}
-		}
-		return tableOf(RunE4(cfg))
-	}},
-	{"E5", func(quick bool) *Table {
-		cfg := DefaultE5Config()
-		if quick {
-			cfg.Mappings, cfg.Packets = 50_000, 15_000
-			cfg.CacheEntries = 4096
-		}
-		return tableOf(RunE5(cfg))
-	}},
-	{"E6", func(quick bool) *Table {
-		cfg := DefaultE6Config()
-		if quick {
-			cfg.Packets = 15_000
-		}
-		return tableOf(RunE6(cfg))
-	}},
-	{"E7", func(bool) *Table { return tableOf(RunE7(DefaultE7Config())) }},
-	{"E8A", func(quick bool) *Table {
-		cfg := DefaultE8aConfig()
-		if quick {
-			cfg.Window = 1 * sim.Millisecond
-			cfg.Batches = []uint64{1, 32, 512}
-		}
-		return tableOf(RunE8a(cfg))
-	}},
-	{"E8B", func(quick bool) *Table {
-		cfg := DefaultE8bConfig()
-		if quick {
-			cfg.Packets = 100
-		}
-		return tableOf(RunE8b(cfg))
-	}},
-	{"E8C", func(quick bool) *Table {
-		cfg := DefaultE8cConfig()
-		if quick {
-			cfg.Updates = 500
-		}
-		return tableOf(RunE8c(cfg))
-	}},
-	{"E8D", func(quick bool) *Table {
-		cfg := DefaultE8dConfig()
-		if quick {
-			cfg.Window = 1 * sim.Millisecond
-			cfg.CapsGbps = []float64{0, 1}
-		}
-		return tableOf(RunE8d(cfg))
-	}},
-	{"E8E", func(quick bool) *Table {
-		cfg := DefaultE8eConfig()
-		if quick {
-			cfg.Window = 4 * sim.Millisecond
-		}
-		return tableOf(RunE8e(cfg))
-	}},
-	{"E8F", func(quick bool) *Table {
-		cfg := DefaultE8fConfig()
-		if quick {
-			cfg.Window = 6 * sim.Millisecond
-			cfg.CrashAt = 2 * sim.Millisecond
-		}
-		return tableOf(RunE8f(cfg))
-	}},
-	// E9–E13 are already short runs (microsecond-scale scenarios); quick
-	// changes nothing.
-	{"E9", func(bool) *Table { return tableOf(RunE9(DefaultE9Config())) }},
-	{"E10", func(bool) *Table { return tableOf(RunE10(DefaultE10Config())) }},
-	{"E11", func(bool) *Table { return tableOf(RunE11(DefaultE11Config())) }},
-	{"E12", func(bool) *Table { return tableOf(RunE12(DefaultE12Config())) }},
-	{"E13", func(bool) *Table { return tableOf(RunE13(DefaultE13Config())) }},
+	experiment("E1", RunE1, DefaultE1Config),
+	experiment("E2", RunE2, DefaultE2Config),
+	experiment("E3", RunE3, DefaultE3Config),
+	experiment("E4", RunE4, DefaultE4Config),
+	experiment("E5", RunE5, DefaultE5Config),
+	experiment("E6", RunE6, DefaultE6Config),
+	experiment("E7", RunE7, DefaultE7Config),
+	experiment("E8A", RunE8a, DefaultE8aConfig),
+	experiment("E8B", RunE8b, DefaultE8bConfig),
+	experiment("E8C", RunE8c, DefaultE8cConfig),
+	experiment("E8D", RunE8d, DefaultE8dConfig),
+	experiment("E8E", RunE8e, DefaultE8eConfig),
+	experiment("E8F", RunE8f, DefaultE8fConfig),
+	experiment("E9", RunE9, DefaultE9Config),
+	experiment("E10", RunE10, DefaultE10Config),
+	experiment("E11", RunE11, DefaultE11Config),
+	experiment("E12", RunE12, DefaultE12Config),
+	experiment("E13", RunE13, DefaultE13Config),
 }

@@ -34,7 +34,7 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	var out bytes.Buffer
 	for _, e := range Experiments {
-		e.Run(false).Fprint(&out)
+		e.Run().Fprint(&out)
 	}
 
 	var results bytes.Buffer

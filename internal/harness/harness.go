@@ -3,9 +3,10 @@
 // native-RDMA baseline, the §2.1 incast scenario, the §2.2/§2.3 use-case
 // scale arguments, the §4 overhead accounting, and the §7 ablations.
 //
-// Each experiment is a function from a Config (with fast defaults for
-// tests and full settings for the CLI) to a printable Table plus typed
-// results the tests assert on. See DESIGN.md for the experiment index.
+// Each experiment is a function from a Config to a printable Table plus
+// typed results the tests assert on. Its Default*Config is the one setting
+// gem-bench runs and the golden files pin; tests shrink copies of it. See
+// DESIGN.md for the experiment index.
 package harness
 
 import (

@@ -132,11 +132,6 @@ func BuildWriteFirstInto(pool *Pool, p *RoCEParams, va uint64, rkey uint32, dmaL
 	return frame
 }
 
-// BuildWriteFirst is BuildWriteFirstInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildWriteFirst(p *RoCEParams, va uint64, rkey uint32, dmaLen uint32, payload []byte) []byte {
-	return BuildWriteFirstInto(DefaultPool, p, va, rkey, dmaLen, payload)
-}
-
 // BuildWriteMiddleInto crafts a middle packet of a multi-packet WRITE.
 func BuildWriteMiddleInto(pool *Pool, p *RoCEParams, payload []byte) []byte {
 	frame := pool.Get(roceLen(p.Version, 0, len(payload)))
@@ -145,22 +140,12 @@ func BuildWriteMiddleInto(pool *Pool, p *RoCEParams, payload []byte) []byte {
 	return frame
 }
 
-// BuildWriteMiddle is BuildWriteMiddleInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildWriteMiddle(p *RoCEParams, payload []byte) []byte {
-	return BuildWriteMiddleInto(DefaultPool, p, payload)
-}
-
 // BuildWriteLastInto crafts the last packet of a multi-packet WRITE.
 func BuildWriteLastInto(pool *Pool, p *RoCEParams, payload []byte) []byte {
 	frame := pool.Get(roceLen(p.Version, 0, len(payload)))
 	off := putRoCEPrefix(frame, p, OpWriteLast)
 	finishRoCE(frame, off, payload)
 	return frame
-}
-
-// BuildWriteLast is BuildWriteLastInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildWriteLast(p *RoCEParams, payload []byte) []byte {
-	return BuildWriteLastInto(DefaultPool, p, payload)
 }
 
 // BuildReadRequestInto crafts an RDMA READ request for dmaLen bytes at va.

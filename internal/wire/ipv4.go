@@ -32,7 +32,7 @@ type IPv4 struct {
 	DontFrag bool
 	TTL      uint8
 	Protocol uint8
-	Checksum uint16 // filled by Put; verified by DecodeFromBytes callers if desired
+	Checksum uint16 // filled by Put; DecodeFromBytes reads it without checking
 	Src, Dst IP4
 }
 
@@ -83,22 +83,6 @@ func (h *IPv4) DecodeFromBytes(b []byte) error {
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	return nil
-}
-
-// VerifyChecksum recomputes the header checksum over b (the encoded header)
-// and reports whether it is consistent.
-func (h *IPv4) VerifyChecksum(b []byte) bool {
-	if len(b) < IPv4Len {
-		return false
-	}
-	return ipChecksum(b[:IPv4Len]) == 0 || h.Checksum == recomputeChecksum(b)
-}
-
-func recomputeChecksum(b []byte) uint16 {
-	var tmp [IPv4Len]byte
-	copy(tmp[:], b[:IPv4Len])
-	tmp[10], tmp[11] = 0, 0
-	return ipChecksum(tmp[:])
 }
 
 // ipChecksum computes the RFC 1071 ones-complement checksum of b.

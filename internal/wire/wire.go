@@ -30,7 +30,6 @@ var (
 	ErrTooShort    = errors.New("wire: buffer too short")
 	ErrBadVersion  = errors.New("wire: unsupported version")
 	ErrBadProtocol = errors.New("wire: unexpected protocol")
-	ErrBadICRC     = errors.New("wire: ICRC mismatch")
 )
 
 func tooShort(what string, need, have int) error {

@@ -111,14 +111,8 @@ func TestStatsSnapshotWalk(t *testing.T) {
 	}
 	rt.EnableAdaptiveRTO() // RTT samples only accrue in adaptive mode
 	ss.SetShardRetransmitter(0, rt)
-	rt.Inner = ss
 	tb.Dispatcher.Register(ch, rt)
-	tb.SetPipeline(func(ctx *Context) {
-		if tb.Dispatcher.Dispatch(ctx) {
-			return
-		}
-		ctx.Drop()
-	})
+	tb.SetPipeline(func(ctx *Context) { ctx.Drop() })
 	for i := 0; i < 6; i++ {
 		ss.Update(i, 1)
 	}
