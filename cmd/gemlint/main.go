@@ -65,10 +65,8 @@ const rootPackage = "gem"
 // verbs transport is on every primitive's post and completion path, so it
 // carries the same zero-allocation contract as the wire layer (WQEs come
 // from a freelist, reassembly reuses one scratch buffer). That covers the
-// striping fan-out (striped.go) and the doorbell pending ring (doorbell.go)
-// too: deferred posting runs once per pipeline pass, so a defer or flush
-// that allocated would be as hot as a post. netsim is in for its two events
-// per frame per link.
+// striping fan-out (striped.go) too: it sits on every striped post. netsim
+// is in for its two events per frame per link.
 var hotallocScope = []string{
 	"gem/internal/wire", "gem/internal/netsim", "gem/internal/switchsim",
 	"gem/internal/rnic", "gem/internal/core/verbs",

@@ -99,9 +99,6 @@ type (
 	LagHist = verbs.LagHist
 	// ReplicationMode selects Off, Sync or Async mirroring.
 	ReplicationMode = verbs.ReplicationMode
-	// DoorbellConfig tunes a QP's doorbell-batched posting ring (deferred
-	// FAAs coalescing until a size / age / delta trigger flushes them).
-	DoorbellConfig = verbs.DoorbellConfig
 	// TransportStats is a QP's counter block — posted / completed / stale /
 	// retried / refused / expired per operation type, plus typed error
 	// completions and the post→CQE latency histogram, Add-mergeable.

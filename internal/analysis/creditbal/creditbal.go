@@ -66,16 +66,14 @@ var releases = map[string]bool{
 // credit or reservation on their receiver (the WQE carries it from there;
 // retire/reap releases it).
 var consumes = map[string]bool{
-	analysis.VerbsMethod("QP", "PostRead"):             true,
-	analysis.VerbsMethod("QP", "PostWrite"):            true,
-	analysis.VerbsMethod("QP", "PostFetchAdd"):         true,
-	analysis.VerbsMethod("QP", "DeferFetchAdd"):        true,
-	analysis.VerbsMethod("QP", "Repost"):               true,
-	analysis.VerbsMethod("StripedQP", "PostRead"):      true,
-	analysis.VerbsMethod("StripedQP", "PostWrite"):     true,
-	analysis.VerbsMethod("StripedQP", "PostFetchAdd"):  true,
-	analysis.VerbsMethod("StripedQP", "DeferFetchAdd"): true,
-	analysis.VerbsMethod("StripedQP", "Repost"):        true,
+	analysis.VerbsMethod("QP", "PostRead"):            true,
+	analysis.VerbsMethod("QP", "PostWrite"):           true,
+	analysis.VerbsMethod("QP", "PostFetchAdd"):        true,
+	analysis.VerbsMethod("QP", "Repost"):              true,
+	analysis.VerbsMethod("StripedQP", "PostRead"):     true,
+	analysis.VerbsMethod("StripedQP", "PostWrite"):    true,
+	analysis.VerbsMethod("StripedQP", "PostFetchAdd"): true,
+	analysis.VerbsMethod("StripedQP", "Repost"):       true,
 }
 
 // key identifies one holder: the root variable of the receiver chain plus

@@ -1,10 +1,10 @@
 // Package postcheck implements the gemlint pass that forbids dropping the
 // boolean result of a verbs posting or admission call. Every Post*,
 // TryReserve, TryAcquire, and Can* on the transport returns false when the
-// op was refused — by credit gating, a full send queue, or a closed
-// doorbell window — and a caller that ignores that false has silently lost
-// an op: the deposit never lands, the read is never reposted, and no
-// runtime check will ever notice. The pass flags three shapes:
+// op was refused — by credit gating or a full send queue — and a caller
+// that ignores that false has silently lost an op: the deposit never lands,
+// the read is never reposted, and no runtime check will ever notice. The
+// pass flags three shapes:
 //
 //   - a bare expression statement (`qp.PostWrite(off, buf)`);
 //   - an assignment to the blank identifier (`_ = qp.Repost(tok)`);
@@ -50,13 +50,11 @@ var mustConsume = map[string]string{
 	analysis.VerbsMethod("QP", "PostRead"):             "QP.PostRead",
 	analysis.VerbsMethod("QP", "PostWrite"):            "QP.PostWrite",
 	analysis.VerbsMethod("QP", "PostFetchAdd"):         "QP.PostFetchAdd",
-	analysis.VerbsMethod("QP", "DeferFetchAdd"):        "QP.DeferFetchAdd",
 	analysis.VerbsMethod("QP", "Repost"):               "QP.Repost",
 	analysis.VerbsMethod("StripedQP", "CanPost"):       "StripedQP.CanPost",
 	analysis.VerbsMethod("StripedQP", "PostRead"):      "StripedQP.PostRead",
 	analysis.VerbsMethod("StripedQP", "PostWrite"):     "StripedQP.PostWrite",
 	analysis.VerbsMethod("StripedQP", "PostFetchAdd"):  "StripedQP.PostFetchAdd",
-	analysis.VerbsMethod("StripedQP", "DeferFetchAdd"): "StripedQP.DeferFetchAdd",
 	analysis.VerbsMethod("StripedQP", "Repost"):        "StripedQP.Repost",
 	analysis.VerbsMethod("MirroredQP", "PostWrite"):    "MirroredQP.PostWrite",
 	analysis.VerbsMethod("MirroredQP", "PostFetchAdd"): "MirroredQP.PostFetchAdd",

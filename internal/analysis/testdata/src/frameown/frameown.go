@@ -183,19 +183,19 @@ func cleanWQEExhausted(acked bool, budget int) {
 	pool.Put(frame)
 }
 
-// --- doorbell batched-posting paths (striping + doorbell layer) ---
+// --- batched-posting paths ---
 
-// doorbellFlushFailLeak is the batched sibling of wqeExhaustedLeak: a
-// doorbell flush walks the pending ring building one frame per ripe WQE,
+// batchFlushFailLeak is the batched sibling of wqeExhaustedLeak: a batched
+// flush walks its pending entries building one frame per ripe WQE,
 // but when the post fails mid-batch (credits gone, endpoint down) the
 // cut-short path abandons the batch and forgets the frame already built
 // for the entry it was posting. Every failed flush then leaks one pooled
 // buffer.
-func doorbellFlushFailLeak(ripe int, canPost func() bool) {
+func batchFlushFailLeak(ripe int, canPost func() bool) {
 	for i := 0; i < ripe; i++ {
 		frame := pool.Get(64)
 		if !canPost() {
-			// Flush cut short: the entry stays in the ring for the
+			// Flush cut short: the entry stays pending for the
 			// retry, but the frame built for it is dropped here.
 			return // want "owned frame \"frame\" leaks"
 		}
@@ -203,10 +203,10 @@ func doorbellFlushFailLeak(ripe int, canPost func() bool) {
 	}
 }
 
-// cleanDoorbellFlushFail is the fixed shape: a cut-short flush recycles the
+// cleanBatchFlushFail is the fixed shape: a cut-short flush recycles the
 // frame it already built before leaving the rest of the batch for the
 // retry.
-func cleanDoorbellFlushFail(ripe int, canPost func() bool) {
+func cleanBatchFlushFail(ripe int, canPost func() bool) {
 	for i := 0; i < ripe; i++ {
 		frame := pool.Get(64)
 		if !canPost() {

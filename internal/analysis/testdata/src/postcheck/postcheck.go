@@ -21,7 +21,7 @@ func blank(q *verbs.QP, tok uint64) {
 }
 
 func blankMulti(q *verbs.QP, tok uint64) (int, bool) {
-	n, _ := 1, q.DeferFetchAdd(0, 1) // want "result of QP.DeferFetchAdd assigned to the blank identifier"
+	n, _ := 1, q.PostFetchAdd(0, 1) // want "result of QP.PostFetchAdd assigned to the blank identifier"
 	return n, false
 }
 
@@ -136,8 +136,8 @@ func annotated(q *verbs.QP) {
 
 // annotatedAbove carries the waiver on the line above the call.
 func annotatedAbove(s *verbs.StripedQP, key uint64) {
-	//gem:post-ok opportunistic doorbell coalesce
-	s.DeferFetchAdd(key, 7)
+	//gem:post-ok opportunistic counter nudge
+	s.PostFetchAdd(key, 7)
 }
 
 // unrelated calls that happen to share a name are not flagged.

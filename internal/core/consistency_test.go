@@ -146,6 +146,80 @@ func TestStateStoreEventualAbsorbsAndCoalesces(t *testing.T) {
 	}
 }
 
+func TestHeldBatchKeepsStoreContracts(t *testing.T) {
+	// Held batching keeps its deltas in the store's own pending table, so the
+	// staleness bound, the degraded posture and low-priority shedding see
+	// every unsent delta. A second holding place outside the table (a
+	// transport-side ring posting on its own timer) broke all three.
+	held := StateStoreConfig{Counters: 8, Batch: 8, BatchMaxAge: 50 * sim.Microsecond}
+	faas := func(ss *StateStore) int64 { return ss.Transport().Stats().FetchAdd.Posted }
+
+	t.Run("staleness", func(t *testing.T) {
+		b, ss := stateBed(t, rnic.Config{}, held)
+		bound := StalenessBound{MaxAge: 10 * sim.Microsecond, MaxDelta: 1 << 20}
+		ss.SetConsistencyMode(BoundedStaleness, bound)
+		for i := 0; i < 4; i++ {
+			ss.Update(i, 1)
+		}
+		b.net.Engine.RunFor(bound.MaxAge)
+		if faas(ss) == 0 {
+			t.Fatalf("no FAA on the wire by MaxAge (stats %+v)", ss.Stats)
+		}
+		b.net.Engine.Run()
+		if ss.Stats.MaxStalenessNs > int64(bound.MaxAge) {
+			t.Fatalf("staleness %dns exceeded bound %dns", ss.Stats.MaxStalenessNs, int64(bound.MaxAge))
+		}
+		if got := remoteCounterSum(b, ss); got != 4 || ss.PendingTotal() != 0 {
+			t.Fatalf("remote = %d, pending = %d; want 4 and 0", got, ss.PendingTotal())
+		}
+	})
+
+	t.Run("degraded", func(t *testing.T) {
+		b, ss := stateBed(t, rnic.Config{}, held)
+		for i := 0; i < 4; i++ {
+			ss.Update(i, 1) // held below Batch; the age flush is armed
+		}
+		ss.SetDegraded(true)
+		for i := 0; i < 4; i++ {
+			ss.Update(i, 1)
+		}
+		b.net.Engine.Run() // the age flush fires while degraded
+		if n := faas(ss); n != 0 {
+			t.Fatalf("%d FAAs posted while degraded", n)
+		}
+		ss.Reconcile()
+		b.net.Engine.Run()
+		if got := remoteCounterSum(b, ss); got != 8 || ss.PendingTotal() != 0 {
+			t.Fatalf("after reconcile: remote = %d, pending = %d; want 8 and 0", got, ss.PendingTotal())
+		}
+	})
+
+	t.Run("shedding", func(t *testing.T) {
+		// One ripe high-priority batch in flight, then a low-priority burst
+		// over eight counters: both stores shed once the table holds
+		// ShedPendingSlots counters.
+		shed := func(cfg StateStoreConfig) StateStoreStats {
+			cfg.ShedPendingSlots = 4
+			_, ss := stateBed(t, rnic.Config{}, cfg)
+			ss.Update(0, 8)
+			for i := 0; i < 400; i++ {
+				ss.UpdatePrio(i%8, 1, switchsim.PriorityLow)
+			}
+			return ss.Stats
+		}
+		immediate := held
+		immediate.BatchMaxAge = 0
+		got, want := shed(held), shed(immediate)
+		if got.ShedUpdates != want.ShedUpdates || got.Updates != want.Updates {
+			t.Fatalf("held store shed %d of %d updates, immediate store %d of %d",
+				got.ShedUpdates, got.Updates+got.ShedUpdates, want.ShedUpdates, want.Updates+want.ShedUpdates)
+		}
+		if got.ShedUpdates == 0 {
+			t.Fatal("nothing shed")
+		}
+	})
+}
+
 func TestSupervisorHealthLadder(t *testing.T) {
 	// A synthetic target walks the full ladder: errors push Healthy →
 	// Suspect → Degraded, clean ticks climb back through Recovering with

@@ -82,6 +82,33 @@ func TestStateStoreReplicaCrashScrubReseeds(t *testing.T) {
 	}
 }
 
+func TestStateStoreReplicatesHeldBatches(t *testing.T) {
+	// Held batching composes with a sync mirror: the store owns the posting
+	// moment, so every batch — ripe at Batch or flushed by age — is
+	// shadow-posted and the two copies converge.
+	b, ss, m, primary, replica := replicatedBed(t,
+		StateStoreConfig{Counters: 8, Batch: 8, BatchMaxAge: 20 * sim.Microsecond},
+		verbs.MirrorConfig{Mode: verbs.ReplicationSync})
+
+	const n = 100 // 12 full batches per counter plus a held remainder
+	for i := 0; i < n; i++ {
+		ss.Update(i%8, 1)
+	}
+	b.net.Engine.Run()
+
+	preg := b.memNICs[0].LookupRegion(primary.RKey)
+	rreg := b.memNICs[1].LookupRegion(replica.RKey)
+	if !bytes.Equal(preg.Bytes()[:8*8], rreg.Bytes()[:8*8]) {
+		t.Fatal("primary and replica diverge")
+	}
+	if got := remoteCounterSum(b, ss); got != n || ss.PendingTotal() != 0 {
+		t.Fatalf("remote = %d, pending = %d; want %d and 0", got, ss.PendingTotal(), n)
+	}
+	if m.Lag() != 0 {
+		t.Fatalf("mirror lag %d after drain", m.Lag())
+	}
+}
+
 func TestStateStoreReconcileRacesPromotion(t *testing.T) {
 	// Reconcile racing a promotion: counters 0–1 are in flight on the primary
 	// (and mirrored to the replica), 2–3 park on the full window, and 4–7

@@ -45,15 +45,13 @@ type StateStoreConfig struct {
 	// future work: "combine multiple counter updates into a single
 	// operation, at the cost of some delay in updates"). 1 = no batching.
 	Batch uint64
-	// Doorbell moves batching into the transport: updates defer into the
-	// per-shard doorbell ring, where same-counter deltas coalesce before
-	// any frame is built, and post when a delta reaches Batch, the ring
-	// fills, or DoorbellFlush elapses. Off = the immediate posting path
-	// (Batch applied per-counter at the head of the dirty queue).
-	Doorbell bool
-	// DoorbellFlush bounds a deferred delta's delay (the doorbell age
-	// trigger). Default 50µs when Doorbell is set.
-	DoorbellFlush sim.Duration
+	// BatchMaxAge selects how Batch holds a delta in the pending table.
+	// 0 = immediate posting: a counter below Batch waits only while its
+	// shard has FAAs in flight. Positive = held batching: in Strict mode a
+	// counter posts the moment its own delta reaches Batch, even behind an
+	// unripe counter in the dirty FIFO, and the whole backlog flushes once
+	// it is BatchMaxAge old.
+	BatchMaxAge sim.Duration
 	// OutstandingTimeout declares an unanswered FAA lost, releasing its
 	// outstanding slot (the switch "keeps track of RNIC progress").
 	OutstandingTimeout sim.Duration
@@ -67,9 +65,6 @@ func (c *StateStoreConfig) fillDefaults() {
 	}
 	if c.Batch == 0 {
 		c.Batch = 1
-	}
-	if c.Doorbell && c.DoorbellFlush == 0 {
-		c.DoorbellFlush = 50 * sim.Microsecond
 	}
 	if c.OutstandingTimeout == 0 {
 		c.OutstandingTimeout = 500 * sim.Microsecond
@@ -116,8 +111,9 @@ type StateStoreStats struct {
 // i mod N, each shard a private QP and credit window over one server's
 // channel, with cumulative completion (an atomic ACK retires every FAA at or
 // before the echoed PSN) and the FIFO reaper standing in for RNIC-progress
-// tracking on the lossy path. PSN tracking, credit release, timeout reaping
-// and (in doorbell mode) delta coalescing all live in the transport.
+// tracking on the lossy path. PSN tracking, credit release and timeout
+// reaping live in the transport; a delta that has not posted lives only in
+// the pending table.
 type StateStore struct {
 	remote
 	cfg StateStoreConfig
@@ -139,6 +135,8 @@ type StateStore struct {
 	// draining marks a bound flush cut short by the window: ACKs keep
 	// draining the backlog until it empties, then accumulation resumes.
 	draining bool
+	// batchArmed notes a scheduled held-batching age flush (BatchMaxAge).
+	batchArmed bool
 
 	pending    map[int]uint64    // counter index → accumulated delta
 	dirty      []fifo.Queue[int] // per-shard FIFO of indexes with pending deltas
@@ -194,14 +192,6 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 	if err := s.sw.SRAM.Alloc(fmt.Sprintf("statestore%d/pending", chans[0].ID), cfg.PendingSlots*16); err != nil {
 		return nil, err
 	}
-	if cfg.Doorbell {
-		for i := range chans {
-			s.striped.Shard(i).EnableDoorbell(verbs.DoorbellConfig{
-				MaxAge:     cfg.DoorbellFlush,
-				FlushDelta: cfg.Batch,
-			})
-		}
-	}
 	// Reflect the resolved window (WindowHint or credit default) back into
 	// the config so Config().MaxOutstanding reports the effective limit.
 	s.cfg.MaxOutstanding = s.credits[0].Config().Window
@@ -213,10 +203,9 @@ func (s *StateStore) Config() StateStoreConfig { return s.cfg }
 
 // RebindShard moves shard si to a new channel without disturbing its
 // siblings. In-flight requests to the old server are abandoned; locally
-// accumulated updates — the pending table and any deltas deferred in the
-// shard's doorbell ring — are preserved and flush to the new server exactly
-// once (a doorbell entry leaves the ring the moment it posts, so a flush
-// trigger that straddles the rebind cannot double-post its delta). Counts
+// accumulated updates are preserved in the pending table and flush to the
+// new server exactly once (a delta leaves the table the moment it posts, so
+// a flush trigger that straddles the rebind cannot double-post it). Counts
 // already committed to the dead server's DRAM are lost — the caller
 // accounts for them via the old region if it ever comes back.
 func (s *StateStore) RebindShard(si int, ch *Channel) {
@@ -233,13 +222,8 @@ func (s *StateStore) RebindShard(si int, ch *Channel) {
 // to a second server whose region mirrors the shard's counter window. The
 // replica QP is credit-less (the mirror must never backpressure the
 // primary's admission window) and cumulative, like the shard itself.
-// Incompatible with Doorbell mode: there the transport owns the posting
-// moment, so the store never sees the post to shadow it. Returns the
-// mirror for introspection (promotion is PromoteShard).
+// Returns the mirror for introspection (promotion is PromoteShard).
 func (s *StateStore) Replicate(si int, replica *Channel, cfg verbs.MirrorConfig) (*verbs.MirroredQP, error) {
-	if s.cfg.Doorbell {
-		return nil, fmt.Errorf("core: replication is incompatible with doorbell batching (the transport owns the posting moment)")
-	}
 	if s.mirrors[si] != nil {
 		return nil, fmt.Errorf("core: shard %d already replicated", si)
 	}
@@ -391,19 +375,12 @@ func (s *StateStore) Outstanding() int {
 }
 
 // Pending reports the delta accumulated on the switch for counter idx but
-// not yet flushed — the pending-table accumulator plus any delta deferred
-// in the home shard's doorbell ring. Exactness checks add it to the remote
-// value.
-func (s *StateStore) Pending(idx int) uint64 {
-	return s.pending[idx] + s.striped.Home(uint64(idx)).DoorbellDeltaAt(s.striped.Offset(uint64(idx)))
-}
+// not yet flushed. Exactness checks add it to the remote value.
+func (s *StateStore) Pending(idx int) uint64 { return s.pending[idx] }
 
 // PendingTotal reports updates accumulated on the switch but not yet on the
-// wire — pending-table deltas plus doorbell-resident deltas. The value
-// accuracy checks add it to the remote counters.
-func (s *StateStore) PendingTotal() uint64 {
-	return s.pendingSum + s.striped.DoorbellDelta()
-}
+// wire. The value accuracy checks add it to the remote counters.
+func (s *StateStore) PendingTotal() uint64 { return s.pendingSum }
 
 // CounterOffset returns counter idx's byte offset inside its home shard's
 // region.
@@ -542,56 +519,80 @@ func (s *StateStore) opportunisticFlush() {
 	s.reapLossy()
 	for si := range s.dirty {
 		if s.credits[si].Outstanding() == 0 {
-			s.flushShard(si)
+			s.flushShard(si, false)
 		}
 	}
 }
 
-// flush moves dirty counters toward the wire, shard by shard: immediate
-// FAAs while outstanding slots remain and batch thresholds are met, or — in
-// doorbell mode — deferrals into the shard's pending ring, where the
-// transport coalesces and posts them on its own triggers.
+// flush moves dirty counters toward the wire, shard by shard, while
+// outstanding slots remain and batch thresholds are met. Under held
+// batching (Strict mode with BatchMaxAge set) only ripe counters post, and
+// whatever backlog an update, ACK, Reconcile, rebind or return to Strict
+// leaves behind keeps the age flush armed.
 func (s *StateStore) flush() {
 	if s.degraded {
 		return
 	}
+	hold := s.cfg.BatchMaxAge > 0 && s.mode == Strict
 	for si := range s.dirty {
-		s.flushShard(si)
+		s.flushShard(si, hold)
 	}
-	if s.cfg.Doorbell {
-		// FAAIssued counts frames, and in doorbell mode the transport owns
-		// the posting moment; mirror its flush counters.
-		var n int64
-		for i := 0; i < s.striped.Shards(); i++ {
-			n += s.striped.Shard(i).DoorbellStatsSnapshot().Flushed
-		}
-		s.Stats.FAAIssued = n
+	if hold && s.pendingSum > 0 {
+		s.armBatchTimer()
 	}
 }
 
-func (s *StateStore) flushShard(si int) {
+// armBatchTimer schedules the held-batching age flush, at most one
+// outstanding event at a time.
+func (s *StateStore) armBatchTimer() {
+	if s.batchArmed {
+		return
+	}
+	s.batchArmed = true
+	s.sw.Engine.ScheduleCall(s.cfg.BatchMaxAge, stateStoreBatchTimer, s, nil, 0)
+}
+
+func stateStoreBatchTimer(recv any, _ []byte, _ int) { recv.(*StateStore).onBatchTimer() }
+
+// onBatchTimer is the held-batching age flush: the backlog posts ripe or
+// not, as far as the windows allow, and what they refuse waits for the next
+// age flush. It must not hold — a held age flush would never empty the
+// backlog, re-arming forever. A degraded or relaxed store skips it; the
+// flush that ends that posture re-arms it.
+func (s *StateStore) onBatchTimer() {
+	s.batchArmed = false
+	if s.mode != Strict || s.degraded || s.pendingSum == 0 {
+		return
+	}
+	s.reapLossy()
+	for si := range s.dirty {
+		s.flushShard(si, false)
+	}
+	if s.pendingSum > 0 {
+		s.armBatchTimer()
+	}
+}
+
+// flushShard posts shard si's dirty counters. With hold, a counter posts
+// only once its delta reaches Batch, wherever it sits in the FIFO.
+func (s *StateStore) flushShard(si int, hold bool) {
 	qp := s.striped.Shard(si)
 	dirty := &s.dirty[si]
 
-	if s.cfg.Doorbell {
-		for dirty.Len() > 0 {
-			idx := dirty.Peek()
+	if hold {
+		// One pass over the FIFO: ripe counters post, the rest rotate back
+		// in their original order.
+		for n := dirty.Len(); n > 0; n-- {
+			idx := dirty.Pop()
 			delta := s.pending[idx]
 			if delta == 0 {
-				dirty.Pop()
 				delete(s.pending, idx)
 				continue
 			}
-			if !qp.DeferFetchAdd(s.striped.Offset(uint64(idx)), delta) {
-				return // ring full and undrainable; retry on next event
+			if delta < s.cfg.Batch || !qp.CanPost() || !s.post(si, idx, delta) {
+				dirty.Push(idx)
 			}
-			dirty.Pop()
-			delete(s.pending, idx)
-			s.pendingSum -= delta
 		}
-		// Retry a previously cut-short batch now that this event may have
-		// freed credits; batches still accumulating keep their own triggers.
-		qp.RingUrgent()
 		return
 	}
 
@@ -606,25 +607,38 @@ func (s *StateStore) flushShard(si int) {
 			delete(s.pending, idx)
 			continue
 		}
-		if delta < s.cfg.Batch && s.credits[si].Outstanding() > 0 {
+		if delta < s.cfg.Batch && s.cfg.BatchMaxAge == 0 && s.credits[si].Outstanding() > 0 {
 			// Not enough accumulated to justify an op while the NIC is
-			// busy; wait for more updates or a free pipeline.
+			// busy; wait for more updates or a free pipeline. (Held
+			// batching waits in the hold instead; an unheld flush there
+			// posts everything.)
 			return
 		}
-		posted := false
-		if m := s.mirrors[si]; m != nil {
-			posted = m.PostFetchAdd(s.striped.Offset(uint64(idx)), delta)
-		} else {
-			posted = qp.PostFetchAdd(s.striped.Offset(uint64(idx)), delta)
-		}
-		if !posted {
+		if !s.post(si, idx, delta) {
 			return // egress or retransmit window full; retry on next event
 		}
 		dirty.Pop()
-		delete(s.pending, idx)
-		s.pendingSum -= delta
-		s.Stats.FAAIssued++
 	}
+}
+
+// post sends counter idx's accumulated delta as one FAA on shard si —
+// shadowed onto the shard's replica when it has one — and retires the delta
+// from the pending table.
+func (s *StateStore) post(si, idx int, delta uint64) bool {
+	off := s.striped.Offset(uint64(idx))
+	var posted bool
+	if m := s.mirrors[si]; m != nil {
+		posted = m.PostFetchAdd(off, delta)
+	} else {
+		posted = s.striped.Shard(si).PostFetchAdd(off, delta)
+	}
+	if !posted {
+		return false
+	}
+	delete(s.pending, idx)
+	s.pendingSum -= delta
+	s.Stats.FAAIssued++
+	return true
 }
 
 // HandleResponse consumes atomic ACKs, freeing outstanding slots and

@@ -154,6 +154,109 @@ func TestStateStoreBatching(t *testing.T) {
 	}
 }
 
+func TestHeldBatchRipeCounterPassesUnripeHead(t *testing.T) {
+	// Held batching posts a counter the moment its own delta reaches Batch,
+	// even with an unripe counter ahead of it in the dirty FIFO; the unripe
+	// one keeps waiting through the ACK.
+	b, ss := stateBed(t, rnic.Config{},
+		StateStoreConfig{Counters: 8, Batch: 4, BatchMaxAge: 50 * sim.Microsecond})
+	ss.Update(0, 1) // unripe FIFO head
+	for i := 0; i < 4; i++ {
+		ss.Update(1, 1)
+	}
+	if ss.Stats.FAAIssued != 1 || ss.Pending(0) != 1 || ss.Pending(1) != 0 {
+		t.Fatalf("ripe counter did not post past the head: FAAs %d, pending %d/%d",
+			ss.Stats.FAAIssued, ss.Pending(0), ss.Pending(1))
+	}
+	b.net.Engine.RunFor(40 * sim.Microsecond)
+	if ss.Stats.AcksSeen != 1 || ss.Stats.FAAIssued != 1 {
+		t.Fatalf("the ACK released the hold: %d ACKs, %d FAAs", ss.Stats.AcksSeen, ss.Stats.FAAIssued)
+	}
+}
+
+func TestHeldBatchAgeFlushPostsRestOnce(t *testing.T) {
+	// The age flush posts the unripe backlog exactly once. With a one-slot
+	// window it is cut short; the refused rest re-arms the age flush, which
+	// drains it with no further updates.
+	b, ss := stateBed(t, rnic.Config{}, StateStoreConfig{
+		Counters: 8, MaxOutstanding: 1, Batch: 8, BatchMaxAge: 50 * sim.Microsecond,
+	})
+	for i := 0; i < 4; i++ {
+		ss.Update(i, uint64(i+1))
+	}
+	if ss.Stats.FAAIssued != 0 {
+		t.Fatalf("unripe counters posted: %d FAAs", ss.Stats.FAAIssued)
+	}
+	b.net.Engine.RunFor(50 * sim.Microsecond)
+	if ss.Stats.FAAIssued != 1 {
+		t.Fatalf("age flush posted %d FAAs through a one-slot window, want 1", ss.Stats.FAAIssued)
+	}
+	b.net.Engine.Run()
+	if ss.Stats.FAAIssued != 4 || ss.PendingTotal() != 0 {
+		t.Fatalf("FAAs = %d, pending = %d; want 4 and 0", ss.Stats.FAAIssued, ss.PendingTotal())
+	}
+	for i := 0; i < 4; i++ {
+		ch, off := ss.CounterHome(i)
+		if v, _ := b.nicFor(ch).ReadCounter(ch.RKey, ch.Base+uint64(off)); v != uint64(i+1) {
+			t.Fatalf("counter %d = %d, want exactly %d", i, v, i+1)
+		}
+	}
+}
+
+func TestHeldBacklogDrainsWithoutFurtherUpdates(t *testing.T) {
+	// A held backlog that no age flush covers yet — accumulated while
+	// degraded or in a relaxed mode — must arm one when Reconcile, a rebind
+	// or a return to Strict flushes it, or it would wait forever.
+	cases := []struct {
+		name   string
+		park   func(ss *StateStore)
+		resume func(ss *StateStore, standby *Channel)
+	}{
+		{"reconcile",
+			func(ss *StateStore) { ss.SetDegraded(true) },
+			func(ss *StateStore, _ *Channel) { ss.Reconcile() }},
+		{"rebind",
+			func(ss *StateStore) { ss.SetDegraded(true) },
+			func(ss *StateStore, standby *Channel) {
+				ss.SetDegraded(false) // leaves the posture without flushing
+				ss.RebindShard(0, standby)
+			}},
+		{"strict-return",
+			func(ss *StateStore) {
+				ss.SetConsistencyMode(BoundedStaleness, StalenessBound{MaxAge: sim.Millisecond, MaxDelta: 1 << 20})
+			},
+			func(ss *StateStore, _ *Channel) { ss.SetConsistencyMode(Strict, StalenessBound{}) }},
+	}
+	for _, tc := range cases {
+		b := newBedN(t, 1, 2, switchsim.Config{}, rnic.Config{})
+		primary := b.establishOn(t, 0, 64*8, rnic.PSNTolerant, false)
+		standby := b.establishOn(t, 1, 64*8, rnic.PSNTolerant, false)
+		ss, err := NewStateStore(primary, StateStoreConfig{
+			Counters: 64, Batch: 4, BatchMaxAge: 50 * sim.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.disp.Register(primary, ss)
+		b.disp.Register(standby, ss)
+		b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+			if !b.disp.Dispatch(ctx) {
+				ctx.Drop()
+			}
+		})
+		tc.park(ss)
+		for i := 0; i < 3; i++ {
+			ss.Update(1, 1)
+		}
+		tc.resume(ss, standby)
+		b.net.Engine.Run()
+		if got := remoteCounterSum(b, ss); got != 3 || ss.PendingTotal() != 0 || ss.Stats.FAAIssued != 1 {
+			t.Errorf("%s: remote = %d, pending = %d, FAAs = %d; want 3, 0, 1",
+				tc.name, got, ss.PendingTotal(), ss.Stats.FAAIssued)
+		}
+	}
+}
+
 func TestStateStorePendingTableOverflowCounted(t *testing.T) {
 	b, ss := stateBed(t, rnic.Config{AtomicOpsPerSec: 1e4},
 		StateStoreConfig{Counters: 1024, MaxOutstanding: 1, PendingSlots: 4})

@@ -11,7 +11,7 @@ import (
 )
 
 // Striped-path coverage: the three primitives as StripedQP consumers —
-// multi-server exactness, doorbell batching, per-shard PSN wraparound,
+// multi-server exactness, held batching, per-shard PSN wraparound,
 // flush idempotence across rebind, and single-shard failover that leaves
 // sibling shards undisturbed.
 
@@ -83,12 +83,12 @@ func TestStripedStateStoreCountsExactly(t *testing.T) {
 	}
 }
 
-func TestStripedStateStoreDoorbellReducesFrames(t *testing.T) {
-	// Doorbell mode with Batch=8: same-counter deltas coalesce in the
-	// pending ring before any frame is built, so frames-on-wire shrink by
+func TestStripedStateStoreBatchMaxAgeReducesFrames(t *testing.T) {
+	// Held batching with Batch=8: same-counter deltas coalesce in the
+	// pending table before any frame is built, so frames-on-wire shrink by
 	// the batch factor while the count stays exact.
 	b, ss := stripedStateBed(t, 2, 0, rnic.Config{},
-		StateStoreConfig{Counters: 8, Batch: 8, Doorbell: true})
+		StateStoreConfig{Counters: 8, Batch: 8, BatchMaxAge: 50 * sim.Microsecond})
 	const n = 320
 	for i := 0; i < n; i++ {
 		b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 1500, 3))
@@ -98,7 +98,7 @@ func TestStripedStateStoreDoorbellReducesFrames(t *testing.T) {
 		t.Fatalf("remote+pending = %d, want %d (stats %+v)", got, n, ss.Stats)
 	}
 	if ss.Stats.FAAIssued == 0 || ss.Stats.FAAIssued > n/8+2 {
-		t.Fatalf("FAAs = %d for %d updates at batch 8 (doorbell)", ss.Stats.FAAIssued, n)
+		t.Fatalf("FAAs = %d for %d updates at batch 8 (held)", ss.Stats.FAAIssued, n)
 	}
 }
 
@@ -218,16 +218,16 @@ func TestStateStoreIgnoresLateAckAcrossRebind(t *testing.T) {
 	}
 }
 
-func TestStateStoreDoorbellNoDoubleFlushAcrossRebind(t *testing.T) {
-	// Regression (doorbell path): deltas deferred in the pending ring when
-	// the rebind lands must flush exactly once to the new server, no matter
-	// which trigger fires first — the age timer armed before the rebind,
-	// the delta trigger after it, or the rebind's own flush.
+func TestStateStoreBatchMaxAgeNoDoubleFlushAcrossRebind(t *testing.T) {
+	// Regression (held batching): deltas held in the pending table when the
+	// rebind lands must flush exactly once to the new server, no matter
+	// which trigger fires first — the age flush armed before the rebind,
+	// the Batch threshold after it, or the rebind's own flush.
 	b := newBedN(t, 1, 2, switchsim.Config{}, rnic.Config{})
 	primary := b.establishOn(t, 0, 64*8, rnic.PSNTolerant, false)
 	standby := b.establishOn(t, 1, 64*8, rnic.PSNTolerant, false)
 	ss, err := NewStateStore(primary, StateStoreConfig{
-		Counters: 64, MaxOutstanding: 4, Batch: 4, Doorbell: true,
+		Counters: 64, MaxOutstanding: 4, Batch: 4, BatchMaxAge: 50 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,18 +241,17 @@ func TestStateStoreDoorbellNoDoubleFlushAcrossRebind(t *testing.T) {
 	})
 	ss.Update(1, 1)
 	ss.Update(1, 1)
-	ss.Update(1, 1) // delta 3 < Batch: resident in the ring, age timer armed
+	ss.Update(1, 1) // delta 3 < Batch: held in the pending table, age flush armed
 	ss.RebindShard(0, standby)
 	ss.Update(1, 1)    // delta 4 = Batch: posts once, to the new endpoint
-	b.net.Engine.Run() // the pre-rebind age timer also fires in here
+	b.net.Engine.Run() // the pre-rebind age flush also fires in here
 	v0, _ := b.memNICs[0].ReadCounter(primary.RKey, primary.Base+8)
 	v1, _ := b.memNICs[1].ReadCounter(standby.RKey, standby.Base+8)
 	if v0 != 0 {
 		t.Fatalf("old server got %d, want 0 (nothing was in flight at rebind)", v0)
 	}
 	if v1 != 4 {
-		t.Fatalf("new server = %d, want exactly 4 (double-flush?) stats %+v db %+v",
-			v1, ss.Stats, ss.Transport().Shard(0).DoorbellStatsSnapshot())
+		t.Fatalf("new server = %d, want exactly 4 (double-flush?) stats %+v", v1, ss.Stats)
 	}
 	if ss.Stats.FAAIssued != 1 {
 		t.Fatalf("FAAs = %d, want 1 (one coalesced batch)", ss.Stats.FAAIssued)

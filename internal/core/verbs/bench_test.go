@@ -54,41 +54,32 @@ func respCycle(ep *fakeEndpoint, qp *QP, first, last *wire.Packet, t *testing.T)
 	}
 }
 
-// stripedBed builds a 4-shard striped QP with doorbell-enabled cumulative
-// shards over fake endpoints.
-func stripedBed(shards int, db DoorbellConfig) ([]*fakeEndpoint, *StripedQP) {
+// stripedBed builds a striped QP of cumulative shards over fake endpoints.
+func stripedBed(shards int) ([]*fakeEndpoint, *StripedQP) {
 	eps := make([]*fakeEndpoint, shards)
 	qps := make([]*QP, shards)
 	for i := range qps {
 		eps[i] = &fakeEndpoint{}
 		qps[i] = NewQP(eps[i], NewCredits(CreditConfig{Window: 16}), QPConfig{Cumulative: true})
-		if db.MaxPending > 0 {
-			qps[i].EnableDoorbell(db)
-		}
 	}
 	return eps, NewStriped(qps, StripeConfig{EntrySize: 8})
 }
 
-// stripedCycle is one striped post→flush→complete round: eight FAAs
-// deferred across four shards (two per shard, same slot, so they coalesce),
-// one Ring() flushing every shard's batch, cumulative ACKs retiring all of
-// it.
+// stripedCycle is one striped post→complete round: eight FAAs posted across
+// four shards (two per shard), cumulative ACKs retiring all of it.
 func stripedCycle(eps []*fakeEndpoint, s *StripedQP, t *testing.T) {
 	var psns [4]uint32
 	for i, ep := range eps {
 		psns[i] = ep.psn
 	}
 	for k := uint64(0); k < 8; k++ {
-		if !s.DeferFetchAdd(k%4, 1) {
-			t.Fatal("defer refused")
+		if !s.PostFetchAdd(k%4, 1) {
+			t.Fatal("post refused")
 		}
 	}
-	if n := s.Ring(); n != 4 {
-		t.Fatalf("ring posted %d, want 4", n)
-	}
 	for i := range eps {
-		if n := s.Shard(i).AckCumulative(psns[i]); n != 1 {
-			t.Fatalf("shard %d ack retired %d, want 1", i, n)
+		if n := s.Shard(i).AckCumulative((psns[i] + 1) & PSNMask); n != 2 {
+			t.Fatalf("shard %d ack retired %d, want 2", i, n)
 		}
 	}
 }
@@ -135,10 +126,10 @@ func TestTransportZeroAlloc(t *testing.T) {
 		t.Fatalf("multi-packet dispatch: %v allocs/op, want 0", n)
 	}
 
-	eps, striped := stripedBed(4, DoorbellConfig{MaxPending: 8})
-	stripedCycle(eps, striped, t) // warm every shard's freelist and ring
+	eps, striped := stripedBed(4)
+	stripedCycle(eps, striped, t) // warm every shard's freelist
 	if n := testing.AllocsPerRun(200, func() { stripedCycle(eps, striped, t) }); n != 0 {
-		t.Fatalf("striped post→flush→complete: %v allocs/op, want 0", n)
+		t.Fatalf("striped post→complete: %v allocs/op, want 0", n)
 	}
 
 	pep, rep := &fakeEndpoint{}, &fakeEndpoint{}
@@ -213,48 +204,13 @@ func BenchmarkStripedPostCompleteRead(b *testing.B) {
 // BenchmarkStripedFetchAddFanout measures the striped FAA hot path: post on
 // the home shard, cumulative ack there.
 func BenchmarkStripedFetchAddFanout(b *testing.B) {
-	eps, s := stripedBed(4, DoorbellConfig{})
+	eps, s := stripedBed(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key := uint64(i % 4)
 		psn := eps[key].psn
 		s.PostFetchAdd(key, 1)
 		s.Shard(int(key)).AckCumulative(psn)
-	}
-}
-
-// BenchmarkDoorbellDeferRingAck is the batched posting path: eight same-slot
-// deltas coalesce into one WQE, one Ring, one ACK — the ns/op and
-// frames-on-wire ablation partner of BenchmarkQPPostAckFetchAdd (its
-// unbatched equivalent posts eight frames for the same work).
-func BenchmarkDoorbellDeferRingAck(b *testing.B) {
-	ep := &fakeEndpoint{}
-	qp := NewQP(ep, NewCredits(CreditConfig{Window: 16}), QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 8})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		psn := ep.psn
-		for k := 0; k < 8; k++ {
-			qp.DeferFetchAdd(0, 1)
-		}
-		qp.Ring()
-		qp.AckCumulative(psn)
-	}
-}
-
-// BenchmarkDoorbellDeferOnly isolates the enqueue cost a pipeline pass pays
-// per update when posting is deferred (the "~zero cost" claim).
-func BenchmarkDoorbellDeferOnly(b *testing.B) {
-	ep := &fakeEndpoint{}
-	qp := NewQP(ep, nil, QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 8})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		qp.DeferFetchAdd(0, 1)
-		if qp.DoorbellDeltaAt(0) >= 1<<20 {
-			qp.Ring()
-			qp.AckCumulative(ep.psn)
-		}
 	}
 }
 

@@ -150,11 +150,11 @@ func TestMirroredAckReplicaExactAcrossWrap(t *testing.T) {
 }
 
 func TestMirroredPromoteReplaysOnlyUnposted(t *testing.T) {
-	// dbEndpoint counts replica-side FAAs so the test can pin exactly-once:
+	// faaEndpoint counts replica-side FAAs so the test can pin exactly-once:
 	// entries that reached the replica's wire must NOT be replayed (the
 	// replica may hold them; a blind replay would double-apply).
 	pep := &fakeEndpoint{}
-	rep := &dbEndpoint{}
+	rep := &faaEndpoint{}
 	pqp := NewQP(pep, NewCredits(CreditConfig{Window: 16}), QPConfig{Cumulative: true})
 	rqp := NewQP(rep, nil, QPConfig{Cumulative: true})
 	m := NewMirrored(pqp, rqp, MirrorConfig{Mode: ReplicationSync})

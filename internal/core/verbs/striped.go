@@ -99,46 +99,8 @@ func (s *StripedQP) PostFetchAdd(key uint64, delta uint64) bool {
 	return s.Home(key).PostFetchAdd(s.Offset(key), delta)
 }
 
-// DeferFetchAdd enqueues a Fetch-and-Add into key's home-shard doorbell
-// ring (doorbell-enabled shards only; see QP.DeferFetchAdd).
-func (s *StripedQP) DeferFetchAdd(key uint64, delta uint64) bool {
-	return s.Home(key).DeferFetchAdd(s.Offset(key), delta)
-}
-
 // Repost re-issues key's tracked READ on its home shard with fresh PSNs.
 func (s *StripedQP) Repost(key uint64) bool { return s.Home(key).Repost(key) }
-
-// Ring flushes every shard's doorbell ring in shard order, returning the
-// total WQEs posted — the explicit end-of-pipeline-pass flush.
-func (s *StripedQP) Ring() int {
-	n := 0
-	for _, q := range s.shards {
-		n += q.Ring()
-	}
-	return n
-}
-
-// RingUrgent retries only shards whose doorbell flush was previously cut
-// short (credits gated, egress full) — the ACK-driven drain path that leaves
-// still-accumulating batches alone.
-func (s *StripedQP) RingUrgent() int {
-	n := 0
-	for _, q := range s.shards {
-		n += q.RingUrgent()
-	}
-	return n
-}
-
-// DoorbellDelta sums the FAA deltas resident in every shard's doorbell ring
-// — deferred but not yet on the wire, so exactness accounting adds it to
-// the locally-pending side.
-func (s *StripedQP) DoorbellDelta() uint64 {
-	var d uint64
-	for _, q := range s.shards {
-		d += q.DoorbellDelta()
-	}
-	return d
-}
 
 // Pending sums in-flight WQEs across shards.
 func (s *StripedQP) Pending() int {

@@ -1,39 +1,22 @@
 package verbs
 
-import (
-	"testing"
+import "testing"
 
-	"gem/internal/sim"
-)
-
-// dbEndpoint extends fakeEndpoint with FAA accounting and captured timers,
-// for doorbell and striping unit tests.
-type dbEndpoint struct {
+// faaEndpoint extends fakeEndpoint with FAA accounting, for striping unit
+// tests.
+type faaEndpoint struct {
 	fakeEndpoint
 	faas   int
 	deltas uint64
-	timers []func()
 }
 
-func (e *dbEndpoint) FetchAdd(offset int, delta uint64) (uint32, bool) {
+func (e *faaEndpoint) FetchAdd(offset int, delta uint64) (uint32, bool) {
 	p, ok := e.fakeEndpoint.FetchAdd(offset, delta)
 	if ok {
 		e.faas++
 		e.deltas += delta
 	}
 	return p, ok
-}
-
-func (e *dbEndpoint) Schedule(after sim.Duration, fn func()) {
-	e.timers = append(e.timers, fn)
-}
-
-func (e *dbEndpoint) fire() {
-	timers := e.timers
-	e.timers = nil
-	for _, fn := range timers {
-		fn()
-	}
 }
 
 func TestStripedPlacement(t *testing.T) {
@@ -78,7 +61,7 @@ func TestStripedPlacement(t *testing.T) {
 }
 
 func TestStripedPostRoutesToHomeShard(t *testing.T) {
-	eps := []*dbEndpoint{{}, {}}
+	eps := []*faaEndpoint{{}, {}}
 	shards := []*QP{
 		NewQP(eps[0], nil, QPConfig{Cumulative: true}),
 		NewQP(eps[1], nil, QPConfig{Cumulative: true}),
@@ -112,7 +95,7 @@ func TestStripedPostRoutesToHomeShard(t *testing.T) {
 }
 
 func TestStripedPerShardCredits(t *testing.T) {
-	eps := []*dbEndpoint{{}, {}}
+	eps := []*faaEndpoint{{}, {}}
 	crs := []*Credits{
 		NewCredits(CreditConfig{Window: 1}),
 		NewCredits(CreditConfig{Window: 1}),
@@ -137,139 +120,8 @@ func TestStripedPerShardCredits(t *testing.T) {
 	}
 }
 
-func TestDoorbellCoalesceAndFlushDelta(t *testing.T) {
-	ep := &dbEndpoint{}
-	qp := NewQP(ep, nil, QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 8, FlushDelta: 4})
-
-	// Three counters round-robin: deltas coalesce in place, nothing posts
-	// until one entry ripens.
-	for round := 0; round < 3; round++ {
-		for off := 0; off < 24; off += 8 {
-			if !qp.DeferFetchAdd(off, 1) {
-				t.Fatal("defer refused")
-			}
-		}
-	}
-	if ep.faas != 0 || qp.DoorbellPending() != 3 || qp.DoorbellDelta() != 9 {
-		t.Fatalf("pre-ripe: faas=%d pending=%d delta=%d", ep.faas, qp.DoorbellPending(), qp.DoorbellDelta())
-	}
-	// Counter 0's fourth delta ripens it: exactly that entry posts, its
-	// neighbours keep coalescing.
-	if !qp.DeferFetchAdd(0, 1) {
-		t.Fatal("defer refused")
-	}
-	if ep.faas != 1 || ep.deltas != 4 {
-		t.Fatalf("ripe flush: faas=%d deltas=%d, want 1 post of 4", ep.faas, ep.deltas)
-	}
-	if qp.DoorbellPending() != 2 || qp.DoorbellDeltaAt(0) != 0 || qp.DoorbellDeltaAt(8) != 3 {
-		t.Fatalf("ring after ripe flush: pending=%d at0=%d at8=%d",
-			qp.DoorbellPending(), qp.DoorbellDeltaAt(0), qp.DoorbellDeltaAt(8))
-	}
-	// Explicit Ring drains the rest in deferral order.
-	if n := qp.Ring(); n != 2 {
-		t.Fatalf("Ring posted %d, want 2", n)
-	}
-	if ep.deltas != 10 || qp.DoorbellDelta() != 0 {
-		t.Fatalf("post-ring: deltas=%d resident=%d", ep.deltas, qp.DoorbellDelta())
-	}
-	st := qp.DoorbellStatsSnapshot()
-	if st.Deferred != 10 || st.Coalesced != 7 || st.Flushed != 3 {
-		t.Fatalf("doorbell stats %+v", st)
-	}
-}
-
-func TestDoorbellSizeTriggerAndRefusal(t *testing.T) {
-	ep := &dbEndpoint{}
-	qp := NewQP(ep, nil, QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 2})
-
-	qp.DeferFetchAdd(0, 1)
-	qp.DeferFetchAdd(8, 1)
-	// Ring full: the third distinct offset forces a flush first.
-	if !qp.DeferFetchAdd(16, 1) {
-		t.Fatal("defer should succeed after forced flush")
-	}
-	if ep.faas != 2 || qp.DoorbellPending() != 1 {
-		t.Fatalf("size trigger: faas=%d pending=%d", ep.faas, qp.DoorbellPending())
-	}
-
-	// With the egress refusing, a full ring cannot drain: the defer is
-	// rejected and the caller keeps the delta.
-	ep.fail = true
-	qp.DeferFetchAdd(24, 1)
-	if qp.DeferFetchAdd(32, 1) {
-		t.Fatal("defer should fail when flush cannot drain the full ring")
-	}
-	if qp.DoorbellDelta() != 2 {
-		t.Fatalf("resident delta %d, want 2", qp.DoorbellDelta())
-	}
-	// The cut-short flush marked the ring urgent; once the egress recovers,
-	// RingUrgent drains it — and a second RingUrgent is a no-op.
-	ep.fail = false
-	if n := qp.RingUrgent(); n != 2 {
-		t.Fatalf("RingUrgent posted %d, want 2", n)
-	}
-	if n := qp.RingUrgent(); n != 0 {
-		t.Fatalf("idle RingUrgent posted %d", n)
-	}
-}
-
-func TestDoorbellAgeTrigger(t *testing.T) {
-	ep := &dbEndpoint{}
-	qp := NewQP(ep, nil, QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 8, MaxAge: 50 * sim.Microsecond})
-
-	qp.DeferFetchAdd(0, 1)
-	qp.DeferFetchAdd(8, 2)
-	if len(ep.timers) != 1 {
-		t.Fatalf("armed %d timers, want 1", len(ep.timers))
-	}
-	ep.fire()
-	if ep.faas != 2 || ep.deltas != 3 || qp.DoorbellPending() != 0 {
-		t.Fatalf("age flush: faas=%d deltas=%d pending=%d", ep.faas, ep.deltas, qp.DoorbellPending())
-	}
-	// Empty ring after the flush: no re-arm.
-	if len(ep.timers) != 0 {
-		t.Fatal("timer re-armed with an empty ring")
-	}
-	// A refused flush re-arms so the leftovers age out eventually.
-	qp.DeferFetchAdd(16, 1)
-	ep.fail = true
-	ep.fire()
-	if len(ep.timers) != 1 || qp.DoorbellPending() != 1 {
-		t.Fatalf("refused age flush: timers=%d pending=%d", len(ep.timers), qp.DoorbellPending())
-	}
-}
-
-func TestDoorbellExactlyOnceAcrossRebind(t *testing.T) {
-	old := &dbEndpoint{}
-	qp := NewQP(old, nil, QPConfig{Cumulative: true})
-	qp.EnableDoorbell(DoorbellConfig{MaxPending: 8, MaxAge: 50 * sim.Microsecond})
-
-	// A delta deferred before failover is unflushed intent: Abort abandons
-	// in-flight WQEs but must not touch the ring.
-	qp.DeferFetchAdd(0, 5)
-	qp.Abort()
-	next := &dbEndpoint{}
-	qp.Rebind(next, nil)
-	if qp.DoorbellDelta() != 5 {
-		t.Fatalf("rebind lost resident delta: %d", qp.DoorbellDelta())
-	}
-	// The age timer armed on the old endpoint fires after the rebind: the
-	// delta posts exactly once, to the new endpoint.
-	old.fire()
-	if old.faas != 0 || next.faas != 1 || next.deltas != 5 {
-		t.Fatalf("post-rebind flush: old=%d new=%d/%d", old.faas, next.faas, next.deltas)
-	}
-	// Nothing left for a duplicate trigger to double-post.
-	if qp.Ring() != 0 || next.deltas != 5 {
-		t.Fatalf("duplicate ring re-posted: deltas=%d", next.deltas)
-	}
-}
-
 func TestRetargetMovesCreditsAndTokens(t *testing.T) {
-	oldEP, newEP := &dbEndpoint{}, &dbEndpoint{}
+	oldEP, newEP := &faaEndpoint{}, &faaEndpoint{}
 	oldCr := NewCredits(CreditConfig{Window: 4})
 	newCr := NewCredits(CreditConfig{Window: 4})
 	qp := NewQP(oldEP, oldCr, QPConfig{TokenIndex: true})

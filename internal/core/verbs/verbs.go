@@ -246,9 +246,6 @@ type QP struct {
 	cur     *WQE
 	partial []byte
 
-	// Doorbell pending ring (nil unless EnableDoorbell); see doorbell.go.
-	db *doorbell
-
 	Stats Stats
 }
 
@@ -786,9 +783,7 @@ func (q *QP) Abort() {
 }
 
 // Rebind points the QP at a new endpoint and admission window (server
-// failover). The caller aborts or retargets in-flight work first. Doorbell
-// entries survive untouched: they are deferred intent, not in-flight work,
-// and flush exactly once to the new endpoint when their trigger fires.
+// failover). The caller aborts or retargets in-flight work first.
 func (q *QP) Rebind(ep Endpoint, credits *Credits) {
 	q.ep = ep
 	q.credits = credits

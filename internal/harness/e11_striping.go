@@ -10,7 +10,8 @@ import (
 
 // E11 measures what the striped transport buys: aggregate throughput when
 // one logical primitive fans out over several memory servers, and the
-// frames-on-wire reduction when posting moves to the doorbell path.
+// frames-on-wire reduction when the state store holds deltas to batch them
+// (the table and its note keep the historical "doorbell" label).
 //
 // Three sub-experiments:
 //
@@ -21,8 +22,8 @@ import (
 //	     through READs with each NIC's host-memory fetch rate as the
 //	     bottleneck; drain goodput must track the number of servers.
 //	E11c (doorbell)     — same offered update stream with and without
-//	     doorbell batching; frames on the wire must shrink by the
-//	     configured Batch factor.
+//	     held batching (Batch plus BatchMaxAge); frames on the wire must
+//	     shrink by the configured Batch factor.
 type E11Config struct {
 	// Seed drives the whole testbed (runs with equal seeds replay exactly).
 	Seed int64
@@ -45,7 +46,7 @@ type E11Config struct {
 	DoorbellUpdates int
 	DoorbellEvery   sim.Duration // sub-ceiling pacing: unbatched = 1 frame/update
 	DoorbellBatch   int
-	DoorbellFlush   sim.Duration // age trigger; kept far above the run length
+	DoorbellFlush   sim.Duration // BatchMaxAge; kept far above the run length
 }
 
 // DefaultE11Config returns the full-experiment settings.
@@ -144,9 +145,9 @@ func e11ReadRun(cfg E11Config, servers int) (gbps float64, pending int) {
 	return gbps, b.tb.PendingEvents()
 }
 
-// e11DoorbellRun replays the same paced update stream with or without
-// doorbell batching and reports frames on the wire plus exactness.
-func e11DoorbellRun(cfg E11Config, doorbell bool) (frames int64, exact bool, pending int) {
+// e11BatchRun replays the same paced update stream with or without held
+// batching and reports frames on the wire plus exactness.
+func e11BatchRun(cfg E11Config, batched bool) (frames int64, exact bool, pending int) {
 	tb, err := gem.New(gem.Options{Seed: cfg.Seed, MemoryServers: 1})
 	if err != nil {
 		panic(err)
@@ -156,10 +157,9 @@ func e11DoorbellRun(cfg E11Config, doorbell bool) (frames int64, exact bool, pen
 		panic(err)
 	}
 	ssCfg := gem.StateStoreConfig{Counters: 8}
-	if doorbell {
+	if batched {
 		ssCfg.Batch = uint64(cfg.DoorbellBatch)
-		ssCfg.Doorbell = true
-		ssCfg.DoorbellFlush = cfg.DoorbellFlush // age trigger stays out of the way
+		ssCfg.BatchMaxAge = cfg.DoorbellFlush // age flush stays out of the way
 	}
 	ss, err := gem.NewStateStore(ch, ssCfg)
 	if err != nil {
@@ -169,7 +169,7 @@ func e11DoorbellRun(cfg E11Config, doorbell bool) (frames int64, exact bool, pen
 	tb.SetPipeline(func(ctx *gem.Context) { ctx.Drop() })
 
 	// Sub-ceiling pacing: the unbatched path posts one FAA per update, so
-	// the batched/unbatched frame ratio isolates the doorbell's coalescing.
+	// the batched/unbatched frame ratio isolates the pending table's coalescing.
 	injected := 0
 	tb.Engine.Ticker(cfg.DoorbellEvery, func() bool {
 		ss.Update(injected%8, 1)
@@ -207,8 +207,8 @@ func RunE11(cfg E11Config) (*Table, E11Result) {
 		res.ReadSpeedup2 = res.ReadGbps2 / res.ReadGbps1
 		res.ReadSpeedup4 = res.ReadGbps4 / res.ReadGbps1
 	}
-	off, offExact, p1 := e11DoorbellRun(cfg, false)
-	on, onExact, p2 := e11DoorbellRun(cfg, true)
+	off, offExact, p1 := e11BatchRun(cfg, false)
+	on, onExact, p2 := e11BatchRun(cfg, true)
 	res.FramesUnbatched, res.FramesBatched = off, on
 	res.DoorbellExact = offExact && onExact
 	res.PendingEvents += p1 + p2
