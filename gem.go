@@ -121,7 +121,7 @@ type (
 	// Supervisor is the automatic degrade/recover health state machine
 	// (Healthy → Suspect → Degraded → Recovering) over governed primitives.
 	Supervisor = core.Supervisor
-	// SupervisorConfig tunes its thresholds and hysteresis.
+	// SupervisorConfig tunes its tick interval and degrade thresholds.
 	SupervisorConfig = core.SupervisorConfig
 	// SupervisorTarget wires one governed primitive into the supervisor.
 	SupervisorTarget = core.SupervisorTarget
@@ -130,7 +130,7 @@ type (
 	// Scrubber is the anti-entropy repair agent comparing a primary window
 	// against its replica and copying over divergence.
 	Scrubber = core.Scrubber
-	// ScrubConfig tunes a Scrubber (interval, chunk size, live gate).
+	// ScrubConfig tunes a Scrubber (interval, live gate).
 	ScrubConfig = core.ScrubConfig
 	// ScrubStats count a Scrubber's checks and repairs.
 	ScrubStats = core.ScrubStats
@@ -193,7 +193,7 @@ const (
 	LookupRecirculate = core.LookupRecirculate
 )
 
-// Consistency modes for SetConsistencyMode and SupervisorConfig.
+// Consistency modes for SetConsistencyMode and the supervisor's ladder.
 const (
 	// Strict is the synchronous contract: every admitted update heads for
 	// remote memory as soon as credits allow.
@@ -250,11 +250,6 @@ type Options struct {
 	// MemoryServers is the number of RNIC-equipped memory servers
 	// (ports Hosts..Hosts+MemoryServers-1).
 	MemoryServers int
-	// LinkRateBps sets every link's rate (default 40 Gbps, the paper's
-	// testbed).
-	LinkRateBps float64
-	// Propagation is the one-way link delay (default 250 ns).
-	Propagation sim.Duration
 	// MemLinkLossRate, if set, drops frames on the memory-server links
 	// (reliability experiments).
 	MemLinkLossRate float64
@@ -303,13 +298,8 @@ func New(opts Options) (*Testbed, error) {
 		return nil, fmt.Errorf("gem: need at least one device (hosts=%d mem=%d)",
 			opts.Hosts, opts.MemoryServers)
 	}
+	// Every link is the paper's testbed link: 40 Gbps, 250 ns one way.
 	link := netsim.Link40G()
-	if opts.LinkRateBps > 0 {
-		link.RateBps = opts.LinkRateBps
-	}
-	if opts.Propagation > 0 {
-		link.Propagation = opts.Propagation
-	}
 	n := netsim.New(opts.Seed)
 	sw := switchsim.New("tor", n.Engine, opts.Switch)
 	tb := &Testbed{Net: n, Engine: n.Engine, Switch: sw}
@@ -347,6 +337,10 @@ func (tb *Testbed) SwitchPortOfHost(i int) int { return i }
 // SwitchPortOfMem returns the switch port index facing memory server i.
 func (tb *Testbed) SwitchPortOfMem(i int) int { return len(tb.Hosts) + i }
 
+// defaultRegionBase is the virtual base address of a region whose spec
+// names none, and the first one an Allocator hands out on each server.
+const defaultRegionBase = 0x10000000
+
 // ChannelSpec describes a channel to establish on a memory server.
 type ChannelSpec struct {
 	// RegionSize is the DRAM to reserve (bytes).
@@ -370,7 +364,7 @@ func (tb *Testbed) Establish(mem int, spec ChannelSpec) (*core.Channel, error) {
 	}
 	base := spec.RegionBase
 	if base == 0 {
-		base = 0x10000000
+		base = defaultRegionBase
 	}
 	ch, err := tb.Controller.Establish(core.ChannelSpec{
 		SwitchPort: tb.SwitchPortOfMem(mem),

@@ -100,20 +100,6 @@ func TestRegionAccessor(t *testing.T) {
 	}
 }
 
-func TestCustomLinkRate(t *testing.T) {
-	tb, _ := New(Options{Hosts: 2, MemoryServers: 0, LinkRateBps: 10e9})
-	tb.SetPipeline(func(ctx *Context) {
-		ctx.Emit(1-ctx.InPort, ctx.Frame)
-	})
-	tb.SendFrame(0, tb.DataFrame(0, 1, 1226, 1, 2))
-	tb.Run()
-	// 1250 wire bytes at 10G = 1µs per hop serialization; total latency
-	// must reflect the slower links (2 hops + pipeline + 2 props).
-	if got := tb.Now(); got < Time(2000) {
-		t.Fatalf("latency %v too small for 10G links", got)
-	}
-}
-
 func TestRoCEv1ChannelViaFacade(t *testing.T) {
 	tb, err := New(Options{Seed: 9, Hosts: 1, MemoryServers: 1})
 	if err != nil {

@@ -63,11 +63,6 @@ type Channel struct {
 	// available for §4's overhead comparison and legacy fabrics).
 	Version wire.RoCEVersion
 
-	// WindowHint is the responder's advertised outstanding-operations
-	// capacity, negotiated at Establish time (like IB responder resources).
-	// Primitives whose config leaves the window unset default to it.
-	WindowHint int
-
 	psn *switchsim.RegisterArray
 
 	// credits is the channel's per-QP admission window, installed lazily by
@@ -147,9 +142,6 @@ func (c *Channel) Credits() *verbs.Credits { return c.credits }
 // primitive using it.
 func (c *Channel) EnsureCredits(cfg verbs.CreditConfig) *verbs.Credits {
 	if c.credits == nil {
-		if cfg.Window <= 0 && c.WindowHint > 0 {
-			cfg.Window = c.WindowHint
-		}
 		c.credits = verbs.NewCredits(cfg)
 	}
 	return c.credits

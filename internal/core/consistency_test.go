@@ -232,7 +232,6 @@ func TestSupervisorHealthLadder(t *testing.T) {
 	recovers := 0
 	sup := NewSupervisor(eng, SupervisorConfig{
 		Interval: 10 * sim.Microsecond, DegradeErrors: 2,
-		RecoverTicks: 2, HealthyTicks: 2,
 	})
 	idx := sup.Govern(SupervisorTarget{
 		Name:      "fake",
@@ -263,7 +262,7 @@ func TestSupervisorHealthLadder(t *testing.T) {
 		t.Fatalf("exhausted veto failed: %v, %d recovers", sup.State(idx), recovers)
 	}
 	exhausted = false
-	step(2) // RecoverTicks clean ticks
+	step(recoverTicks)
 	if sup.State(idx) != Recovering || recovers != 1 {
 		t.Fatalf("after fault cleared: %v, %d recovers (want recovering, 1)",
 			sup.State(idx), recovers)
@@ -273,7 +272,7 @@ func TestSupervisorHealthLadder(t *testing.T) {
 	if sup.State(idx) != Degraded {
 		t.Fatalf("recovering tolerance: %v, want degraded", sup.State(idx))
 	}
-	step(4) // 2 clean → recovering, 2 more clean → healthy
+	step(recoverTicks + healthyTicks) // clean ticks → recovering, then → healthy
 	if sup.State(idx) != Healthy || recovers != 2 {
 		t.Fatalf("final: %v, %d recovers (want healthy, 2)", sup.State(idx), recovers)
 	}

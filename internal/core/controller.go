@@ -80,9 +80,6 @@ func (c *Controller) Establish(spec ChannelSpec) (*Channel, error) {
 	ch.MTU = spec.NIC.Cfg.MTU
 	ch.AckReq = spec.AckReq
 	ch.Version = spec.Version
-	// The NIC advertises its per-QP outstanding-operation capacity during
-	// the handshake; primitives use it as their default credit window.
-	ch.WindowHint = spec.NIC.Cfg.MaxOutstandingOps
 
 	// Tell the NIC where responses go.
 	qp.PeerMAC = SwitchMAC

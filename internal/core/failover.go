@@ -19,10 +19,10 @@ import (
 // storage); the accounting below makes that loss measurable.
 //
 // Members that were failed away from keep being probed on their own
-// channels; when a higher-priority member answers FailbackThreshold probes
+// channels; when a higher-priority member answers failbackThreshold probes
 // in a row the group fails back to it. When every member is dead the group
-// enters the Exhausted state (keeps probing, fires OnRecover when the
-// active member comes back) instead of silently wedging.
+// enters the Exhausted state (keeps probing, and leaves it when the active
+// member answers again) instead of silently wedging.
 type Failover struct {
 	sw      *switchsim.Switch
 	members []*foMember
@@ -30,12 +30,6 @@ type Failover struct {
 
 	// HeartbeatInterval paces the liveness probes (default 100 µs).
 	HeartbeatInterval sim.Duration
-	// MissThreshold consecutive unanswered heartbeats declare the server
-	// dead (default 3).
-	MissThreshold int
-	// FailbackThreshold consecutive answered probes from a recovered
-	// higher-priority member trigger failback to it (default 3).
-	FailbackThreshold int
 
 	// Inner receives every non-heartbeat response for the active channel.
 	Inner ResponseHandler
@@ -46,9 +40,6 @@ type Failover struct {
 	// decides what happens to in-flight work (the store aborts it and
 	// re-posts from its dirty set, the buffer migrates its READs).
 	OnFailover func(old, new *Channel)
-	// OnRecover fires when the active member answers again after the group
-	// was Exhausted.
-	OnRecover func(ch *Channel)
 	// CQ, when set, receives a typed CQFailoverExhausted completion each time
 	// failover looks for a standby and finds none — the observable form of
 	// the Exhausted flag, so a supervisor can react to the dead-end on its
@@ -104,6 +95,15 @@ type foMember struct {
 	consec int
 }
 
+const (
+	// missThreshold consecutive unanswered heartbeats declare the server
+	// dead.
+	missThreshold = 3
+	// failbackThreshold consecutive answered probes from a recovered
+	// higher-priority member trigger failback to it.
+	failbackThreshold = 3
+)
+
 // maxOutstandingProbes bounds each member's probe map; the oldest PSNs are
 // forgotten first (their late answers then count as stale drops).
 const maxOutstandingProbes = 128
@@ -136,8 +136,6 @@ func NewFailover(channels []*Channel, inner ResponseHandler) (*Failover, error) 
 		sw:                channels[0].sw,
 		members:           members,
 		HeartbeatInterval: 100 * sim.Microsecond,
-		MissThreshold:     3,
-		FailbackThreshold: 3,
 		Inner:             inner,
 	}, nil
 }
@@ -184,7 +182,7 @@ func (f *Failover) tick() {
 			f.firstMissAt = f.sw.Engine.Now().Add(-f.HeartbeatInterval)
 		}
 		f.misses++
-		if f.misses >= f.MissThreshold && !f.Exhausted {
+		if f.misses >= missThreshold && !f.Exhausted {
 			f.failover()
 			act = f.members[f.active]
 		}
@@ -294,16 +292,11 @@ func (f *Failover) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 			if idx == f.active {
 				f.HeartbeatsAcked++
 				f.misses = 0
-				if f.Exhausted {
-					f.Exhausted = false
-					if f.OnRecover != nil {
-						f.OnRecover(m.ch)
-					}
-				}
+				f.Exhausted = false
 			} else {
 				f.FailbackAcks++
 				m.consec++
-				if m.dead && idx < f.active && m.consec >= f.FailbackThreshold {
+				if m.dead && idx < f.active && m.consec >= failbackThreshold {
 					f.failback(idx)
 				}
 			}

@@ -81,7 +81,7 @@ func TestFailoverOnServerCrash(t *testing.T) {
 		t.Fatal("active channel not the standby")
 	}
 	// Detection within (threshold+1) heartbeat intervals.
-	maxDetect := sim.Duration(fo.MissThreshold+1) * fo.HeartbeatInterval
+	maxDetect := sim.Duration(missThreshold+1) * fo.HeartbeatInterval
 	if fo.LastDetection > maxDetect {
 		t.Fatalf("detection took %v, budget %v", fo.LastDetection, maxDetect)
 	}

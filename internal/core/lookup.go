@@ -68,11 +68,6 @@ type LookupConfig struct {
 	// are shed (PriorityLow) or resolved via SlowPath (PriorityHigh). 0 =
 	// unbounded, the paper's original stateless behaviour.
 	MaxOutstandingMisses int
-	// MissLowWatermark is the window's gate-release point (see verbs.Credits).
-	MissLowWatermark int
-	// MissTimeout declares an unanswered remote lookup lost, releasing its
-	// credit. Zero = 500 µs.
-	MissTimeout sim.Duration
 	// UnlimitedWindow keeps the credit accounting but never refuses — the
 	// test-only unbounded-growth ablation.
 	UnlimitedWindow bool
@@ -85,10 +80,11 @@ func (c *LookupConfig) fillDefaults() {
 	if c.MaxRecircPasses == 0 {
 		c.MaxRecircPasses = 8
 	}
-	if c.MissTimeout == 0 {
-		c.MissTimeout = 500 * sim.Microsecond
-	}
 }
+
+// missTimeout declares an unanswered remote lookup lost, releasing its
+// credit.
+const missTimeout = 500 * sim.Microsecond
 
 // lookupEntryHeader is action (8) + packet length prefix (2).
 const lookupEntryHeader = 10
@@ -176,7 +172,7 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 	var credit *verbs.CreditConfig
 	if cfg.MaxOutstandingMisses > 0 {
 		credit = &verbs.CreditConfig{
-			Window: cfg.MaxOutstandingMisses, Low: cfg.MissLowWatermark,
+			Window:    cfg.MaxOutstandingMisses,
 			Unlimited: cfg.UnlimitedWindow,
 		}
 	}
@@ -186,7 +182,7 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 			// index, so the index doubles as the WQE token.
 			TokenIndex: cfg.Mode == LookupRecirculate,
 			Reap:       true,
-			Timeout:    cfg.MissTimeout,
+			Timeout:    missTimeout,
 			OnExpired:  func(verbs.OpType, uint64) { t.Stats.MissTimeouts++ },
 		},
 		verbs.StripeConfig{EntrySize: cfg.EntrySize()})
@@ -325,7 +321,7 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 	// CreditLoose: the fetch goes out whether or not a credit is held — the
 	// switch stores nothing per packet, the window merely meters misses. If
 	// the READ was refused downstream (egress full), the reaper releases the
-	// credit after MissTimeout — self-healing either way.
+	// credit after missTimeout — self-healing either way.
 	n := t.cfg.EntrySize()
 	ch := t.chans[t.striped.ShardOf(uint64(idx))]
 	//gem:post-ok loose-mode fetch: a refusal is metered by the reaper, not handled here
@@ -359,7 +355,7 @@ func (t *LookupTable) recircFetch(ctx *switchsim.Context, frame []byte, idx, pas
 	// The frame is parked for the continuation below: the switch must not
 	// recycle it when this pass ends.
 	ctx.Retain()
-	t.sw.Engine.Schedule(t.sw.Cfg.RecirculationLatency, func() {
+	t.sw.Engine.Schedule(switchsim.RecirculationLatency, func() {
 		// The packet re-enters the pipeline and reaches this primitive
 		// again; modelled as a direct continuation with the pass count a
 		// real program would carry in recirculation metadata.

@@ -21,7 +21,7 @@ import (
 //
 // Recovery is bounded and adaptive: with EnableAdaptiveRTO the retransmit
 // timeout tracks the measured RTT (RFC 6298 estimator, Karn's exclusion of
-// retransmitted samples) and backs off exponentially up to MaxRTO across
+// retransmitted samples) and backs off exponentially up to maxRTO across
 // consecutive no-progress timeout rounds. MaxRetries caps those rounds;
 // when the budget is spent the retransmitter goes quiet and fires
 // OnExhausted exactly once, so a Failover can escalate instead of the
@@ -30,18 +30,16 @@ type Retransmitter struct {
 	ch *Channel
 	sw *switchsim.Switch
 
-	// Timeout before unacknowledged requests are resent. With AdaptiveRTO
-	// it only seeds the timer until the first RTT sample lands.
+	// Timeout before unacknowledged requests are resent. With the adaptive
+	// RTO it only seeds the timer until the first RTT sample lands.
 	Timeout sim.Duration
 	// Window caps unacknowledged requests in flight.
 	Window int
 
-	// AdaptiveRTO switches the retransmit timer from fixed Timeout to the
-	// RFC 6298 estimator with exponential backoff. Off by default so
-	// existing users keep byte-identical schedules.
-	AdaptiveRTO bool
-	// MinRTO and MaxRTO clamp the adaptive timeout (and cap the backoff).
-	MinRTO, MaxRTO sim.Duration
+	// adaptiveRTO switches the retransmit timer from fixed Timeout to the
+	// RFC 6298 estimator with exponential backoff (EnableAdaptiveRTO). Off
+	// by default so existing users keep byte-identical schedules.
+	adaptiveRTO bool
 	// MaxRetries bounds consecutive timeout rounds without ACK progress
 	// before the retransmitter escalates via OnExhausted (0 = unlimited).
 	MaxRetries int
@@ -108,21 +106,18 @@ func NewRetransmitter(ch *Channel, window int) (*Retransmitter, error) {
 	}, nil
 }
 
-// EnableAdaptiveRTO turns on the RTT estimator with sensible clamps for the
-// simulated fabrics (fall back to callers setting the fields directly for
-// anything unusual). MinRTO sits at ~10× the fabric RTT, mirroring how real
-// stacks keep a conservative floor (Linux: 200 ms against ~ms RTTs): with a
-// stable RTT the estimator converges to srtt ≈ RTT and anything tighter
-// turns ordinary jitter into spurious go-back-N rounds.
-func (r *Retransmitter) EnableAdaptiveRTO() {
-	r.AdaptiveRTO = true
-	if r.MinRTO == 0 {
-		r.MinRTO = 50 * sim.Microsecond
-	}
-	if r.MaxRTO == 0 {
-		r.MaxRTO = 5 * sim.Millisecond
-	}
-}
+// The adaptive timeout's clamps for the simulated fabrics; maxRTO also caps
+// the backoff. minRTO sits at ~10× the fabric RTT, mirroring how real stacks
+// keep a conservative floor (Linux: 200 ms against ~ms RTTs): with a stable
+// RTT the estimator converges to srtt ≈ RTT and anything tighter turns
+// ordinary jitter into spurious go-back-N rounds.
+const (
+	minRTO = 50 * sim.Microsecond
+	maxRTO = 5 * sim.Millisecond
+)
+
+// EnableAdaptiveRTO turns on the RTT estimator, clamped to [minRTO, maxRTO].
+func (r *Retransmitter) EnableAdaptiveRTO() { r.adaptiveRTO = true }
 
 // FetchAdd issues a *reliable* Fetch-and-Add: the request is tracked and
 // retransmitted until acknowledged. CanSend gates the caller when the
@@ -197,21 +192,21 @@ func (r *Retransmitter) injectCopy(frame []byte) {
 // rto returns the current retransmission timeout: fixed Timeout in legacy
 // mode, the clamped RFC 6298 estimate shifted by the backoff otherwise.
 func (r *Retransmitter) rto() sim.Duration {
-	if !r.AdaptiveRTO {
+	if !r.adaptiveRTO {
 		return r.Timeout
 	}
 	d := r.Timeout
 	if r.haveSample {
 		d = r.srtt + 4*r.rttvar
 	}
-	if d < r.MinRTO {
-		d = r.MinRTO
+	if d < minRTO {
+		d = minRTO
 	}
-	for i := 0; i < r.backoff && d < r.MaxRTO; i++ {
+	for i := 0; i < r.backoff && d < maxRTO; i++ {
 		d *= 2
 	}
-	if r.MaxRTO > 0 && d > r.MaxRTO {
-		d = r.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	return d
 }
@@ -253,7 +248,7 @@ func (r *Retransmitter) onTimeout() {
 	if len(r.unacked) == 0 {
 		return
 	}
-	if r.AdaptiveRTO {
+	if r.adaptiveRTO {
 		r.backoff++
 		if r.MaxRetries > 0 && r.backoff > r.MaxRetries {
 			r.escalate()
@@ -366,7 +361,7 @@ func (r *Retransmitter) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet)
 // latency spikes without re-climbing the ladder for each one.
 func (r *Retransmitter) retire(psn uint32) {
 	before := len(r.unacked)
-	if r.AdaptiveRTO {
+	if r.adaptiveRTO {
 		for _, u := range r.unacked {
 			if u.psn == psn {
 				if !u.rexmit {

@@ -62,7 +62,7 @@ func TestStateStoreReplicaCrashScrubReseeds(t *testing.T) {
 	b.memNICs[1].WipeRegions()
 
 	sc := NewScrubber(b.net.Engine, preg, rreg, 0, 8*8, ScrubConfig{
-		Interval: sim.Microsecond, Chunk: 16,
+		Interval: sim.Microsecond,
 		Live: func() bool {
 			return !m.Promoted() && m.Lag() == 0 && ss.Outstanding() == 0
 		},

@@ -28,9 +28,6 @@ type PacketBufferConfig struct {
 	// MaxOutstandingReads bounds in-flight READ requests across all
 	// channels.
 	MaxOutstandingReads int
-	// ReadTimeout re-issues a READ whose response never arrived (READs
-	// are idempotent, so retry is always safe). Zero = 200 µs.
-	ReadTimeout sim.Duration
 	// PerChannelWindow caps in-flight READs per channel (the QP's responder
 	// resources), independent of the global MaxOutstandingReads. 0 =
 	// MaxOutstandingReads, which keeps the global limit binding.
@@ -40,11 +37,10 @@ type PacketBufferConfig struct {
 	ReadLowWatermark int
 	// SpillHighWaterBytes, when positive, gates spilling per memory
 	// channel: once the egress queue toward a channel's server exceeds it,
-	// new spills stop routing to the ring until the queue drains to
-	// SpillLowWaterBytes. Gated spills bypass (high priority) or shed (low
-	// priority) instead of piling onto a saturated memory link.
+	// new spills stop routing to the ring until the queue drains to half of
+	// it. Gated spills bypass (high priority) or shed (low priority) instead
+	// of piling onto a saturated memory link.
 	SpillHighWaterBytes int
-	SpillLowWaterBytes  int
 	// ShedRingEntries, when positive, sheds PriorityLow packets once ring
 	// occupancy reaches this many entries, reserving the remaining ring for
 	// PriorityHigh traffic. 0 = disabled.
@@ -61,9 +57,12 @@ func DefaultPacketBufferConfig() PacketBufferConfig {
 		HighWaterBytes:      512 << 10,
 		LowWaterBytes:       256 << 10,
 		MaxOutstandingReads: 16,
-		ReadTimeout:         200 * sim.Microsecond,
 	}
 }
+
+// readTimeout re-issues a READ whose response never arrived (READs are
+// idempotent, so retry is always safe).
+const readTimeout = 200 * sim.Microsecond
 
 func (c *PacketBufferConfig) fillDefaults() {
 	d := DefaultPacketBufferConfig()
@@ -79,14 +78,8 @@ func (c *PacketBufferConfig) fillDefaults() {
 	if c.MaxOutstandingReads == 0 {
 		c.MaxOutstandingReads = d.MaxOutstandingReads
 	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = d.ReadTimeout
-	}
 	if c.PerChannelWindow == 0 {
 		c.PerChannelWindow = c.MaxOutstandingReads
-	}
-	if c.SpillLowWaterBytes == 0 {
-		c.SpillLowWaterBytes = c.SpillHighWaterBytes / 2
 	}
 }
 
@@ -210,11 +203,11 @@ func NewPacketBuffer(chans []*Channel, outPort int, cfg PacketBufferConfig) (*Pa
 		},
 		verbs.QPConfig{
 			TokenIndex: true,
-			Timeout:    cfg.ReadTimeout,
+			Timeout:    readTimeout,
 			// Progress guarantee: if a response is lost and the egress goes
 			// idle (no departures to re-trigger loading), this kick retries.
 			Kick:      b.maybeLoad,
-			KickDelay: cfg.ReadTimeout + sim.Microsecond,
+			KickDelay: readTimeout + sim.Microsecond,
 		},
 		verbs.StripeConfig{EntrySize: cfg.EntrySize, SlotsPerShard: perChan})
 	if err != nil {
@@ -302,7 +295,7 @@ func (b *PacketBuffer) spillAllowed(prio switchsim.Priority) bool {
 		if !b.spillGated[c] && q >= b.cfg.SpillHighWaterBytes {
 			b.spillGated[c] = true
 			b.Stats.SpillGateEntries++
-		} else if b.spillGated[c] && q <= b.cfg.SpillLowWaterBytes {
+		} else if b.spillGated[c] && q <= b.cfg.SpillHighWaterBytes/2 {
 			b.spillGated[c] = false
 			b.Stats.SpillGateExits++
 		}

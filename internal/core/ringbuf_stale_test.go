@@ -25,7 +25,7 @@ func (d *delayOnce) Transmit(_ sim.Time, _ *rand.Rand, _ []byte) (bool, sim.Dura
 }
 
 // TestPacketBufferStaleResponseAfterRetry delays a READ response past
-// ReadTimeout so the entry is re-issued under a fresh PSN — the retry
+// readTimeout so the entry is re-issued under a fresh PSN — the retry
 // cancels the original outstanding record. When the original response
 // finally lands it must be counted in StaleResponses and dropped; the
 // retried response delivers the frame exactly once, and the entry's read
@@ -36,7 +36,6 @@ func TestPacketBufferStaleResponseAfterRetry(t *testing.T) {
 	ch := b.establish(t, 64*2048, rnic.PSNTolerant, false)
 	pb, err := NewPacketBuffer([]*Channel{ch}, 2, PacketBufferConfig{
 		HighWaterBytes: 1, LowWaterBytes: 256 << 10, // store-and-load everything
-		ReadTimeout: 10 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +54,8 @@ func TestPacketBufferStaleResponseAfterRetry(t *testing.T) {
 	})
 	// The NIC's first transmission is the READ response for entry 0 (spill
 	// WRITEs are unacked in PSN-tolerant mode): hold it back well past
-	// ReadTimeout, so exactly one retry fires before it arrives.
-	b.memNIC.Port().SetFaultInjector(&delayOnce{delay: 30 * sim.Microsecond})
+	// readTimeout, so exactly one retry fires before it arrives.
+	b.memNIC.Port().SetFaultInjector(&delayOnce{delay: readTimeout * 3 / 2})
 
 	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[2], 1500, 1))
 	b.net.Engine.Run()

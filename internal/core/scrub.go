@@ -19,16 +19,14 @@ import (
 // repair work visible instead).
 //
 // Each tick checks two chunks: the cursor chunk (a full deterministic sweep
-// every Length/Chunk ticks) and one chunk drawn from the scrubber's private
-// "scrub" random substream, so hot divergence is found faster than the sweep
-// period while staying seed-reproducible.
+// every length/scrubChunk ticks) and one chunk drawn from the scrubber's
+// private "scrub" random substream, so hot divergence is found faster than
+// the sweep period while staying seed-reproducible.
 
 // ScrubConfig parameterizes one scrubber.
 type ScrubConfig struct {
 	// Interval paces scrub ticks (default 10 µs).
 	Interval sim.Duration
-	// Chunk is the comparison granularity in bytes (default 64).
-	Chunk int
 	// Live gates each tick: scrubbing only makes sense while both copies
 	// are reachable and authoritative (e.g. both NICs alive, no promotion
 	// in progress). Nil = always live.
@@ -45,16 +43,8 @@ type ScrubStats struct {
 	BytesRepaired int64
 }
 
-// Add returns the element-wise sum of s and o.
-func (s ScrubStats) Add(o ScrubStats) ScrubStats {
-	s.Ticks += o.Ticks
-	s.Skipped += o.Skipped
-	s.ChunksChecked += o.ChunksChecked
-	s.Diverged += o.Diverged
-	s.Repairs += o.Repairs
-	s.BytesRepaired += o.BytesRepaired
-	return s
-}
+// scrubChunk is the comparison granularity in bytes.
+const scrubChunk = 64
 
 // Scrubber periodically compares a primary byte window against its replica
 // and repairs divergence in the replica. It reads and repairs the two
@@ -83,12 +73,9 @@ func NewScrubber(eng *sim.Engine, primary, replica *rnic.Region, offset, length 
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * sim.Microsecond
 	}
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = 64
-	}
 	return &Scrubber{
 		eng: eng, primary: primary, replica: replica, offset: offset, length: length,
-		pbuf: make([]byte, cfg.Chunk), rbuf: make([]byte, cfg.Chunk), cfg: cfg,
+		pbuf: make([]byte, scrubChunk), rbuf: make([]byte, scrubChunk), cfg: cfg,
 	}
 }
 
@@ -111,7 +98,7 @@ func (s *Scrubber) Start() {
 func (s *Scrubber) Stop() { s.stopped = true }
 
 func (s *Scrubber) chunks() int {
-	return (s.length + s.cfg.Chunk - 1) / s.cfg.Chunk
+	return (s.length + scrubChunk - 1) / scrubChunk
 }
 
 func (s *Scrubber) tick() {
@@ -130,8 +117,8 @@ func (s *Scrubber) tick() {
 
 // check compares chunk i's checksums and repairs the replica on mismatch.
 func (s *Scrubber) check(i int) {
-	lo := i * s.cfg.Chunk
-	n := min(s.cfg.Chunk, s.length-lo)
+	lo := i * scrubChunk
+	n := min(scrubChunk, s.length-lo)
 	p, r := s.pbuf[:n], s.rbuf[:n]
 	s.primary.ReadAt(p, s.primary.Base+uint64(s.offset+lo))
 	s.replica.ReadAt(r, s.replica.Base+uint64(s.offset+lo))

@@ -19,15 +19,8 @@ type StateStoreConfig struct {
 	// MaxOutstanding caps in-flight Fetch-and-Add requests per channel —
 	// "Since there is a maximum limit of outstanding RDMA atomic requests
 	// that an RNIC can handle, we design this primitive to maintain the
-	// number of outstanding requests" (§4). 0 = the channel's negotiated
-	// WindowHint (the NIC's advertised responder resources), falling back
-	// to 16.
+	// number of outstanding requests" (§4). 0 = the credit default, 16.
 	MaxOutstanding int
-	// LowWatermark is the credit window's gate-release point: once the
-	// window gates at MaxOutstanding, issuing resumes only after in-flight
-	// FAAs drain to this level. 0 = MaxOutstanding-1 (no hysteresis gap,
-	// the classic windowed behaviour).
-	LowWatermark int
 	// ShedPendingSlots, when positive, turns on priority load shedding: a
 	// PriorityLow update arriving while the pending table already holds
 	// this many accumulators is shed (counted in ShedUpdates) instead of
@@ -58,8 +51,8 @@ type StateStoreConfig struct {
 }
 
 func (c *StateStoreConfig) fillDefaults() {
-	// MaxOutstanding deliberately has no default here: NewStateStore
-	// resolves 0 through the channel's WindowHint (see EnsureCredits).
+	// MaxOutstanding deliberately has no default here: the channel's credit
+	// window resolves 0 (see EnsureCredits).
 	if c.PendingSlots == 0 {
 		c.PendingSlots = 4096
 	}
@@ -177,7 +170,7 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 		mirrorByQPN: make(map[uint32]int),
 	}
 	err := s.init("state store", chans, &s.Stats.PostureStats, cfg.Counters,
-		&verbs.CreditConfig{Window: cfg.MaxOutstanding, Low: cfg.LowWatermark, Unlimited: cfg.UnlimitedWindow},
+		&verbs.CreditConfig{Window: cfg.MaxOutstanding, Unlimited: cfg.UnlimitedWindow},
 		verbs.QPConfig{
 			Cumulative: true,
 			Reap:       true,
@@ -192,8 +185,9 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 	if err := s.sw.SRAM.Alloc(fmt.Sprintf("statestore%d/pending", chans[0].ID), cfg.PendingSlots*16); err != nil {
 		return nil, err
 	}
-	// Reflect the resolved window (WindowHint or credit default) back into
-	// the config so Config().MaxOutstanding reports the effective limit.
+	// Reflect the resolved window (the channel's, or the credit default)
+	// back into the config so Config().MaxOutstanding reports the effective
+	// limit.
 	s.cfg.MaxOutstanding = s.credits[0].Config().Window
 	return s, nil
 }

@@ -26,15 +26,15 @@ const (
 	// Healthy: no recent typed errors; the base (strict) contract applies.
 	Healthy HealthState = iota
 	// Suspect: an error rate or pressure signal crossed the suspect
-	// threshold; the target runs under SuspectMode (bounded staleness) while
-	// the supervisor watches whether the condition clears or worsens.
+	// threshold; the target runs under BoundedStaleness while the supervisor
+	// watches whether the condition clears or worsens.
 	Suspect
 	// Degraded: the fault is real (error rate at the degrade threshold,
 	// retry budget exhausted, failover out of standbys); the target runs
-	// under DegradedMode (eventual) and absorbs updates locally.
+	// under Eventual and absorbs updates locally.
 	Degraded
 	// Recovering: the fault cleared; Reconcile has been driven and the
-	// backlog is converging under SuspectMode. Any new error drops the
+	// backlog is converging under BoundedStaleness. Any new error drops the
 	// target straight back to Degraded.
 	Recovering
 )
@@ -54,68 +54,45 @@ func (h HealthState) String() string {
 	return "unknown"
 }
 
+// The ladder's fixed thresholds. Each state applies one mode: Healthy
+// Strict, Suspect and Recovering BoundedStaleness (with the bound the
+// target's primitive fills in), Degraded Eventual.
+const (
+	// suspectErrors is the per-tick typed-error delta that moves a Healthy
+	// target to Suspect: any error is worth watching.
+	suspectErrors = 1
+	// suspectBackoff is the retransmitter backoff level (consecutive
+	// no-progress timeout rounds) treated as a suspect signal.
+	suspectBackoff = 2
+	// recoverTicks is the consecutive clean ticks a Degraded target needs
+	// before the supervisor drives Reconcile and enters Recovering.
+	recoverTicks = 3
+	// healthyTicks is the consecutive clean ticks a Suspect or Recovering
+	// target needs to return to Healthy.
+	healthyTicks = 3
+)
+
 // SupervisorConfig tunes the health state machine.
 type SupervisorConfig struct {
 	// Interval paces the evaluation ticks (default 20 µs).
 	Interval sim.Duration
-	// SuspectErrors is the per-tick typed-error delta that moves a Healthy
-	// target to Suspect (default 1: any error is worth watching).
-	SuspectErrors int64
 	// DegradeErrors is the per-tick typed-error delta that moves a target to
 	// Degraded (default 4).
 	DegradeErrors int64
-	// SuspectBackoff is the retransmitter backoff level (consecutive
-	// no-progress timeout rounds) treated as a suspect signal (default 2).
-	SuspectBackoff int
 	// PressureTier is the remote-memory pressure tier treated as a suspect
 	// signal (default 2, the highest standard tier).
 	PressureTier int
-	// RecoverTicks is the consecutive clean ticks a Degraded target needs
-	// before the supervisor drives Reconcile and enters Recovering
-	// (default 3).
-	RecoverTicks int
-	// HealthyTicks is the consecutive clean ticks a Suspect or Recovering
-	// target needs to return to Healthy (default 3).
-	HealthyTicks int
-	// BaseMode is applied on return to Healthy (default Strict).
-	BaseMode ConsistencyMode
-	// SuspectMode is applied in Suspect and Recovering (default
-	// BoundedStaleness, parameterized by Bound).
-	SuspectMode ConsistencyMode
-	// DegradedMode is applied in Degraded (default Eventual).
-	DegradedMode ConsistencyMode
-	// Bound parameterizes BoundedStaleness applications (defaults filled by
-	// the target's primitive).
-	Bound StalenessBound
 }
 
 func (c *SupervisorConfig) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 20 * sim.Microsecond
 	}
-	if c.SuspectErrors <= 0 {
-		c.SuspectErrors = 1
-	}
 	if c.DegradeErrors <= 0 {
 		c.DegradeErrors = 4
 	}
-	if c.SuspectBackoff <= 0 {
-		c.SuspectBackoff = 2
-	}
 	if c.PressureTier <= 0 {
 		c.PressureTier = 2
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = 3
-	}
-	if c.HealthyTicks <= 0 {
-		c.HealthyTicks = 3
-	}
-	if c.SuspectMode == Strict {
-		c.SuspectMode = BoundedStaleness
-	}
-	if c.DegradedMode == Strict {
-		c.DegradedMode = Eventual
 	}
 }
 
@@ -132,7 +109,7 @@ type SupervisorTarget struct {
 	// so the target cannot start recovering against a dead peer.
 	Exhausted func() bool
 	// Backoff, when set, reports the retransmitter's backoff level; at or
-	// above SuspectBackoff it is a suspect signal.
+	// above suspectBackoff it is a suspect signal.
 	Backoff func() int
 	// Pressure, when set, reports the remote-memory pressure tier; at or
 	// above PressureTier it is a suspect signal.
@@ -190,9 +167,6 @@ func NewSupervisor(eng *sim.Engine, cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{eng: eng, cfg: cfg}
 }
 
-// Config returns the effective configuration.
-func (s *Supervisor) Config() SupervisorConfig { return s.cfg }
-
 // Govern adds a target (starting Healthy) and returns its index for State.
 // The target's base mode is applied immediately so primitive and supervisor
 // agree on the starting contract.
@@ -202,7 +176,7 @@ func (s *Supervisor) Govern(t SupervisorTarget) int {
 		st.lastErrs = t.Errors().Total()
 	}
 	s.targets = append(s.targets, st)
-	s.apply(st, s.cfg.BaseMode)
+	s.apply(st, Strict)
 	return len(s.targets) - 1
 }
 
@@ -243,10 +217,10 @@ func (s *Supervisor) evaluate(t *supTarget) {
 		t.lastErrs = total
 	}
 	exhausted := t.Exhausted != nil && t.Exhausted()
-	backedOff := t.Backoff != nil && t.Backoff() >= s.cfg.SuspectBackoff
+	backedOff := t.Backoff != nil && t.Backoff() >= suspectBackoff
 	pressured := t.Pressure != nil && t.Pressure() >= s.cfg.PressureTier
 	faulted := delta >= s.cfg.DegradeErrors || exhausted
-	warning := delta >= s.cfg.SuspectErrors || backedOff || pressured
+	warning := delta >= suspectErrors || backedOff || pressured
 	clean := delta == 0 && !exhausted && !backedOff && !pressured
 
 	switch t.state {
@@ -266,7 +240,7 @@ func (s *Supervisor) evaluate(t *supTarget) {
 			return
 		}
 		t.clean++
-		if t.clean >= s.cfg.HealthyTicks {
+		if t.clean >= healthyTicks {
 			s.enter(t, Healthy)
 		}
 	case Degraded:
@@ -275,7 +249,7 @@ func (s *Supervisor) evaluate(t *supTarget) {
 			return
 		}
 		t.clean++
-		if t.clean >= s.cfg.RecoverTicks {
+		if t.clean >= recoverTicks {
 			s.enter(t, Recovering)
 		}
 	case Recovering:
@@ -286,7 +260,7 @@ func (s *Supervisor) evaluate(t *supTarget) {
 			return
 		}
 		t.clean++
-		if t.clean >= s.cfg.HealthyTicks {
+		if t.clean >= healthyTicks {
 			s.enter(t, Healthy)
 		}
 	}
@@ -298,22 +272,22 @@ func (s *Supervisor) enter(t *supTarget, st HealthState) {
 	switch st {
 	case Healthy:
 		s.Stats.HealthyReturns++
-		s.apply(t, s.cfg.BaseMode)
+		s.apply(t, Strict)
 	case Suspect:
 		s.Stats.SuspectEntries++
-		s.apply(t, s.cfg.SuspectMode)
+		s.apply(t, BoundedStaleness)
 	case Degraded:
 		s.Stats.DegradedEntries++
 		if t.Degrade != nil {
 			t.Degrade(true)
 		}
-		s.apply(t, s.cfg.DegradedMode)
+		s.apply(t, Eventual)
 	case Recovering:
 		s.Stats.Recoveries++
 		if t.Recover != nil {
 			t.Recover()
 		}
-		s.apply(t, s.cfg.SuspectMode)
+		s.apply(t, BoundedStaleness)
 	}
 }
 
@@ -322,7 +296,7 @@ func (s *Supervisor) apply(t *supTarget, m ConsistencyMode) {
 		return
 	}
 	s.Stats.ModeApplies++
-	t.Apply(m, s.cfg.Bound)
+	t.Apply(m, StalenessBound{})
 }
 
 // governed is what Govern needs of a primitive: the shared remote core's

@@ -7,7 +7,7 @@ package verbs
 // paper's state store already did this with an ad-hoc counter, but the ring
 // buffer and lookup table issued READs and WRITEs with no admission control
 // at all. Credits is the shared mechanism: a window of outstanding
-// operations with high/low watermark hysteresis, so a primitive stops
+// operations with low-watermark hysteresis, so a primitive stops
 // issuing *before* the RNIC or the memory link saturates and resumes only
 // after real drain, instead of oscillating around the limit one op at a
 // time.
@@ -15,13 +15,12 @@ package verbs
 // CreditConfig tunes a credit window.
 type CreditConfig struct {
 	// Window is the maximum outstanding operations (READs, WRITEs or
-	// atomics the primitive tracks) on the channel.
+	// atomics the primitive tracks) on the channel. Reaching it gates the
+	// window: new acquires are refused. 0 = 16, a CX-3 Pro's responder
+	// resources.
 	Window int
-	// High is the gate-engage watermark: once outstanding reaches High the
-	// window is gated and new acquires are refused. 0 = Window.
-	High int
 	// Low is the gate-release watermark: a gated window reopens only when
-	// outstanding drains to Low. 0 = High-1, which reproduces the classic
+	// outstanding drains to Low. 0 = Window-1, which reproduces the classic
 	// "issue whenever a slot is free" window with no hysteresis gap.
 	Low int
 	// Unlimited disables refusal entirely while keeping the accounting — a
@@ -34,14 +33,8 @@ func (c *CreditConfig) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 16
 	}
-	if c.High <= 0 || c.High > c.Window {
-		c.High = c.Window
-	}
-	if c.Low <= 0 {
-		c.Low = c.High - 1
-	}
-	if c.Low >= c.High {
-		c.Low = c.High - 1
+	if c.Low <= 0 || c.Low >= c.Window {
+		c.Low = c.Window - 1
 	}
 }
 
@@ -50,7 +43,7 @@ type CreditStats struct {
 	Acquired    int64 // credits granted
 	Refused     int64 // acquires refused (gated or window full)
 	Released    int64 // credits returned
-	GateEntries int64 // times the high watermark engaged the gate
+	GateEntries int64 // times reaching Window engaged the gate
 	GateExits   int64 // times drain to the low watermark released it
 	Peak        int64 // maximum outstanding ever observed
 }
@@ -91,14 +84,14 @@ func (c *Credits) CanAcquire() bool {
 
 // Acquire consumes one credit unconditionally — the caller has already
 // checked CanAcquire (single-threaded engine, so the answer holds). Reaching
-// the high watermark engages the gate.
+// Window engages the gate.
 func (c *Credits) Acquire() {
 	c.outstanding++
 	c.Stats.Acquired++
 	if int64(c.outstanding) > c.Stats.Peak {
 		c.Stats.Peak = int64(c.outstanding)
 	}
-	if !c.cfg.Unlimited && !c.gated && c.outstanding >= c.cfg.High {
+	if !c.cfg.Unlimited && !c.gated && c.outstanding >= c.cfg.Window {
 		c.gated = true
 		c.Stats.GateEntries++
 	}

@@ -5,22 +5,22 @@ import "testing"
 func TestCreditDefaults(t *testing.T) {
 	c := NewCredits(CreditConfig{})
 	cfg := c.Config()
-	if cfg.Window != 16 || cfg.High != 16 || cfg.Low != 15 {
-		t.Fatalf("zero config resolved to %+v, want Window=16 High=16 Low=15", cfg)
+	if cfg.Window != 16 || cfg.Low != 15 {
+		t.Fatalf("zero config resolved to %+v, want Window=16 Low=15", cfg)
 	}
 	c2 := NewCredits(CreditConfig{Window: 4})
-	if got := c2.Config(); got.High != 4 || got.Low != 3 {
-		t.Fatalf("Window=4 resolved to %+v, want High=4 Low=3", got)
+	if got := c2.Config(); got.Low != 3 {
+		t.Fatalf("Window=4 resolved to %+v, want Low=3", got)
 	}
-	// Low >= High is nonsense; it collapses to the legacy High-1.
-	c3 := NewCredits(CreditConfig{Window: 8, High: 6, Low: 7})
+	// Low >= Window is nonsense; it collapses to the legacy Window-1.
+	c3 := NewCredits(CreditConfig{Window: 6, Low: 7})
 	if got := c3.Config(); got.Low != 5 {
-		t.Fatalf("Low>=High resolved to Low=%d, want 5", got.Low)
+		t.Fatalf("Low>=Window resolved to Low=%d, want 5", got.Low)
 	}
 }
 
-// TestCreditWindow checks the plain window with default watermarks
-// (High=Window, Low=High-1): refusal at the cap, readmission one release
+// TestCreditWindow checks the plain window with the default watermark
+// (Low=Window-1): refusal at the cap, readmission one release
 // later — exactly the legacy outstanding counter's behavior.
 func TestCreditWindow(t *testing.T) {
 	c := NewCredits(CreditConfig{Window: 2})
@@ -43,17 +43,17 @@ func TestCreditWindow(t *testing.T) {
 }
 
 // TestCreditHysteresis checks the watermark gate: once Outstanding reaches
-// High the gate closes and stays closed until Outstanding drains to Low,
+// Window the gate closes and stays closed until Outstanding drains to Low,
 // preventing admit/refuse oscillation at the boundary.
 func TestCreditHysteresis(t *testing.T) {
-	c := NewCredits(CreditConfig{Window: 8, High: 6, Low: 2})
+	c := NewCredits(CreditConfig{Window: 6, Low: 2})
 	for i := 0; i < 6; i++ {
 		if !c.TryAcquire() {
-			t.Fatalf("refused below High at %d", i)
+			t.Fatalf("refused below Window at %d", i)
 		}
 	}
 	if !c.Gated() || c.TryAcquire() {
-		t.Fatal("gate did not close at High")
+		t.Fatal("gate did not close at Window")
 	}
 	// Draining to Low-1=1 must pass through 5,4,3,2 still gated.
 	for i := 0; i < 3; i++ {

@@ -62,26 +62,23 @@ type MirrorConfig struct {
 	// MaxLag bounds un-acknowledged journal entries in Async mode; pushing
 	// past it declares the oldest unsettled entries lost. 0 = 64.
 	MaxLag int
-	// Journal is the ring capacity in entries. A full ring force-settles
-	// its head (declaring it lost if unacknowledged). 0 = 256.
-	Journal int
-	// PayloadCap is the per-entry WRITE payload retained for replay;
-	// longer writes are mirrored best-effort but not journaled. 0 = 64.
-	PayloadCap int
 }
 
 func (c MirrorConfig) withDefaults() MirrorConfig {
 	if c.MaxLag <= 0 {
 		c.MaxLag = 64
 	}
-	if c.Journal <= 0 {
-		c.Journal = 256
-	}
-	if c.PayloadCap <= 0 {
-		c.PayloadCap = 64
-	}
 	return c
 }
+
+const (
+	// mirrorJournal is the ring capacity in entries. A full ring
+	// force-settles its head (declaring it lost if unacknowledged).
+	mirrorJournal = 256
+	// mirrorPayloadCap is the per-entry WRITE payload retained for replay;
+	// longer writes are mirrored best-effort but not journaled.
+	mirrorPayloadCap = 64
+)
 
 // MirrorLagBuckets is the number of log2 replica-lag histogram buckets.
 const MirrorLagBuckets = 16
@@ -171,7 +168,7 @@ type MirroredQP struct {
 	cfg     MirrorConfig
 
 	ring     []mirrorEntry
-	slab     []byte // Journal × PayloadCap WRITE replay payloads, slot-indexed
+	slab     []byte // WRITE replay payloads, mirrorPayloadCap bytes per slot
 	head, n  int
 	promoted bool
 
@@ -194,8 +191,8 @@ func NewMirrored(primary, replica *QP, cfg MirrorConfig) *MirroredQP {
 		primary: primary,
 		replica: replica,
 		cfg:     cfg,
-		ring:    make([]mirrorEntry, cfg.Journal),
-		slab:    make([]byte, cfg.Journal*cfg.PayloadCap),
+		ring:    make([]mirrorEntry, mirrorJournal),
+		slab:    make([]byte, mirrorJournal*mirrorPayloadCap),
 	}
 }
 
@@ -339,9 +336,10 @@ func (m *MirroredQP) PostFetchAdd(offset int, delta uint64) bool {
 // PostWrite posts an unsignaled WRITE on the primary and shadows it onto
 // the replica. Writes expect no ack on either side, so a successfully
 // mirrored write settles immediately; a refused mirror (replica egress
-// full) is journaled — payload retained up to PayloadCap — and retried on
-// the next replica ack event or replayed by a promotion. Oversized writes
-// are mirrored best-effort only: a refusal is declared lost on the spot.
+// full) is journaled — payload retained up to mirrorPayloadCap — and
+// retried on the next replica ack event or replayed by a promotion. Oversized
+// writes are mirrored best-effort only: a refusal is declared lost on the
+// spot.
 func (m *MirroredQP) PostWrite(offset int, payload []byte) bool {
 	if m.promoted {
 		return m.primary.PostWrite(offset, payload)
@@ -354,7 +352,7 @@ func (m *MirroredQP) PostWrite(offset int, payload []byte) bool {
 		m.Stats.Lag.Observe(m.Lag())
 		return true
 	}
-	if len(payload) > m.cfg.PayloadCap {
+	if len(payload) > mirrorPayloadCap {
 		// Too big to journal for replay: count the miss as a loss and let
 		// the scrubber repair the window.
 		m.Stats.ReplicaLost++
@@ -366,7 +364,7 @@ func (m *MirroredQP) PostWrite(offset int, payload []byte) bool {
 	e.op, e.offset, e.payLen = OpWrite, offset, len(payload)
 	e.packed = true // unsignaled on the primary: nothing to wait for
 	s := m.slot(m.n - 1)
-	copy(m.slab[s*m.cfg.PayloadCap:], payload)
+	copy(m.slab[s*mirrorPayloadCap:], payload)
 	m.Stats.Lag.Observe(m.Lag())
 	m.enforceLag()
 	return true
@@ -424,7 +422,7 @@ func (m *MirroredQP) retryUnposted() {
 			}
 		case OpWrite:
 			s := m.slot(i)
-			if m.replica.PostWrite(e.offset, m.slab[s*m.cfg.PayloadCap:s*m.cfg.PayloadCap+e.payLen]) {
+			if m.replica.PostWrite(e.offset, m.slab[s*mirrorPayloadCap:s*mirrorPayloadCap+e.payLen]) {
 				e.rposted, e.racked = true, true
 				m.Stats.MirroredWrites++
 			}
@@ -462,7 +460,7 @@ func (m *MirroredQP) Promote() int {
 				replayed++
 			}
 		case OpWrite:
-			if m.replica.PostWrite(e.offset, m.slab[s*m.cfg.PayloadCap:s*m.cfg.PayloadCap+e.payLen]) {
+			if m.replica.PostWrite(e.offset, m.slab[s*mirrorPayloadCap:s*mirrorPayloadCap+e.payLen]) {
 				e.rposted, e.racked = true, true
 				m.Stats.MirroredWrites++
 				m.Stats.Replayed++

@@ -73,7 +73,7 @@ func TestMirroredAsyncDeclaresLossPastBound(t *testing.T) {
 }
 
 func TestMirroredWriteRefusalJournaledAndRetried(t *testing.T) {
-	pep, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync, PayloadCap: 16})
+	pep, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync})
 	_ = pep
 	rep.fail = true
 	if !m.PostWrite(0, []byte("abcd")) {
@@ -96,9 +96,9 @@ func TestMirroredWriteRefusalJournaledAndRetried(t *testing.T) {
 }
 
 func TestMirroredOversizedWriteRefusalIsTypedLoss(t *testing.T) {
-	_, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync, PayloadCap: 4})
+	_, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync})
 	rep.fail = true
-	if !m.PostWrite(0, []byte("too big to journal")) {
+	if !m.PostWrite(0, make([]byte, mirrorPayloadCap+1)) {
 		t.Fatal("primary write refused")
 	}
 	// No slab slot can hold it: the miss is a counted, typed loss on the spot.
@@ -207,16 +207,16 @@ func TestMirroredRingOverflowForceSettlesHead(t *testing.T) {
 	// A full journal force-settles its head even in Sync mode: the ring is
 	// the memory bound, and an unsettled evicted head is a counted loss.
 	rep := &fakeEndpoint{fail: true}
-	pqp := NewQP(&fakeEndpoint{}, NewCredits(CreditConfig{Window: 16}), QPConfig{Cumulative: true})
+	pqp := NewQP(&fakeEndpoint{}, NewCredits(CreditConfig{Window: mirrorJournal + 1}), QPConfig{Cumulative: true})
 	rqp := NewQP(rep, nil, QPConfig{Cumulative: true})
-	m := NewMirrored(pqp, rqp, MirrorConfig{Mode: ReplicationSync, Journal: 2})
-	for i := 0; i < 3; i++ {
+	m := NewMirrored(pqp, rqp, MirrorConfig{Mode: ReplicationSync})
+	for i := 0; i < mirrorJournal+1; i++ {
 		if !m.PostFetchAdd(i*8, 1) {
 			t.Fatalf("post %d refused", i)
 		}
 	}
-	if m.Journaled() != 2 {
-		t.Fatalf("journal = %d, want capacity 2", m.Journaled())
+	if m.Journaled() != mirrorJournal {
+		t.Fatalf("journal = %d, want capacity %d", m.Journaled(), mirrorJournal)
 	}
 	if m.Stats.ReplicaLost != 1 || m.Stats.LostDelta != 1 {
 		t.Fatalf("ReplicaLost=%d LostDelta=%d, want 1/1 (evicted head)",

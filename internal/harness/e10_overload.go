@@ -126,7 +126,7 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	}
 	recvPort := tb.SwitchPortOfHost(senders)
 
-	alloc, err := tb.NewAllocator(gem.AllocatorConfig{PerServerBytes: 512 << 10})
+	alloc, err := tb.NewAllocator(512 << 10)
 	if err != nil {
 		panic(err)
 	}
@@ -165,7 +165,7 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 
 	var mon *gem.PressureMonitor
 	if bounded {
-		mon = gem.NewPressureMonitor(gem.PressureConfig{})
+		mon = gem.NewPressureMonitor()
 		for i := 0; i < 2; i++ {
 			i := i
 			mon.AddServer(i, regionBytes)

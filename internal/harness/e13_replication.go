@@ -145,7 +145,7 @@ func e13mkbed(cfg E13Config) *e13bed {
 	if err != nil {
 		panic(err)
 	}
-	alloc, err := tb.NewAllocator(gem.AllocatorConfig{PerServerBytes: 1 << 16})
+	alloc, err := tb.NewAllocator(1 << 16)
 	if err != nil {
 		panic(err)
 	}

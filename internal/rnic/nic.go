@@ -452,7 +452,7 @@ func (n *NIC) executeNext(writeSide bool) {
 	*op = ring.Pop()
 
 	// occupancy is how long the op holds its execution pipeline (this is
-	// what caps throughput); ProcessingDelay is added latency only — real
+	// what caps throughput); processingDelay is added latency only — real
 	// NICs pipeline ops, so fixed latency does not cost throughput.
 	var occupancy sim.Duration
 	switch opc := op.pkt.BTH.Opcode; {
@@ -476,7 +476,7 @@ func (n *NIC) executeNext(writeSide bool) {
 
 // nicExecDone fires at the end of an op's occupancy on one engine (arg 1 =
 // write side). The memory effect commits when the DMA finishes, here;
-// ProcessingDelay only delays the response packet (applied in
+// processingDelay only delays the response packet (applied in
 // scheduleResponse). Committing here keeps the read-after-write barrier
 // tight.
 func nicExecDone(recv any, _ []byte, side int) {
@@ -646,16 +646,16 @@ func (n *NIC) sendNak(qp *QP, syndrome uint8) {
 
 func (n *NIC) scheduleResponse(qp *QP, frame []byte) {
 	n.Stats.ResponsesSent++
-	// ProcessingDelay models the NIC's response-path latency (pipelined:
+	// processingDelay models the NIC's response-path latency (pipelined:
 	// it delays each response without occupying the execution engine).
-	delay := n.Cfg.ProcessingDelay
+	delay := processingDelay
 	if f := n.SlowFactor(); f > 1 {
 		delay = sim.Duration(float64(delay) * f)
 	}
 	n.engine.ScheduleCall(delay, nicSendResponse, n, frame, 0)
 }
 
-// nicSendResponse puts a response on the wire once its ProcessingDelay passed.
+// nicSendResponse puts a response on the wire once its processingDelay passed.
 func nicSendResponse(recv any, frame []byte, _ int) {
 	n := recv.(*NIC)
 	if n.failed {

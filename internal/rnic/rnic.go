@@ -32,8 +32,6 @@ type Config struct {
 	// AtomicOpsPerSec caps atomic (Fetch-and-Add / Compare-and-Swap)
 	// execution; CX-3-class parts sustain on the order of 1e6/s.
 	AtomicOpsPerSec float64
-	// ProcessingDelay is the fixed per-operation latency through the NIC.
-	ProcessingDelay sim.Duration
 	// RxRing bounds the number of requests queued for execution; arrivals
 	// beyond it are dropped (and counted), like a real NIC's RX ring.
 	RxRing int
@@ -42,24 +40,21 @@ type Config struct {
 	// for RDMA packet drops. Thresholds derive from RxRing (pause at 3/4,
 	// resume at 1/4).
 	EnablePFC bool
-	// MaxOutstandingOps is the per-QP outstanding-operation capacity the
-	// NIC advertises during channel setup (IB "responder resources"); the
-	// controller copies it onto the channel as the default credit window.
-	MaxOutstandingOps int
 }
+
+// processingDelay is the fixed per-operation latency through the NIC.
+const processingDelay = 600 * sim.Nanosecond
 
 // DefaultConfig returns the CX-3 Pro-like calibration used by the
 // experiments (see DESIGN.md §5 for the derivation from the paper's
 // numbers).
 func DefaultConfig() Config {
 	return Config{
-		MTU:               1024,
-		WritePayloadBps:   34.5e9,
-		ReadPayloadBps:    37.8e9,
-		AtomicOpsPerSec:   1.29e6,
-		ProcessingDelay:   600 * sim.Nanosecond,
-		RxRing:            512,
-		MaxOutstandingOps: 16,
+		MTU:             1024,
+		WritePayloadBps: 34.5e9,
+		ReadPayloadBps:  37.8e9,
+		AtomicOpsPerSec: 1.29e6,
+		RxRing:          512,
 	}
 }
 
@@ -77,14 +72,8 @@ func (c *Config) fillDefaults() {
 	if c.AtomicOpsPerSec == 0 {
 		c.AtomicOpsPerSec = d.AtomicOpsPerSec
 	}
-	if c.ProcessingDelay == 0 {
-		c.ProcessingDelay = d.ProcessingDelay
-	}
 	if c.RxRing == 0 {
 		c.RxRing = d.RxRing
-	}
-	if c.MaxOutstandingOps == 0 {
-		c.MaxOutstandingOps = d.MaxOutstandingOps
 	}
 }
 

@@ -20,25 +20,20 @@ import (
 	"gem/internal/wire"
 )
 
+// pipelineLatency is the ingress parse+match+action latency of one pass: a
+// Tofino pipeline is sub-microsecond.
+const pipelineLatency = 450 * sim.Nanosecond
+
+// RecirculationLatency is the extra delay of one recirculation pass.
+const RecirculationLatency = 700 * sim.Nanosecond
+
 // Config sets the switch's fixed hardware characteristics.
 type Config struct {
-	// PipelineLatency is the ingress parse+match+action latency per pass.
-	PipelineLatency sim.Duration
 	// BufferBytes is the shared packet buffer; the sum of all egress
 	// queue occupancies cannot exceed it (tail drop beyond).
 	BufferBytes int
-	// PerPortCapBytes optionally caps a single egress queue (0 = only the
-	// shared limit applies).
-	PerPortCapBytes int
 	// SRAMBytes is the table/register budget.
 	SRAMBytes int
-	// RecirculationLatency is the extra delay of one recirculation pass.
-	RecirculationLatency sim.Duration
-	// ECNThresholdBytes, when positive, marks the ECN field (CE) of IPv4
-	// packets that join an egress queue deeper than this — the hook the
-	// paper's §2.1 relies on for end-to-end congestion control "based on
-	// ECN" to slow persistent overload.
-	ECNThresholdBytes int
 	// RDMAPriority gives RoCE frames a strict-priority queue on every
 	// egress port — §7: "one may prioritize these RDMA packets so that
 	// they are less likely to be dropped". Non-RoCE traffic uses the
@@ -48,29 +43,21 @@ type Config struct {
 }
 
 // DefaultConfig matches the paper's testbed switch: 12 MB packet buffer,
-// 20 MB SRAM, sub-microsecond pipeline.
+// 20 MB SRAM.
 func DefaultConfig() Config {
 	return Config{
-		PipelineLatency:      450 * sim.Nanosecond,
-		BufferBytes:          12 << 20,
-		SRAMBytes:            20 << 20,
-		RecirculationLatency: 700 * sim.Nanosecond,
+		BufferBytes: 12 << 20,
+		SRAMBytes:   20 << 20,
 	}
 }
 
 func (c *Config) fillDefaults() {
 	d := DefaultConfig()
-	if c.PipelineLatency == 0 {
-		c.PipelineLatency = d.PipelineLatency
-	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = d.BufferBytes
 	}
 	if c.SRAMBytes == 0 {
 		c.SRAMBytes = d.SRAMBytes
-	}
-	if c.RecirculationLatency == 0 {
-		c.RecirculationLatency = d.RecirculationLatency
 	}
 }
 
@@ -101,11 +88,10 @@ type Stats struct {
 	RxFrames     int64
 	TxFrames     int64
 	ParseErrors  int64
-	BufferDrops  int64 // tail drops at the shared buffer / per-port cap
+	BufferDrops  int64 // tail drops at the shared buffer
 	Recirculated int64
 	NoRoute      int64 // pipeline chose to drop (no emit)
 	PFCFrames    int64 // 802.1Qbb pause/resume frames honoured
-	ECNMarked    int64 // packets CE-marked at a deep egress queue
 
 	// FirstBufferDrop records when the first tail drop happened (the
 	// §2.1 "buffer fills within 0.34 ms" observable); meaningful only
@@ -222,7 +208,7 @@ func (s *Switch) Receive(port *netsim.Port, frame []byte) {
 			return
 		}
 	}
-	s.Engine.ScheduleCall(s.Cfg.PipelineLatency, switchIngress, s, frame, in)
+	s.Engine.ScheduleCall(pipelineLatency, switchIngress, s, frame, in)
 }
 
 // switchIngress is the event body of a pipeline pass: arg is the ingress
@@ -303,8 +289,7 @@ func (s *Switch) runPipeline(inPort int, frame []byte) {
 func (s *Switch) enqueue(port int, frame []byte) bool {
 	q := s.queues[port]
 	n := len(frame)
-	if s.bufUsed+n > s.Cfg.BufferBytes ||
-		(s.Cfg.PerPortCapBytes > 0 && q.bytes+n > s.Cfg.PerPortCapBytes) {
+	if s.bufUsed+n > s.Cfg.BufferBytes {
 		q.Drops++
 		if s.Stats.BufferDrops == 0 {
 			s.Stats.FirstBufferDrop = s.Engine.Now()
@@ -312,11 +297,6 @@ func (s *Switch) enqueue(port int, frame []byte) bool {
 		s.Stats.BufferDrops++
 		wire.DefaultPool.Put(frame) // tail drop: buffer is recycled
 		return false
-	}
-	if s.Cfg.ECNThresholdBytes > 0 && q.bytes >= s.Cfg.ECNThresholdBytes {
-		if markECN(frame) {
-			s.Stats.ECNMarked++
-		}
 	}
 	if s.Cfg.RDMAPriority && isRoCEFrame(frame) {
 		q.prio.Push(frame)
@@ -402,26 +382,6 @@ func isRoCEFrame(frame []byte) bool {
 	}
 	port := uint16(frame[udpOff+2])<<8 | uint16(frame[udpOff+3])
 	return port == wire.UDPPortRoCEv2
-}
-
-// markECN sets CE (11) in the IPv4 ECN field and repairs the header
-// checksum. It reports false for non-IPv4 frames.
-func markECN(frame []byte) bool {
-	if len(frame) < wire.EthernetLen+wire.IPv4Len {
-		return false
-	}
-	var eth wire.Ethernet
-	if eth.DecodeFromBytes(frame) != nil || eth.EtherType != wire.EtherTypeIPv4 {
-		return false
-	}
-	ip := frame[wire.EthernetLen:]
-	var h wire.IPv4
-	if h.DecodeFromBytes(ip) != nil {
-		return false
-	}
-	h.ECN = 3 // CE
-	h.Put(ip) // rewrites the checksum
-	return true
 }
 
 // Inject enqueues a switch-generated frame (e.g. an RDMA request crafted by
@@ -559,7 +519,7 @@ func (c *Context) Recirculate(frame []byte) {
 		c.frameSent = true
 	}
 	c.sw.Stats.Recirculated++
-	c.sw.Engine.ScheduleCall(c.sw.Cfg.RecirculationLatency, switchIngress, c.sw, frame, RecirculationPort)
+	c.sw.Engine.ScheduleCall(RecirculationLatency, switchIngress, c.sw, frame, RecirculationPort)
 }
 
 // QueueBytes reads the egress queue depth of port — the trigger signal for

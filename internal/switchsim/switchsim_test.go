@@ -131,7 +131,7 @@ func TestNoRouteRecyclesFrame(t *testing.T) {
 }
 
 func TestPipelineLatency(t *testing.T) {
-	n, _, hosts := testbed(t, 2, Config{PipelineLatency: 450})
+	n, _, hosts := testbed(t, 2, Config{})
 	var at sim.Time
 	hosts[1].Handler = func(_ *netsim.Port, _ []byte) { at = n.Engine.Now() }
 	n.Ports(hosts[0])[0].Send(frameBetween(hosts[0], hosts[1], 124))
@@ -177,21 +177,6 @@ func TestSharedBufferTailDrop(t *testing.T) {
 	}
 	if sw.BufferUsed() != 0 {
 		t.Fatalf("buffer not drained: %d", sw.BufferUsed())
-	}
-}
-
-func TestPerPortCap(t *testing.T) {
-	n, sw, hosts := testbed(t, 3, Config{PerPortCapBytes: 4 * 1500})
-	for i := 0; i < 50; i++ {
-		n.Ports(hosts[0])[0].Send(frameBetween(hosts[0], hosts[2], 1500))
-		n.Ports(hosts[1])[0].Send(frameBetween(hosts[1], hosts[2], 1500))
-	}
-	n.Engine.Run()
-	if sw.QueueDrops(2) == 0 {
-		t.Fatal("per-port cap not enforced")
-	}
-	if sw.QueuePeak(2) > 4*1500 {
-		t.Fatalf("peak %d exceeded cap", sw.QueuePeak(2))
 	}
 }
 
@@ -480,78 +465,6 @@ func TestPFCOnlyAffectsOnePort(t *testing.T) {
 	n.Engine.RunFor(10 * sim.Microsecond)
 	if hosts[2].Received != 1 {
 		t.Fatal("pause on port 1 blocked port 2")
-	}
-}
-
-func TestECNMarkingAtThreshold(t *testing.T) {
-	n, sw, hosts := testbed(t, 3, Config{ECNThresholdBytes: 5 * 1500})
-	var ce, notCE int
-	hosts[2].Handler = func(_ *netsim.Port, frame []byte) {
-		var p wire.Packet
-		if err := p.DecodeFromBytes(frame); err == nil && p.HasIPv4 {
-			if p.IP.ECN == 3 {
-				ce++
-			} else {
-				notCE++
-			}
-		}
-	}
-	for i := 0; i < 60; i++ {
-		n.Ports(hosts[0])[0].Send(frameBetween(hosts[0], hosts[2], 1500))
-		n.Ports(hosts[1])[0].Send(frameBetween(hosts[1], hosts[2], 1500))
-	}
-	n.Engine.Run()
-	if ce == 0 {
-		t.Fatal("no packets CE-marked despite deep queue")
-	}
-	if notCE == 0 {
-		t.Fatal("every packet marked: threshold not honoured early on")
-	}
-	if sw.Stats.ECNMarked != int64(ce) {
-		t.Fatalf("stats %d != observed %d", sw.Stats.ECNMarked, ce)
-	}
-	// Marked packets must still carry a valid IP checksum.
-	var h wire.IPv4
-	f := frameBetween(hosts[0], hosts[2], 100)
-	defer wire.DefaultPool.Put(f)
-	markECN(f)
-	if err := h.DecodeFromBytes(f[wire.EthernetLen:]); err != nil {
-		t.Fatal(err)
-	}
-	tmp := make([]byte, wire.IPv4Len)
-	copy(tmp, f[wire.EthernetLen:])
-	var h2 wire.IPv4
-	_ = h2.DecodeFromBytes(tmp)
-	h2.Put(tmp)
-	for i := range tmp {
-		if tmp[i] != f[wire.EthernetLen+i] {
-			t.Fatal("checksum stale after ECN mark")
-		}
-	}
-}
-
-func TestECNMarkingDisabledByDefault(t *testing.T) {
-	n, sw, hosts := testbed(t, 3, Config{})
-	for i := 0; i < 60; i++ {
-		n.Ports(hosts[0])[0].Send(frameBetween(hosts[0], hosts[2], 1500))
-		n.Ports(hosts[1])[0].Send(frameBetween(hosts[1], hosts[2], 1500))
-	}
-	n.Engine.Run()
-	if sw.Stats.ECNMarked != 0 {
-		t.Fatalf("marked %d with ECN disabled", sw.Stats.ECNMarked)
-	}
-}
-
-func TestMarkECNNonIPv4(t *testing.T) {
-	frame := make([]byte, 64)
-	var eth wire.Ethernet
-	eth.EtherType = wire.EtherTypeTest
-	eth.Put(frame)
-	if markECN(frame) {
-		t.Fatal("marked a non-IP frame")
-	}
-	if markECN([]byte{1, 2, 3}) {
-		t.Fatal("marked a runt frame")
 	}
 }
 

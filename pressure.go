@@ -43,28 +43,16 @@ func (t PressureTier) String() string {
 	return fmt.Sprintf("tier(%d)", int(t))
 }
 
-// PressureConfig tunes the monitor's watermarks, as fractions of capacity.
-type PressureConfig struct {
-	// ElevatedFrac raises a server to PressureElevated (default 0.70).
-	ElevatedFrac float64
-	// CriticalFrac raises a server to PressureCritical (default 0.90).
-	CriticalFrac float64
-	// HysteresisFrac is how far occupancy must drop below a raise threshold
-	// before the tier falls back (default 0.05), preventing tier flapping.
-	HysteresisFrac float64
-}
-
-func (c *PressureConfig) fillDefaults() {
-	if c.ElevatedFrac == 0 {
-		c.ElevatedFrac = 0.70
-	}
-	if c.CriticalFrac == 0 {
-		c.CriticalFrac = 0.90
-	}
-	if c.HysteresisFrac == 0 {
-		c.HysteresisFrac = 0.05
-	}
-}
+// The monitor's watermarks, as fractions of capacity.
+const (
+	// elevatedFrac raises a server to PressureElevated.
+	elevatedFrac = 0.70
+	// criticalFrac raises a server to PressureCritical.
+	criticalFrac = 0.90
+	// hysteresisFrac is how far occupancy must drop below a raise threshold
+	// before the tier falls back, preventing tier flapping.
+	hysteresisFrac = 0.05
+)
 
 // PressureStats are the monitor's observable counters.
 type PressureStats struct {
@@ -84,17 +72,13 @@ type serverPressure struct {
 // gauges (e.g. PacketBuffer.ChannelOccupancyBytes) and the monitor sums them
 // on evaluation, so there is no bookkeeping on the data path.
 type PressureMonitor struct {
-	cfg     PressureConfig
 	servers []*serverPressure
 
 	Stats PressureStats
 }
 
-// NewPressureMonitor returns a monitor with cfg's watermarks.
-func NewPressureMonitor(cfg PressureConfig) *PressureMonitor {
-	cfg.fillDefaults()
-	return &PressureMonitor{cfg: cfg}
-}
+// NewPressureMonitor returns a monitor with no servers.
+func NewPressureMonitor() *PressureMonitor { return &PressureMonitor{} }
 
 // AddServer registers memory server mem with the given byte capacity.
 // Servers must be added in index order starting at 0.
@@ -131,7 +115,7 @@ func (m *PressureMonitor) Frac(mem int) float64 {
 }
 
 // Tier evaluates and returns server mem's pressure tier: raises happen at
-// the watermark, drops only after occupancy falls HysteresisFrac below it.
+// the watermark, drops only after occupancy falls hysteresisFrac below it.
 func (m *PressureMonitor) Tier(mem int) PressureTier {
 	s := m.servers[mem]
 	frac := m.Frac(mem)
@@ -140,9 +124,9 @@ func (m *PressureMonitor) Tier(mem int) PressureTier {
 	}
 	want := PressureNormal
 	switch {
-	case frac >= m.cfg.CriticalFrac:
+	case frac >= criticalFrac:
 		want = PressureCritical
-	case frac >= m.cfg.ElevatedFrac:
+	case frac >= elevatedFrac:
 		want = PressureElevated
 	}
 	if want > s.tier {
@@ -155,11 +139,11 @@ func (m *PressureMonitor) Tier(mem int) PressureTier {
 	for want < s.tier {
 		var raiseAt float64
 		if s.tier == PressureCritical {
-			raiseAt = m.cfg.CriticalFrac
+			raiseAt = criticalFrac
 		} else {
-			raiseAt = m.cfg.ElevatedFrac
+			raiseAt = elevatedFrac
 		}
-		if frac > raiseAt-m.cfg.HysteresisFrac {
+		if frac > raiseAt-hysteresisFrac {
 			break
 		}
 		s.tier--
@@ -171,10 +155,19 @@ func (m *PressureMonitor) Tier(mem int) PressureTier {
 // GlobalTier evaluates every server and returns the worst tier — the
 // single pressure signal an operator dashboard would alarm on.
 func (m *PressureMonitor) GlobalTier() PressureTier {
-	worst := PressureNormal
 	for i := range m.servers {
-		if t := m.Tier(i); t > worst {
-			worst = t
+		m.Tier(i)
+	}
+	return m.lastWorstTier()
+}
+
+// lastWorstTier returns the worst tier as last evaluated. Unlike GlobalTier
+// it evaluates nothing, so reading it moves no tier and no counter.
+func (m *PressureMonitor) lastWorstTier() PressureTier {
+	worst := PressureNormal
+	for _, s := range m.servers {
+		if s.tier > worst {
+			worst = s.tier
 		}
 	}
 	return worst
@@ -188,25 +181,17 @@ func (m *PressureMonitor) PeakFrac(mem int) float64 { return m.servers[mem].peak
 // folds its tier counters into the snapshot.
 func (tb *Testbed) SetPressureMonitor(m *PressureMonitor) { tb.monitor = m }
 
-// AllocatorConfig tunes a remote-region allocator.
-type AllocatorConfig struct {
-	// PerServerBytes is each memory server's region budget.
-	PerServerBytes int
-	// HighWaterFrac refuses placements that would push a server past this
-	// fraction of its budget (default 0.9).
-	HighWaterFrac float64
-	// RegionBase is the first virtual address handed out on each server
-	// (default 0x10000000).
-	RegionBase uint64
-}
+// allocHighWater refuses placements that would push a server past this
+// fraction of its budget.
+const allocHighWater = 0.9
 
 // Allocator places channel regions across the testbed's memory servers,
 // steering toward the least-loaded eligible server and refusing placements
 // past the high watermark — admission control for remote memory itself,
 // complementing the per-channel credit windows on the request path.
 type Allocator struct {
-	tb  *Testbed
-	cfg AllocatorConfig
+	tb             *Testbed
+	perServerBytes int // each memory server's region budget
 
 	allocated []int    // bytes placed per server
 	nextBase  []uint64 // next region base per server
@@ -220,24 +205,19 @@ type Allocator struct {
 	Replicated int64
 }
 
-// NewAllocator returns an allocator over the testbed's memory servers.
-func (tb *Testbed) NewAllocator(cfg AllocatorConfig) (*Allocator, error) {
-	if cfg.PerServerBytes <= 0 {
+// NewAllocator returns an allocator over the testbed's memory servers, each
+// with a region budget of perServerBytes.
+func (tb *Testbed) NewAllocator(perServerBytes int) (*Allocator, error) {
+	if perServerBytes <= 0 {
 		return nil, fmt.Errorf("gem: allocator needs a positive per-server budget")
 	}
-	if cfg.HighWaterFrac == 0 {
-		cfg.HighWaterFrac = 0.9
-	}
-	if cfg.RegionBase == 0 {
-		cfg.RegionBase = 0x10000000
-	}
 	a := &Allocator{
-		tb: tb, cfg: cfg,
+		tb: tb, perServerBytes: perServerBytes,
 		allocated: make([]int, len(tb.MemNICs)),
 		nextBase:  make([]uint64, len(tb.MemNICs)),
 	}
 	for i := range a.nextBase {
-		a.nextBase[i] = cfg.RegionBase
+		a.nextBase[i] = defaultRegionBase
 	}
 	return a, nil
 }
@@ -250,7 +230,7 @@ func (a *Allocator) Allocated(mem int) int { return a.allocated[mem] }
 // chosen server and the first eligible one (for the steering counter), or
 // -1 when no server qualifies.
 func (a *Allocator) pick(size, exclude int) (chosen, firstEligible int) {
-	limit := int(a.cfg.HighWaterFrac * float64(a.cfg.PerServerBytes))
+	limit := int(allocHighWater * float64(a.perServerBytes))
 	chosen, firstEligible = -1, -1
 	for i := range a.allocated {
 		if i == exclude || a.allocated[i]+size > limit {
@@ -389,6 +369,8 @@ type StatsSnapshot struct {
 	// Remote-memory pressure (zero unless SetPressureMonitor was called).
 	PressureTierRaises int64
 	PressureTierDrops  int64
+	// PressureGlobalTier is the worst tier as last evaluated: taking a
+	// snapshot evaluates no tier.
 	PressureGlobalTier int
 
 	// Replication (zero unless a shard was Replicated).
@@ -522,7 +504,7 @@ func (tb *Testbed) Stats() StatsSnapshot {
 		}
 	}
 	if tb.monitor != nil {
-		snap.PressureGlobalTier = int(tb.monitor.GlobalTier())
+		snap.PressureGlobalTier = int(tb.monitor.lastWorstTier())
 		snap.PressureTierRaises = tb.monitor.Stats.TierRaises
 		snap.PressureTierDrops = tb.monitor.Stats.TierDrops
 	}

@@ -11,7 +11,7 @@ func TestAllocatorSteersAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := tb.NewAllocator(AllocatorConfig{PerServerBytes: 100 << 10}) // watermark 90 KB
+	a, err := tb.NewAllocator(100 << 10) // watermark 90 KB
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,101 @@ func TestAllocatorSteersAndRefuses(t *testing.T) {
 	}
 }
 
+// TestAllocateReplicatedAntiAffinity covers replicated placement: the
+// replica never shares its primary's server, the pair counters move as the
+// least-loaded policy says, and every refusal leaves the occupancy as it was.
+func TestAllocateReplicatedAntiAffinity(t *testing.T) {
+	tb, err := New(Options{Hosts: 1, MemoryServers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tb.NewAllocator(100 << 10) // watermark 90 KB
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All empty: the primary takes server 0 (first fit), the replica the
+	// least-loaded other server, 1. Then 0 and 1 hold 30 KB each, so the
+	// next primary steers to empty server 2 and its replica goes to 0.
+	want := [][2]int{{0, 1}, {2, 0}}
+	for i, w := range want {
+		p, r, pMem, rMem, err := a.AllocateReplicated(30<<10, ChannelSpec{})
+		if err != nil || p == nil || r == nil {
+			t.Fatalf("pair %d: err=%v", i, err)
+		}
+		if pMem != w[0] || rMem != w[1] {
+			t.Fatalf("pair %d placed on %d/%d, want %d/%d", i, pMem, rMem, w[0], w[1])
+		}
+	}
+	if a.Replicated != 2 || a.Steered != 1 || a.Refusals != 0 {
+		t.Fatalf("Replicated/Steered/Refusals = %d/%d/%d, want 2/1/0",
+			a.Replicated, a.Steered, a.Refusals)
+	}
+	// Keep placing until the servers fill: no pair is ever co-located.
+	for {
+		_, _, pMem, rMem, err := a.AllocateReplicated(10<<10, ChannelSpec{})
+		if err != nil {
+			break
+		}
+		if pMem == rMem {
+			t.Fatalf("replica co-located with its primary on server %d", pMem)
+		}
+	}
+	if a.Refusals != 1 {
+		t.Fatalf("Refusals = %d, want 1 once full", a.Refusals)
+	}
+}
+
+// TestAllocateReplicatedRefusals covers the two ways a pair is refused: a
+// single memory server, and room for the primary only. Neither leaves a
+// half-placed pair behind.
+func TestAllocateReplicatedRefusals(t *testing.T) {
+	one, err := New(Options{Hosts: 1, MemoryServers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := one.NewAllocator(100 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := a.AllocateReplicated(10<<10, ChannelSpec{}); err == nil {
+		t.Fatal("replicated placement accepted with one memory server")
+	}
+	if a.Refusals != 1 || a.Replicated != 0 || a.Allocated(0) != 0 {
+		t.Fatalf("one server: Refusals=%d Replicated=%d Allocated=%d, want 1/0/0",
+			a.Refusals, a.Replicated, a.Allocated(0))
+	}
+
+	tb, err := New(Options{Hosts: 1, MemoryServers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err = tb.NewAllocator(100 << 10) // watermark 90 KB
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, srv, err := a.Allocate(80<<10, ChannelSpec{}); err != nil || srv != 0 {
+		t.Fatalf("filler placement: srv=%d err=%v", srv, err)
+	}
+	// 50 KB fits on server 1 only: the primary would go there, and no other
+	// server can take the replica.
+	if _, _, _, _, err := a.AllocateReplicated(50<<10, ChannelSpec{}); err == nil {
+		t.Fatal("pair accepted with room for the primary only")
+	}
+	if a.Allocated(0) != 80<<10 || a.Allocated(1) != 0 {
+		t.Fatalf("half-placed pair: occupancy %d/%d, want %d/0",
+			a.Allocated(0), a.Allocated(1), 80<<10)
+	}
+	if a.Refusals != 1 || a.Replicated != 0 || a.Steered != 0 {
+		t.Fatalf("Refusals/Replicated/Steered = %d/%d/%d, want 1/0/0",
+			a.Refusals, a.Replicated, a.Steered)
+	}
+}
+
 // TestPressureMonitorTiers covers the tier state machine: raises at the
 // watermarks, drops only after occupancy falls a hysteresis band below the
 // raise threshold, and peak tracking.
 func TestPressureMonitorTiers(t *testing.T) {
-	m := NewPressureMonitor(PressureConfig{}) // 0.70 / 0.90, hysteresis 0.05
+	m := NewPressureMonitor() // 0.70 / 0.90, hysteresis 0.05
 	var occ int64
 	m.AddServer(0, 1000)
 	m.AddGauge(0, func() int64 { return occ })
@@ -86,6 +176,40 @@ func TestPressureMonitorTiers(t *testing.T) {
 	}
 	if m.GlobalTier() != PressureNormal {
 		t.Fatalf("GlobalTier = %v after drain", m.GlobalTier())
+	}
+}
+
+// TestStatsLeavesPressureTiers checks that reading tb.Stats() is only an
+// observation: it reports the worst tier as last evaluated and moves no
+// tier or counter, so an AdmitGate keyed on Tier sees the same tiers
+// whether or not anyone took a snapshot.
+func TestStatsLeavesPressureTiers(t *testing.T) {
+	tb, err := New(Options{Hosts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewPressureMonitor()
+	var occ int64
+	m.AddServer(0, 1000)
+	m.AddGauge(0, func() int64 { return occ })
+	tb.SetPressureMonitor(m)
+
+	occ = 950
+	if snap := tb.Stats(); snap.PressureGlobalTier != int(PressureNormal) || snap.PressureTierRaises != 0 {
+		t.Fatalf("snapshot before any evaluation: tier %d, raises %d; want 0/0",
+			snap.PressureGlobalTier, snap.PressureTierRaises)
+	}
+	occ = 870
+	if got := m.Tier(0); got != PressureElevated || m.Stats.TierRaises != 1 {
+		t.Fatalf("Tier(0) at 870/1000 after a snapshot: %v with %d raises, want elevated with 1",
+			got, m.Stats.TierRaises)
+	}
+	if got := m.PeakFrac(0); got != 0.87 {
+		t.Fatalf("PeakFrac = %v, want 0.87 (the snapshot must not evaluate)", got)
+	}
+	if snap := tb.Stats(); snap.PressureGlobalTier != int(PressureElevated) || snap.PressureTierRaises != 1 {
+		t.Fatalf("snapshot after evaluation: tier %d, raises %d; want %d/1",
+			snap.PressureGlobalTier, snap.PressureTierRaises, PressureElevated)
 	}
 }
 
