@@ -15,7 +15,9 @@ import (
 //
 //   - one 64 B frame host → switch (L2 pipeline) → host;
 //   - one Fetch-and-Add a host puts on the wire → switch → memory NIC
-//     (executes it) → atomic ACK back to the switch.
+//     (executes it) → atomic ACK back to the switch;
+//   - one recirculate-mode remote lookup: host → switch, which READs the
+//     action and recirculates the packet until it lands → host.
 func TestFramePathZeroAlloc(t *testing.T) {
 	tb, err := New(Options{Seed: 1, Hosts: 2, MemoryServers: 1})
 	if err != nil {
@@ -37,11 +39,35 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	if err := l2.Learn(ch.PeerMAC, ch.Port); err != nil {
 		t.Fatal(err)
 	}
+	lcfg := LookupConfig{Entries: 16, MaxPktBytes: 128, Mode: LookupRecirculate}
+	lch, err := tb.Establish(0, ChannelSpec{RegionSize: lcfg.Entries * lcfg.EntrySize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := NewLookupTable(lch, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt.DefaultOutPort = tb.SwitchPortOfHost(1)
+	for i := 0; i < lcfg.Entries; i++ {
+		if err := PopulateLookupEntry(tb.Region(lch), lcfg, i, SetDSCPAction(46)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Dispatcher.Register(lch, lt)
+	const lookupPort = 3000
 	acks := 0
 	tb.Switch.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
 		if ctx.Pkt != nil && ctx.Pkt.IsRoCE && ctx.Pkt.BTH.Opcode == wire.OpAtomicAcknowledge {
 			acks++
 			ctx.Drop() // the response ends at the switch, as with a primitive
+			return
+		}
+		if tb.Dispatcher.Dispatch(ctx) { // the lookup's READ responses and recirculations
+			return
+		}
+		if ctx.Pkt != nil && ctx.Pkt.HasUDP && ctx.Pkt.UDP.DstPort == lookupPort {
+			lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
 			return
 		}
 		l2.Ingress(ctx)
@@ -61,9 +87,14 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		tb.SendFrame(0, wire.BuildFetchAddInto(wire.DefaultPool, &p, ch.Base+64, ch.RKey, 3))
 		tb.Run()
 	}
+	lookup := func() {
+		tb.SendFrame(0, wire.BuildDataFrameInto(wire.DefaultPool, src.MAC, dst.MAC, src.IP, dst.IP, 1000, lookupPort, 64, nil))
+		tb.Run()
+	}
 	for i := 0; i < 64; i++ { // warm the pools, free lists and queues
 		forward()
 		fetchAdd()
+		lookup()
 	}
 
 	const runs = 200
@@ -83,6 +114,16 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 	if v, err := tb.ReadRemoteCounter(ch, 64); err != nil || v != 3*(64+runs+1) {
 		t.Fatalf("remote counter = %d (%v), want %d", v, err, 3*(64+runs+1))
+	}
+	received, passes := dst.Received, lt.Stats.RecircPasses
+	if allocs := testing.AllocsPerRun(runs, lookup); allocs != 0 {
+		t.Errorf("a recirculate-mode lookup host → switch ⟲ → host allocates %.2f times, want 0", allocs)
+	}
+	if got := dst.Received - received; got != runs+1 {
+		t.Fatalf("%d looked-up frames delivered in %d runs", got, runs+1)
+	}
+	if p := lt.Stats.RecircPasses - passes; p <= 2*(runs+1) {
+		t.Fatalf("%d recirculation passes in %d lookups, want more than two each", p, runs+1)
 	}
 	if tb.ServerCPUOps() != 0 {
 		t.Fatalf("memory server CPU handled %d packets", tb.ServerCPUOps())

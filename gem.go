@@ -188,8 +188,8 @@ var (
 const (
 	// LookupDeposit bounces the packet through the remote entry (§4).
 	LookupDeposit = core.LookupDeposit
-	// LookupRecirculate parks the packet on the recirculation path and
-	// fetches only the action (§7 alternative).
+	// LookupRecirculate recirculates the packet locally and fetches only
+	// the action (§7 alternative).
 	LookupRecirculate = core.LookupRecirculate
 )
 

@@ -258,15 +258,25 @@ type ResponseHandler interface {
 }
 
 // Dispatcher routes RoCE response packets arriving at the switch to the
-// primitive owning the destination QPN. Application pipelines call Dispatch
+// primitive owning the destination QPN, and recirculated frames to the
+// primitive that recirculated them. Application pipelines call Dispatch
 // first and fall through to their own logic when it returns false.
 type Dispatcher struct {
 	handlers map[uint32]ResponseHandler
 	// ordered holds every distinct handler in first-registration order, so
 	// introspection (gem.Stats) walks a deterministic list, never map order.
 	ordered []ResponseHandler
-	// Unclaimed counts RoCE responses with no registered handler.
+	// Unclaimed counts responses and recirculated frames no handler owns.
 	Unclaimed int64
+}
+
+// recircOwnerShift splits recirculation metadata: the bits above it are the
+// QPN the owning handler is registered for, the bits below are its own.
+const recircOwnerShift = 32
+
+// recirculator is a handler that takes back the frames it recirculates.
+type recirculator interface {
+	recirculated(ctx *switchsim.Context, meta int)
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -299,9 +309,18 @@ func (d *Dispatcher) Register(ch *Channel, h ResponseHandler) {
 // order (a handler registered for several channels appears once).
 func (d *Dispatcher) Handlers() []ResponseHandler { return d.ordered }
 
-// Dispatch consumes pkt if it is a RoCE response owned by a registered
-// handler. It returns true when the packet was consumed.
+// Dispatch consumes recirculated frames and RoCE responses, handing each to
+// its owner. It returns true when the packet was consumed.
 func (d *Dispatcher) Dispatch(ctx *switchsim.Context) bool {
+	if ctx.InPort == switchsim.RecirculationPort {
+		if r, ok := d.handlers[uint32(ctx.RecircMeta>>recircOwnerShift)].(recirculator); ok {
+			r.recirculated(ctx, ctx.RecircMeta&(1<<recircOwnerShift-1))
+			return true
+		}
+		d.Unclaimed++
+		ctx.Drop()
+		return true
+	}
 	pkt := ctx.Pkt
 	if pkt == nil || !pkt.IsRoCE {
 		return false

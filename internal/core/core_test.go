@@ -154,18 +154,30 @@ type handlerFunc func(*switchsim.Context, *wire.Packet)
 
 func (f handlerFunc) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) { f(ctx, pkt) }
 
+// TestDispatcherUnclaimed: a response and a recirculated frame that no
+// handler owns are each counted Unclaimed and dropped, the recirculated
+// frame's buffer recycled exactly once.
 func TestDispatcherUnclaimed(t *testing.T) {
 	b := newBed(t, 1, switchsim.Config{}, rnic.Config{})
 	ch := b.establish(t, 4096, rnic.PSNTolerant, false)
 	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
 		if !b.disp.Dispatch(ctx) {
-			ctx.Drop()
+			// A data frame recirculates under an owner QPN no channel has.
+			ctx.Recirculate(ctx.Frame, 0xABCDE<<recircOwnerShift|7)
 		}
 	})
+	before := wire.DefaultPool.Stats().Balance()
 	ch.FetchAdd(0, 1) // no handler registered for ch
+	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[0], 128, 1))
 	b.net.Engine.Run()
-	if b.disp.Unclaimed != 1 {
-		t.Fatalf("unclaimed = %d, want 1", b.disp.Unclaimed)
+	if b.disp.Unclaimed != 2 || b.sw.Stats.Recirculated != 1 {
+		t.Fatalf("unclaimed = %d after %d recirculations, want 2 and 1", b.disp.Unclaimed, b.sw.Stats.Recirculated)
+	}
+	if b.hosts[0].Received != 0 {
+		t.Fatal("unclaimed recirculated frame was delivered")
+	}
+	if bal := wire.DefaultPool.Stats().Balance(); bal != before {
+		t.Fatalf("unclaimed frames not recycled exactly once: balance drifted %+d", bal-before)
 	}
 }
 

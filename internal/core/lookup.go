@@ -48,6 +48,8 @@ const (
 	// LookupRecirculate is the §7 alternative: READ only the action and
 	// recirculate the original packet locally until the entry arrives,
 	// saving the deposit bandwidth at the cost of recirculation passes.
+	// Dispatcher.Dispatch hands the packet back to the table on each pass,
+	// so the pipeline must call it before Lookup.
 	LookupRecirculate
 )
 
@@ -81,6 +83,13 @@ func (c *LookupConfig) fillDefaults() {
 		c.MaxRecircPasses = 8
 	}
 }
+
+// The recirculation variant bridges a packet's table index and pass count
+// in its metadata's low recircOwnerShift bits, the index above the count.
+const (
+	recircPassBits = 8
+	recircIdxBits  = recircOwnerShift - recircPassBits
+)
 
 // missTimeout declares an unanswered remote lookup lost, releasing its
 // credit.
@@ -148,7 +157,7 @@ type LookupTable struct {
 	SlowPath func(key wire.FlowKey) (LookupAction, bool)
 
 	// pendingActions holds actions fetched by the recirculation variant,
-	// keyed by table index, until the parked packet comes around again.
+	// keyed by table index, until its packet comes around again.
 	pendingActions map[int]LookupAction
 
 	Stats LookupStats
@@ -167,6 +176,11 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 	cfg.fillDefaults()
 	if cfg.Entries <= 0 {
 		return nil, fmt.Errorf("core: lookup table needs a positive entry count")
+	}
+	if cfg.Mode == LookupRecirculate && (cfg.Entries > 1<<recircIdxBits || cfg.MaxRecircPasses >= 1<<recircPassBits) {
+		// A value that overflows its metadata field would alias another.
+		return nil, fmt.Errorf("core: recirculation metadata holds at most %d entries and %d passes",
+			1<<recircIdxBits, 1<<recircPassBits-1)
 	}
 	t := &LookupTable{cfg: cfg, pendingActions: make(map[int]LookupAction)}
 	var credit *verbs.CreditConfig
@@ -225,6 +239,10 @@ func (t *LookupTable) Lookup(ctx *switchsim.Context, frame []byte, pkt *wire.Pac
 // full, PriorityLow misses are shed and PriorityHigh misses fall back to
 // the CPU slow path (or drop), so remote lookup load is bounded.
 func (t *LookupTable) LookupPrio(ctx *switchsim.Context, frame []byte, pkt *wire.Packet, prio switchsim.Priority) {
+	if ctx.InPort == switchsim.RecirculationPort {
+		// A fresh lookup would restart the packet's pass count, forever.
+		panic("core: a recirculated frame reached Lookup: call Dispatcher.Dispatch first")
+	}
 	key := wire.FlowOf(pkt)
 	if t.cache != nil {
 		if action, ok := t.cache.Lookup(key); ok {
@@ -330,7 +348,7 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 }
 
 // recircFetch implements the §7 alternative: fetch only the 8-byte action
-// and park the packet on the recirculation path meanwhile.
+// and recirculate the packet meanwhile.
 func (t *LookupTable) recircFetch(ctx *switchsim.Context, frame []byte, idx, pass int) {
 	if action, ok := t.pendingActions[idx]; ok {
 		delete(t.pendingActions, idx)
@@ -346,31 +364,19 @@ func (t *LookupTable) recircFetch(ctx *switchsim.Context, frame []byte, idx, pas
 	if !t.striped.TokenPending(uint64(idx)) {
 		// CreditAdmit: consume the admission reservation (or take a fresh
 		// credit on a re-issue after a reap); a refusal skips the fetch and
-		// the parked packet simply comes around again.
+		// the recirculating packet simply comes around again.
 		//gem:post-ok refusal skips the fetch; the recirculating packet retries it
 		t.striped.PostRead(uint64(idx), 8, 1, verbs.CreditAdmit)
 	}
 	t.Stats.RecircPasses++
-	t.sw.Stats.Recirculated++
-	// The frame is parked for the continuation below: the switch must not
-	// recycle it when this pass ends.
-	ctx.Retain()
-	t.sw.Engine.Schedule(switchsim.RecirculationLatency, func() {
-		// The packet re-enters the pipeline and reaches this primitive
-		// again; modelled as a direct continuation with the pass count a
-		// real program would carry in recirculation metadata.
-		c := t.sw.NewContext(switchsim.RecirculationPort, frame)
-		t.recircFetchRecirced(c, frame, idx, pass+1)
-		// If the continuation neither emitted nor re-parked the frame
-		// (drop action, expiry), recycle it here.
-		c.Finish()
-	})
+	// The packet re-enters the pipeline, where the Dispatcher hands it back
+	// to recirculated with (idx, pass+1) bridged under the owner's QPN.
+	ctx.Recirculate(frame, int(t.chans[0].ID)<<recircOwnerShift|idx<<recircPassBits|(pass+1))
 }
 
-// recircFetchRecirced is the recirculated continuation; split out so tests
-// can count passes distinctly.
-func (t *LookupTable) recircFetchRecirced(ctx *switchsim.Context, frame []byte, idx, pass int) {
-	t.recircFetch(ctx, frame, idx, pass)
+// recirculated runs the next pass of a packet recircFetch recirculated.
+func (t *LookupTable) recirculated(ctx *switchsim.Context, meta int) {
+	t.recircFetch(ctx, ctx.Frame, meta>>recircPassBits, meta&(1<<recircPassBits-1))
 }
 
 // HandleResponse consumes READ responses from the remote table.

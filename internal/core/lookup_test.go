@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"gem/internal/netsim"
@@ -215,8 +216,9 @@ func TestLookupRecirculateMode(t *testing.T) {
 }
 
 func TestLookupRecirculateExpires(t *testing.T) {
-	// Unreachable memory server (pipeline drops responses): packet must
-	// expire after MaxRecircPasses, not loop forever.
+	// Unreachable memory server (pipeline drops responses before Dispatch,
+	// which then only hands recirculated frames back to the table): packet
+	// must expire after MaxRecircPasses, not loop forever.
 	b := newBed(t, 2, switchsim.Config{}, rnic.Config{})
 	cfg := LookupConfig{Entries: 16, Mode: LookupRecirculate, MaxRecircPasses: 3}
 	cfg.fillDefaults()
@@ -226,18 +228,25 @@ func TestLookupRecirculateExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt.DefaultOutPort = 1
-	// No dispatcher: responses vanish.
+	b.disp.Register(ch, lt)
 	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
-		if ctx.Pkt != nil && ctx.Pkt.HasIPv4 && !ctx.Pkt.IsRoCE {
+		if ctx.Pkt != nil && ctx.Pkt.IsRoCE {
+			ctx.Drop() // responses vanish
+			return
+		}
+		if b.disp.Dispatch(ctx) {
+			return
+		}
+		if ctx.Pkt != nil && ctx.Pkt.HasIPv4 {
 			lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
 			return
 		}
 		ctx.Drop()
 	})
-	// The parked frame is Retained across recirculation passes and must be
-	// Finished (returned to the pool) exactly once when the packet expires:
-	// the checked-out balance must come back to its pre-send level. A leak
-	// shows as +1, a double release as -1.
+	// The frame recirculates pass after pass and must be returned to the
+	// pool exactly once when the packet expires: the checked-out balance
+	// must come back to its pre-send level. A leak shows as +1, a double
+	// release as -1.
 	before := wire.DefaultPool.Stats().Balance()
 	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 128, 9))
 	b.net.Engine.Run()
@@ -263,6 +272,81 @@ func TestLookupConfigValidation(t *testing.T) {
 	}
 	if _, err := NewLookupTable(ch, LookupConfig{Entries: 1000}); err == nil {
 		t.Fatal("table larger than region accepted")
+	}
+	// Recirculation metadata bridges the table index and the pass count in
+	// fixed fields; a value that overflows its field would alias another.
+	for _, cfg := range []LookupConfig{
+		{Entries: 1<<recircIdxBits + 1, Mode: LookupRecirculate},
+		{Entries: 4, Mode: LookupRecirculate, MaxRecircPasses: 1 << recircPassBits},
+	} {
+		_, err := NewLookupTable(ch, cfg)
+		if err == nil || !strings.Contains(err.Error(), "recirculation metadata") {
+			t.Fatalf("%d entries, %d passes: err = %v, want the metadata bound", cfg.Entries, cfg.MaxRecircPasses, err)
+		}
+	}
+	if _, err := NewLookupTable(ch, LookupConfig{Entries: 4, MaxPktBytes: 16, Mode: LookupRecirculate, MaxRecircPasses: 1<<recircPassBits - 1}); err != nil {
+		t.Fatalf("largest pass bound refused: %v", err)
+	}
+}
+
+// TestLookupRecirculatedFramesBypassPipeline: every recirculation pass goes
+// back through the switch pipeline, but the Dispatcher hands it to the table
+// before the application's own logic runs, so per-packet work there (here a
+// counter bump, as a state-store update would be) happens once per packet.
+func TestLookupRecirculatedFramesBypassPipeline(t *testing.T) {
+	b, lt := lookupBed(t, LookupConfig{Entries: 16, Mode: LookupRecirculate, MaxRecircPasses: 20})
+	populateAll(t, b, lt, SetDSCPAction(30))
+	counted := 0
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		if b.disp.Dispatch(ctx) {
+			return
+		}
+		counted++
+		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
+	})
+	got := recvDSCP(b, 1)
+	const n = 5
+	before := wire.DefaultPool.Stats().Balance()
+	for i := 0; i < n; i++ {
+		b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 200, uint16(100+i)))
+		b.net.Engine.Run()
+	}
+	if counted != n || len(*got) != n {
+		t.Fatalf("application pipeline ran %d times and %d packets arrived, want %d each", counted, len(*got), n)
+	}
+	if lt.Stats.RecircPasses <= n {
+		t.Fatalf("%d recirculation passes for %d packets, want more than one each", lt.Stats.RecircPasses, n)
+	}
+	if b.sw.Stats.Recirculated != lt.Stats.RecircPasses {
+		t.Fatalf("switch recirculated %d frames, table counted %d passes", b.sw.Stats.Recirculated, lt.Stats.RecircPasses)
+	}
+	if bal := wire.DefaultPool.Stats().Balance(); bal != before {
+		t.Fatalf("frame pool balance drifted %+d", bal-before)
+	}
+}
+
+// TestLookupWithoutDispatchPanics: a pipeline that hands a recirculated frame
+// to Lookup instead of Dispatch would restart the packet's pass count on
+// every pass and never expire it, so Lookup refuses loudly.
+func TestLookupWithoutDispatchPanics(t *testing.T) {
+	b, lt := lookupBed(t, LookupConfig{Entries: 16, Mode: LookupRecirculate})
+	var panicked any
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		if ctx.Pkt.IsRoCE {
+			ctx.Drop()
+			return
+		}
+		defer func() {
+			if panicked = recover(); panicked != nil {
+				ctx.Drop()
+			}
+		}()
+		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
+	})
+	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 128, 3))
+	b.net.Engine.Run()
+	if panicked == nil {
+		t.Fatal("Lookup took a recirculated frame without panicking")
 	}
 }
 

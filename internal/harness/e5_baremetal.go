@@ -89,16 +89,17 @@ func e5Baseline(cfg E5Config) (slowFrac, p50, p99 float64, cpuOps int64) {
 			ctx.Emit(1, ctx.Frame)
 			return
 		}
-		// Miss: bounce via the CPU software switch, then install. The
-		// frame is parked across the detour, so declare the retention —
-		// Inject hands ownership back to the fabric when the CPU is done.
+		// Miss: punt a copy to the CPU software switch and drop the
+		// original, as emitting to a CPU port does. The CPU installs the
+		// mapping and injects the copy back into the fabric.
 		slow++
 		cpuOps++
-		frame := ctx.Frame
-		ctx.Retain()
+		punt := wire.DefaultPool.Get(len(ctx.Frame))
+		copy(punt, ctx.Frame)
+		ctx.Drop()
 		tb.Engine.Schedule(cfg.SlowPathLatency, func() {
 			cache.Put(key, wire.IP4{})
-			tb.Switch.Inject(1, frame)
+			tb.Switch.Inject(1, punt)
 		})
 	})
 	p50, p99 = e5Drive(tb, cfg)

@@ -211,10 +211,14 @@ func (s *Switch) Receive(port *netsim.Port, frame []byte) {
 	s.Engine.ScheduleCall(pipelineLatency, switchIngress, s, frame, in)
 }
 
-// switchIngress is the event body of a pipeline pass: arg is the ingress
-// port (RecirculationPort for a recirculated frame).
+// switchIngress is the event body of a pipeline pass: arg is the ingress port.
 func switchIngress(recv any, frame []byte, inPort int) {
-	recv.(*Switch).runPipeline(inPort, frame)
+	recv.(*Switch).runPipeline(inPort, frame, 0)
+}
+
+// switchRecirculated is the event body of a recirculation pass: arg is meta.
+func switchRecirculated(recv any, frame []byte, meta int) {
+	recv.(*Switch).runPipeline(RecirculationPort, frame, meta)
 }
 
 // handlePFC pauses or resumes transmission on port per the class-0 quanta.
@@ -239,16 +243,22 @@ func (s *Switch) handlePFC(port int, pfc *wire.PFC) {
 	bitTime := 1e9 / s.ports[port].RateBps()
 	d := sim.Duration(float64(quanta) * wire.PFCQuantum * bitTime)
 	q.pausedUntil = s.Engine.Now().Add(d)
-	//gem:alloc-ok one timer per pause frame, not per packet
-	q.resumeEvent = s.Engine.Schedule(d, func() {
-		q.resumeEvent = nil
-		if !q.busy {
-			s.transmitNext(port)
-		}
-	})
+	q.resumeEvent = s.Engine.ScheduleCall(d, switchResumed, s, nil, port)
 }
 
-func (s *Switch) runPipeline(inPort int, frame []byte) {
+// switchResumed is the event body of a pause expiring on port.
+func switchResumed(recv any, _ []byte, port int) {
+	s := recv.(*Switch)
+	q := s.queues[port]
+	q.resumeEvent = nil
+	if !q.busy {
+		s.transmitNext(port)
+	}
+}
+
+// runPipeline runs one pass of frame with the given InPort and RecircMeta, and
+// recycles the frame unless the pass emitted or recirculated it.
+func (s *Switch) runPipeline(inPort int, frame []byte, meta int) {
 	if s.Pipeline == nil {
 		s.Stats.NoRoute++
 		wire.DefaultPool.Put(frame) // no pipeline: the switch is the terminal consumer
@@ -262,7 +272,7 @@ func (s *Switch) runPipeline(inPort int, frame []byte) {
 	}
 	s.inPass = true
 	ctx := &s.ctx
-	*ctx = Context{sw: s, InPort: inPort, Frame: frame}
+	*ctx = Context{sw: s, InPort: inPort, RecircMeta: meta, Frame: frame}
 	if err := s.pkt.DecodeFromBytes(frame); err != nil {
 		s.Stats.ParseErrors++
 		ctx.ParseErr = err
@@ -272,14 +282,14 @@ func (s *Switch) runPipeline(inPort int, frame []byte) {
 	}
 	s.Pipeline.Ingress(ctx)
 	s.inPass = false
-	if ctx.frameSent || ctx.retained {
+	if ctx.frameSent {
 		return
 	}
 	if !ctx.dropped && !ctx.emitted {
 		s.Stats.NoRoute++
 	}
-	// Nothing was enqueued or parked — conscious drop or no route — so the
-	// switch is the frame's terminal consumer. Pipelines that keep payload
+	// Nothing was enqueued or recirculated — conscious drop or no route — so
+	// the switch is the frame's terminal consumer. Pipelines that keep payload
 	// bytes copy them first (see the Drop contract).
 	wire.DefaultPool.Put(frame)
 }
@@ -420,11 +430,13 @@ func ClassifyDSCP(pkt *wire.Packet) Priority {
 //
 // The Context a Receive or recirculation pass hands to Ingress is the
 // switch's own and is rewritten by the next pass: a pipeline must not keep
-// the pointer past Ingress. To hold a packet across passes, Retain parks the
-// frame (not the context) and the continuation builds a fresh NewContext.
+// the pointer past Ingress. A pass emits, recirculates or drops its frame;
+// state a packet carries to its next pass rides in RecircMeta.
 type Context struct {
 	sw     *Switch
 	InPort int
+	// RecircMeta is what the previous pass bridged to Recirculate, else 0.
+	RecircMeta int
 	// Pkt is the parsed view (nil if parsing failed; see ParseErr).
 	Pkt      *wire.Packet
 	ParseErr error
@@ -437,7 +449,6 @@ type Context struct {
 
 	emitted   bool
 	dropped   bool
-	retained  bool
 	frameSent bool // the ingress Frame buffer itself was handed to the TM
 }
 
@@ -445,13 +456,6 @@ type Context struct {
 // first-byte address, which re-slicing from the front preserves).
 func sameBuffer(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
-// NewContext builds a pipeline context bound to the switch for frames the
-// data plane synthesizes outside a Receive pass (e.g. recirculation
-// continuations). Pkt is left nil; callers parse if they need headers.
-func (s *Switch) NewContext(inPort int, frame []byte) *Context {
-	return &Context{sw: s, InPort: inPort, Frame: frame}
 }
 
 // Switch returns the switch processing the packet.
@@ -480,7 +484,7 @@ func (c *Context) Emit(port int, frame []byte) bool {
 func (c *Context) Drop() { c.dropped = true }
 
 // DropFrame consciously drops a specific frame the caller owns. The ingress
-// Frame is left to the pass (runPipeline/Finish recycles it as usual); any
+// Frame is left to the pass (runPipeline recycles it as usual); any
 // other buffer — a bounced original, a rewritten copy — is recycled here,
 // since the pass only accounts for the ingress buffer.
 //
@@ -492,34 +496,17 @@ func (c *Context) DropFrame(frame []byte) {
 	}
 }
 
-// Retain marks the frame as parked beyond this pipeline pass — e.g. held
-// for a scheduled recirculation continuation — so the switch does not
-// recycle it when the pass ends. Ownership transfers to the retainer,
-// which must eventually Emit the frame, hand it to another owner, or
-// return it to wire.DefaultPool itself.
-func (c *Context) Retain() { c.retained = true }
-
-// Finish completes a context synthesized with NewContext outside a Receive
-// pass: unless the Frame buffer itself was emitted/recirculated or retained,
-// the caller stands in for the switch as the frame's terminal consumer and
-// the buffer is recycled. Emitting a *different* buffer (a rewritten copy, a
-// bounced original) does not consume the ingress frame. runPipeline does the
-// equivalent for Receive passes.
-func (c *Context) Finish() {
-	if !c.frameSent && !c.retained {
-		wire.DefaultPool.Put(c.Frame)
-	}
-}
-
 // Recirculate re-injects frame into the ingress pipeline after the
-// recirculation latency, as Tofino's loopback port does.
-func (c *Context) Recirculate(frame []byte) {
+// recirculation latency, as Tofino's loopback port does. The next pass sees
+// meta as RecircMeta: the bridged metadata a P4 program carries across a
+// recirculation, which costs no frame bytes since the loopback has no link.
+func (c *Context) Recirculate(frame []byte, meta int) {
 	c.emitted = true
 	if sameBuffer(frame, c.Frame) {
 		c.frameSent = true
 	}
 	c.sw.Stats.Recirculated++
-	c.sw.Engine.ScheduleCall(RecirculationLatency, switchIngress, c.sw, frame, RecirculationPort)
+	c.sw.Engine.ScheduleCall(RecirculationLatency, switchRecirculated, c.sw, frame, meta)
 }
 
 // QueueBytes reads the egress queue depth of port — the trigger signal for

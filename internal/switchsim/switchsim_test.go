@@ -203,32 +203,66 @@ type hooksFunc struct {
 func (h hooksFunc) PacketEnqueued(p, q int) { h.onEnq(p, q) }
 func (h hooksFunc) PacketDeparted(p, q int) { h.onDep(p, q) }
 
+// TestRecirculation: a recirculated frame takes a second pass that arrives on
+// RecirculationPort and sees the metadata its first pass bridged, while
+// plain frames run their passes in between. Every pass, plain or
+// recirculated, borrows the switch's one Context, and every frame is
+// delivered exactly once.
 func TestRecirculation(t *testing.T) {
-	n := netsim.New(1)
-	sw := New("tor", n.Engine, Config{})
-	h := netsim.NewHost("h", 1)
-	sp, _ := n.Connect(sw, h, netsim.Link40G())
-	sw.Bind(sp)
-	passes := 0
+	n, sw, hosts := testbed(t, 3, Config{})
+	const recirculated = 4
+	passCtx := map[*Context]bool{}
+	passes, outstanding, between := 0, 0, 0
 	sw.Pipeline = PipelineFunc(func(ctx *Context) {
 		passes++
+		passCtx[ctx] = true
+		meta := 1<<40 | len(ctx.Frame) // wider than 32 bits, distinct per frame
 		if ctx.InPort == RecirculationPort {
-			ctx.Emit(0, ctx.Frame)
+			if ctx.RecircMeta != meta {
+				t.Errorf("recirculated pass sees RecircMeta %#x, want %#x", ctx.RecircMeta, meta)
+			}
+			outstanding--
+			ctx.Emit(2, ctx.Frame)
 			return
 		}
-		ctx.Recirculate(ctx.Frame)
+		if ctx.RecircMeta != 0 {
+			t.Errorf("pass from port %d sees RecircMeta %#x, want 0", ctx.InPort, ctx.RecircMeta)
+		}
+		if ctx.Pkt.Eth.Dst == hosts[2].MAC {
+			outstanding++
+			ctx.Recirculate(ctx.Frame, meta)
+			return
+		}
+		if outstanding > 0 {
+			between++
+		}
+		ctx.Emit(1, ctx.Frame)
 	})
-	h2 := netsim.NewHost("src", 2)
-	sw.Receive(sp, frameBetween(h2, h, 100))
+	// A plain frame arrives 500 ns after each recirculated one, so its pass
+	// falls between the other's two (pipeline 450 ns, loopback 700 ns).
+	before := wire.DefaultPool.Stats().Balance()
+	for i := 0; i < recirculated; i++ {
+		at := sim.Duration(i) * 2 * sim.Microsecond
+		n.Engine.Schedule(at, func() { sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[2], 100+i)) })
+		n.Engine.Schedule(at+500*sim.Nanosecond, func() { sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[1], 64)) })
+	}
 	n.Engine.Run()
-	if passes != 2 {
-		t.Fatalf("pipeline passes = %d, want 2", passes)
+	if passes != 3*recirculated || between != recirculated {
+		t.Fatalf("%d pipeline passes, %d of them between a frame's two passes; want %d and %d",
+			passes, between, 3*recirculated, recirculated)
 	}
-	if sw.Stats.Recirculated != 1 {
-		t.Fatalf("recirculated = %d", sw.Stats.Recirculated)
+	if sw.Stats.Recirculated != recirculated {
+		t.Fatalf("recirculated = %d, want %d", sw.Stats.Recirculated, recirculated)
 	}
-	if h.Received != 1 {
-		t.Fatal("recirculated frame not delivered")
+	if len(passCtx) != 1 {
+		t.Fatalf("passes used %d distinct Contexts, want the one the switch owns", len(passCtx))
+	}
+	if hosts[2].Received != recirculated || hosts[1].Received != recirculated {
+		t.Fatalf("delivered %d recirculated and %d plain frames, want %d each",
+			hosts[2].Received, hosts[1].Received, recirculated)
+	}
+	if got := wire.DefaultPool.Stats().Balance(); got != before {
+		t.Fatalf("frame pool balance drifted %+d", got-before)
 	}
 }
 
@@ -578,7 +612,7 @@ func TestRunPipelineReentryPanics(t *testing.T) {
 	var panicked any
 	sw.Pipeline = PipelineFunc(func(ctx *Context) {
 		defer func() { panicked = recover() }()
-		sw.runPipeline(ctx.InPort, inner)
+		sw.runPipeline(ctx.InPort, inner, 0)
 	})
 	sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[1], 64))
 	n.Engine.Run()
@@ -586,42 +620,4 @@ func TestRunPipelineReentryPanics(t *testing.T) {
 		t.Fatal("runPipeline re-entered during a pass without panicking")
 	}
 	wire.DefaultPool.Put(inner) // the refused pass never took ownership
-}
-
-// TestRetainThenNewContextWithSharedContext: the continuation pattern of
-// core/lookup.go — Retain the frame, let other packets use the switch's
-// shared Context meanwhile, finish later on a NewContext — still delivers
-// every frame exactly once. Retain parks the frame, not the Context.
-func TestRetainThenNewContextWithSharedContext(t *testing.T) {
-	n, sw, hosts := testbed(t, 3, Config{})
-	const parked = 4
-	passCtx := map[*Context]bool{}
-	sw.Pipeline = PipelineFunc(func(ctx *Context) {
-		passCtx[ctx] = true
-		if ctx.Pkt.Eth.Dst != hosts[2].MAC {
-			ctx.Emit(1, ctx.Frame) // ordinary traffic between the parked passes
-			return
-		}
-		frame := ctx.Frame
-		ctx.Retain()
-		sw.Engine.Schedule(5*sim.Microsecond, func() {
-			c := sw.NewContext(RecirculationPort, frame)
-			if passCtx[c] {
-				t.Error("NewContext handed out the switch's shared pass Context")
-			}
-			c.Emit(2, frame)
-			c.Finish()
-		})
-	})
-	for i := 0; i < parked; i++ {
-		sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[2], 100+i))
-		sw.Receive(sw.Port(0), frameBetween(hosts[0], hosts[1], 64))
-	}
-	n.Engine.Run()
-	if len(passCtx) != 1 {
-		t.Fatalf("passes used %d distinct Contexts, want the one the switch owns", len(passCtx))
-	}
-	if hosts[2].Received != parked || hosts[1].Received != parked {
-		t.Fatalf("delivered %d parked and %d plain frames, want %d each", hosts[2].Received, hosts[1].Received, parked)
-	}
 }
