@@ -1,37 +1,23 @@
 // Command gemlint runs the gem static-analysis suite: the frameown,
-// nodeterminism, hotalloc, creditbal, psnsafe, and postcheck passes that
-// enforce the frame-ownership, determinism, and verbs-transport contracts
-// described in DESIGN.md.
+// psnsafe, postcheck, hotalloc, and nodeterminism passes that enforce the
+// frame-ownership, verbs-transport, allocation and determinism contracts
+// described in DESIGN.md §6. Each pass catches seeded bugs no test does
+// (the mutation table in DESIGN.md §6.1).
 //
-// Standalone:
+// Run it from anywhere in the module:
 //
 //	go run ./cmd/gemlint ./...
-//	go run ./cmd/gemlint -json ./...                            # machine output
-//	go run ./cmd/gemlint -baseline gemlint.baseline.json ./...  # fail on NEW findings only
 //
-// The baseline file is the -json output of a previous run, checked in at the
-// repo root: CI runs with -baseline so known, triaged findings don't fail
-// the build but any new finding does. Matching ignores line numbers (file,
-// pass, message), so unrelated edits that shift lines don't churn it.
-//
-// As a vet tool (the unitchecker protocol: cmd/go invokes the tool once per
-// package with a JSON config file):
-//
-//	go build -o /tmp/gemlint ./cmd/gemlint
-//	go vet -vettool=/tmp/gemlint ./...
-//
-// Each pass is scoped to the packages whose contract it enforces; see
-// analyzersFor. Diagnostics are printed as file:line:col: message [pass],
-// and the exit status is nonzero when any are found.
+// It loads the named packages from source, so the //gem:owns annotations of
+// every loaded package feed one registry (a pass analyzing core knows that
+// netsim.Port.Send owns its frame). Each pass is scoped to the packages
+// whose contract it enforces; see analyzersFor. Findings print as
+// file:line:col: message [pass], and the exit status is 1 when there is
+// any: there is no baseline, so every finding fails CI.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"io"
 	"os"
@@ -40,7 +26,6 @@ import (
 	"strings"
 
 	"gem/internal/analysis"
-	"gem/internal/analysis/creditbal"
 	"gem/internal/analysis/frameown"
 	"gem/internal/analysis/hotalloc"
 	"gem/internal/analysis/nodeterminism"
@@ -73,16 +58,17 @@ var hotallocScope = []string{
 }
 
 // verbsScope are the packages that drive the verbs transport: everything
-// that reserves credits, posts work, or compares PSNs. The credit-balance,
-// post-result, and PSN-safety contracts apply here.
+// that reserves credits, posts work, or compares PSNs. The post-result and
+// PSN-safety contracts apply here.
 var verbsScope = []string{
 	"gem/internal/core", "gem/internal/rnic",
 }
 
-// selfScope is the analysis tooling itself. The path-sensitive passes run
-// over it as a crash-regression smoke check: the CFG builder must digest
-// every control-flow shape in its own codebase (they are expected to stay
-// silent — the tooling neither pools frames nor posts verbs).
+// selfScope is the analysis tooling itself. frameown and the verbs passes
+// run over it as a crash-regression smoke check: frameown's CFG builder
+// must digest every control-flow shape in its own codebase (they are
+// expected to stay silent — the tooling neither pools frames nor posts
+// verbs).
 var selfScope = []string{
 	"gem/internal/analysis", "gem/cmd/gemlint",
 }
@@ -105,10 +91,6 @@ func inScope(pkgPath string, prefixes []string) bool {
 
 // analyzersFor returns the passes that apply to pkgPath.
 func analyzersFor(pkgPath string) []*analysis.Analyzer {
-	// go vet names test variants "pkg [pkg.test]"; scope by the base path.
-	if i := strings.Index(pkgPath, " ["); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
 	var as []*analysis.Analyzer
 	if pkgPath == rootPackage || inScope(pkgPath, frameownScope) || inScope(pkgPath, selfScope) {
 		as = append(as, frameown.Analyzer)
@@ -121,160 +103,24 @@ func analyzersFor(pkgPath string) []*analysis.Analyzer {
 		as = append(as, hotalloc.Analyzer)
 	}
 	if pkgPath == rootPackage || inScope(pkgPath, verbsScope) || inScope(pkgPath, selfScope) {
-		as = append(as, creditbal.Analyzer, psnsafe.Analyzer, postcheck.Analyzer)
+		as = append(as, psnsafe.Analyzer, postcheck.Analyzer)
 	}
 	return as
 }
 
 func main() {
-	args := os.Args[1:]
-
-	// Tool-ID and flag handshakes used by cmd/go when running as a vettool.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "-V":
-			fmt.Println("gemlint version gemlint-0.2")
-			return
-		case a == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetTool(args[0]))
-	}
-
-	fs := flag.NewFlagSet("gemlint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	baselinePath := fs.String("baseline", "", "JSON baseline `file` of known findings; exit nonzero only on findings not in it")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gemlint [-json] [-baseline file] <packages>  (e.g. gemlint ./...)")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		fs.Usage()
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "usage: gemlint <packages>  (e.g. gemlint ./...)")
 		os.Exit(2)
 	}
-	os.Exit(runStandalone(fs.Args(), *jsonOut, *baselinePath))
+	os.Exit(run(os.Args[1:]))
 }
 
-// diag pairs a diagnostic with its origin for sorted printing.
-type diag struct {
-	pos  token.Position
-	msg  string
-	pass string
-}
-
-func sortDiags(diags []diag) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
-		}
-		return a.msg < b.msg
-	})
-}
-
-func printDiags(w io.Writer, diags []diag) {
-	sortDiags(diags)
-	for _, d := range diags {
-		fmt.Fprintf(w, "%s: %s [%s]\n", d.pos, d.msg, d.pass)
-	}
-}
-
-// finding is the JSON wire form of a diagnostic; a baseline file is simply
-// the -json output of a previous run.
-type finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Pass    string `json:"pass"`
-	Message string `json:"message"`
-}
-
-// baselineKey identifies a finding for baseline matching: line and column
-// are excluded so edits elsewhere in a file don't invalidate the entry.
-func baselineKey(f finding) string {
-	return f.File + "\x00" + f.Pass + "\x00" + f.Message
-}
-
-func toFindings(diags []diag, root string) []finding {
-	sortDiags(diags)
-	out := make([]finding, 0, len(diags))
-	for _, d := range diags {
-		file := d.pos.Filename
-		if root != "" {
-			if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = filepath.ToSlash(rel)
-			}
-		}
-		out = append(out, finding{File: file, Line: d.pos.Line, Col: d.pos.Column, Pass: d.pass, Message: d.msg})
-	}
-	return out
-}
-
-// loadBaseline reads a -json output file into a multiset of finding keys:
-// N baselined copies of an identical finding tolerate exactly N occurrences.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var fs []finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	m := make(map[string]int, len(fs))
-	for _, f := range fs {
-		m[baselineKey(f)]++
-	}
-	return m, nil
-}
-
-// applyBaseline splits findings into (new, suppressed-count).
-func applyBaseline(fs []finding, baseline map[string]int) ([]finding, int) {
-	budget := make(map[string]int, len(baseline))
-	for k, n := range baseline {
-		budget[k] = n
-	}
-	var fresh []finding
-	suppressed := 0
-	for _, f := range fs {
-		k := baselineKey(f)
-		if budget[k] > 0 {
-			budget[k]--
-			suppressed++
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, suppressed
-}
-
-// runPass applies one analyzer to one loaded package.
-func runPass(a *analysis.Analyzer, pkg *analysis.Package, owns map[string]bool, diags *[]diag) error {
-	pass := &analysis.Pass{
-		Analyzer:     a,
-		Fset:         pkg.Fset,
-		Files:        pkg.Files,
-		Pkg:          pkg.Types,
-		TypesInfo:    pkg.TypesInfo,
-		OwnsRegistry: owns,
-		Report: func(d analysis.Diagnostic) {
-			*diags = append(*diags, diag{pos: pkg.Fset.Position(d.Pos), msg: d.Message, pass: a.Name})
-		},
-	}
-	return a.Run(pass)
-}
-
-// runStandalone loads the requested packages from source and applies every
-// in-scope pass, with //gem:owns annotations collected module-wide.
-func runStandalone(patterns []string, jsonOut bool, baselinePath string) int {
+// run loads the requested packages from source and applies every in-scope
+// pass, with //gem:owns annotations collected across all of them. It prints
+// each finding as file:line:col: message [pass], sorted, and returns 1 when
+// there is any, 2 when loading fails.
+func run(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gemlint:", err)
@@ -298,7 +144,18 @@ func runStandalone(patterns []string, jsonOut bool, baselinePath string) int {
 	var diags []diag
 	for _, pkg := range pkgs {
 		for _, a := range analyzersFor(pkg.PkgPath) {
-			if err := runPass(a, pkg, owns, &diags); err != nil {
+			pass := &analysis.Pass{
+				Analyzer:     a,
+				Fset:         pkg.Fset,
+				Files:        pkg.Files,
+				Pkg:          pkg.Types,
+				TypesInfo:    pkg.TypesInfo,
+				OwnsRegistry: owns,
+				Report: func(d analysis.Diagnostic) {
+					diags = append(diags, diag{pos: pkg.Fset.Position(d.Pos), msg: d.Message, pass: a.Name})
+				},
+			}
+			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(os.Stderr, "gemlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
 				return 2
 			}
@@ -309,146 +166,37 @@ func runStandalone(patterns []string, jsonOut bool, baselinePath string) int {
 	if err != nil {
 		root = cwd
 	}
-	findings := toFindings(diags, root)
-
-	if baselinePath != "" {
-		baseline, err := loadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gemlint:", err)
-			return 2
-		}
-		fresh, suppressed := applyBaseline(findings, baseline)
-		if suppressed > 0 && !jsonOut {
-			fmt.Fprintf(os.Stderr, "gemlint: %d baselined finding(s) suppressed\n", suppressed)
-		}
-		findings = fresh
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "gemlint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(os.Stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Pass)
-		}
-	}
-	if len(findings) > 0 {
+	printDiags(os.Stdout, root, diags)
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// vetConfig is the JSON the go command writes for unit checkers; field names
-// match cmd/go/internal/work.vetConfig.
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
+// diag is one finding with the pass that reported it.
+type diag struct {
+	pos  token.Position
+	msg  string
+	pass string
 }
 
-// runVetTool implements the go vet unit-checker protocol: type-check the
-// single package described by cfgPath against its dependencies' export data,
-// run the in-scope passes, and always write the (empty) facts file cmd/go
-// expects.
-func runVetTool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gemlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "gemlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte("gemlint\n"), 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "gemlint:", err)
-			}
+// printDiags writes diags sorted by file, line and message, one per line as
+// file:line:col: message [pass], with files under root shown relative to it.
+func printDiags(w io.Writer, root string, diags []diag) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].pos, diags[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-	}
-	if cfg.VetxOnly {
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx()
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "gemlint:", err)
-			return 2
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
+		return diags[i].msg < diags[j].msg
 	})
-	info := analysis.NewTypesInfo()
-	tpkg, err := analysis.CheckTypes(cfg.ImportPath, fset, files, info, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "gemlint: %v\n", err)
-		return 2
-	}
-
-	pkg := &analysis.Package{
-		PkgPath: cfg.ImportPath, Dir: cfg.Dir,
-		Fset: fset, Files: files, Types: tpkg, TypesInfo: info,
-	}
-	// Unit-checker mode sees one package at a time, so cross-package
-	// ownership knowledge comes from the builtin fabric table plus this
-	// package's own annotations (MergeOwns inside each pass).
-	var diags []diag
-	for _, a := range analyzersFor(cfg.ImportPath) {
-		if err := runPass(a, pkg, nil, &diags); err != nil {
-			fmt.Fprintf(os.Stderr, "gemlint: %s on %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 2
-		}
-	}
-	// The passes enforce contracts on non-test code only; test-variant
-	// compilation units include _test.go files, which are exempt.
-	kept := diags[:0]
 	for _, d := range diags {
-		if !strings.HasSuffix(d.pos.Filename, "_test.go") {
-			kept = append(kept, d)
+		if rel, err := filepath.Rel(root, d.pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.pos.Filename = filepath.ToSlash(rel)
 		}
+		fmt.Fprintf(w, "%s: %s [%s]\n", d.pos, d.msg, d.pass)
 	}
-	diags = kept
-	writeVetx()
-	if len(diags) > 0 {
-		printDiags(os.Stderr, diags)
-		return 2
-	}
-	return 0
 }

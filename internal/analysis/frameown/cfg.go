@@ -1,28 +1,23 @@
-// Package cfg builds intra-procedural control-flow graphs over Go function
-// bodies and drives forward dataflow analyses to fixpoint over them. It is
-// the path-sensitive core beneath the gemlint passes: the frameown leak
-// tracker and the creditbal credit-balance checker both express their
-// contract as a transfer function over basic blocks and let this package
-// handle branching, loops, labeled break/continue, goto, switch
-// fallthrough, and select arms — the shapes the earlier linear AST scans
-// approximated or missed.
-//
-// The graph decomposes structured statements into blocks; a block's Nodes
-// are the straight-line work executed when control reaches it, in order:
+package frameown
+
+// The intra-procedural control-flow graph the ownership analysis runs on,
+// and the forward dataflow fixpoint over it. The graph decomposes
+// structured statements into blocks; a block's Nodes are the straight-line
+// work executed when control reaches it, in order:
 //
 //   - simple statements (assign, expr, decl, defer, go, send, inc/dec,
 //     return) appear as themselves;
 //   - branch conditions, switch tags, and case expressions appear as bare
-//     ast.Expr nodes (analyses treat them as reads);
-//   - a range loop's header appears as the *ast.RangeStmt itself — analyses
-//     interpret only its Key/Value/X parts, the body is separate blocks.
+//     ast.Expr nodes (the analysis treats them as reads);
+//   - a range loop's header appears as the *ast.RangeStmt itself — the
+//     analysis interprets only its Key/Value/X parts, the body is separate
+//     blocks.
 //
 // A block that ends on a two-way branch records the condition in Cond, and
 // its successor order is fixed: Succs[0] is the true edge, Succs[1] the
-// false edge. That ordering is what lets an analysis refine state per
-// branch ("TryAcquire returned true on this edge"), which is exactly the
-// path sensitivity the linear scans lacked.
-package cfg
+// false edge. Branching, loops, labeled break/continue, goto, switch
+// fallthrough and select arms all become edges, so facts flow around back
+// edges and skipped releases instead of down a linear statement walk.
 
 import (
 	"go/ast"
@@ -30,11 +25,11 @@ import (
 	"go/types"
 )
 
-// Block is one basic block.
-type Block struct {
+// block is one basic block.
+type block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []*Block
+	Succs []*block
 
 	// Cond, when non-nil, is the branch condition evaluated last in this
 	// block: Succs[0] is taken when it is true, Succs[1] when false. The
@@ -48,7 +43,7 @@ type Block struct {
 }
 
 // Last returns the final node of the block, or nil.
-func (b *Block) Last() ast.Node {
+func (b *block) Last() ast.Node {
 	if len(b.Nodes) == 0 {
 		return nil
 	}
@@ -56,25 +51,25 @@ func (b *Block) Last() ast.Node {
 }
 
 // Returns reports whether the block terminates in an explicit return.
-func (b *Block) Returns() bool {
+func (b *block) Returns() bool {
 	_, ok := b.Last().(*ast.ReturnStmt)
 	return ok
 }
 
-// Graph is the CFG of one function body.
-type Graph struct {
-	Entry *Block
-	Exit  *Block
+// graph is the CFG of one function body.
+type graph struct {
+	Entry *block
+	Exit  *block
 	// Blocks holds every block in creation (≈ source) order, Entry first.
 	// Unreachable blocks (code after return/goto) are retained with no
 	// predecessor edges; dataflow never visits them.
-	Blocks []*Block
+	Blocks []*block
 }
 
 // Preds returns the predecessors of b (computed on demand; graphs are
 // small).
-func (g *Graph) Preds(b *Block) []*Block {
-	var preds []*Block
+func (g *graph) Preds(b *block) []*block {
+	var preds []*block
 	for _, blk := range g.Blocks {
 		for _, s := range blk.Succs {
 			if s == b {
@@ -88,8 +83,8 @@ func (g *Graph) Preds(b *Block) []*Block {
 
 // builder carries the construction state.
 type builder struct {
-	g   *Graph
-	cur *Block
+	g   *graph
+	cur *block
 	// curDead marks cur as an unreachable stub (created after a
 	// terminator): edges out of it are suppressed so dead code cannot
 	// resurrect a join block.
@@ -101,22 +96,22 @@ type builder struct {
 	frames []frame
 	// labels maps a label name to its target block, created on first
 	// reference (a forward goto) or at the labeled statement itself.
-	labels map[string]*Block
+	labels map[string]*block
 }
 
 type frame struct {
 	label string
-	brk   *Block
-	cont  *Block // nil for switch/select frames
+	brk   *block
+	cont  *block // nil for switch/select frames
 }
 
-// New builds the CFG of body. info may be nil; when present it is used to
+// buildCFG builds the CFG of body. info may be nil; when present it is used to
 // recognize the builtin panic through shadowing.
-func New(body *ast.BlockStmt, info *types.Info) *Graph {
-	g := &Graph{}
-	b := &builder{g: g, info: info, labels: make(map[string]*Block)}
+func buildCFG(body *ast.BlockStmt, info *types.Info) *graph {
+	g := &graph{}
+	b := &builder{g: g, info: info, labels: make(map[string]*block)}
 	g.Entry = b.newBlock()
-	g.Exit = &Block{Index: -1} // reindexed in finish
+	g.Exit = &block{Index: -1} // reindexed in finish
 	b.setCur(g.Entry)
 	b.stmt(body)
 	// Fall off the end: the implicit return — unless everything already
@@ -129,15 +124,15 @@ func New(body *ast.BlockStmt, info *types.Info) *Graph {
 	return g
 }
 
-func (b *builder) newBlock() *Block {
-	blk := &Block{Index: len(b.g.Blocks)}
+func (b *builder) newBlock() *block {
+	blk := &block{Index: len(b.g.Blocks)}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
 
 // jump links cur to target and leaves cur there (a plain goto edge).
 // Edges out of a dead stub are suppressed.
-func (b *builder) jump(target *Block) {
+func (b *builder) jump(target *block) {
 	if b.curDead {
 		return
 	}
@@ -146,7 +141,7 @@ func (b *builder) jump(target *Block) {
 
 // setCur moves construction to blk, which is live (it was just linked or
 // is a label target).
-func (b *builder) setCur(blk *Block) {
+func (b *builder) setCur(blk *block) {
 	b.cur = blk
 	b.curDead = false
 }
@@ -166,7 +161,7 @@ func (b *builder) emit(n ast.Node) {
 
 // branch ends cur on cond with an ordered true/false successor pair and
 // returns the two freshly-linked blocks.
-func (b *builder) branch(cond ast.Expr) (onTrue, onFalse *Block) {
+func (b *builder) branch(cond ast.Expr) (onTrue, onFalse *block) {
 	b.emit(cond)
 	b.cur.Cond = cond
 	onTrue = b.newBlock()
@@ -198,7 +193,7 @@ func (b *builder) isPanic(s ast.Stmt) bool {
 
 // labelTarget returns (creating on demand) the block a goto to name lands
 // on.
-func (b *builder) labelTarget(name string) *Block {
+func (b *builder) labelTarget(name string) *block {
 	if blk, ok := b.labels[name]; ok {
 		return blk
 	}
@@ -267,7 +262,7 @@ func (b *builder) stmtLabeled(s ast.Stmt, label string) {
 		head := b.newBlock()
 		b.jump(head)
 		b.setCur(head)
-		var body, exit *Block
+		var body, exit *block
 		if s.Cond != nil {
 			body, exit = b.branch(s.Cond)
 		} else {
@@ -276,7 +271,7 @@ func (b *builder) stmtLabeled(s ast.Stmt, label string) {
 			b.jump(body)
 		}
 		cont := head
-		var post *Block
+		var post *block
 		if s.Post != nil {
 			post = b.newBlock()
 			cont = post
@@ -409,7 +404,7 @@ func (b *builder) cases(body *ast.BlockStmt, label string, assign ast.Stmt) {
 
 	// Pre-create arm blocks so fallthrough can target the next arm.
 	var clauses []*ast.CaseClause
-	var arms []*Block
+	var arms []*block
 	sawDefault := false
 	for _, raw := range body.List {
 		cl, ok := raw.(*ast.CaseClause)
@@ -452,4 +447,64 @@ func (b *builder) cases(body *ast.BlockStmt, label string, assign ast.Stmt) {
 	}
 	b.frames = b.frames[:len(b.frames)-1]
 	b.setCur(join)
+}
+
+// fixpoint iterates transfer over g in reverse postorder until the entry
+// state of every reachable block stops changing, and returns those states;
+// unreachable blocks are absent from the map. The env lattice has finite
+// height, and the round cap bounds the iteration regardless.
+func fixpoint(g *graph, entry env, transfer func(*block, env)) map[*block]env {
+	order := g.ReversePostorder()
+	in := map[*block]env{g.Entry: entry}
+	for round := 0; round < 4+4*len(g.Blocks); round++ {
+		changed := false
+		for _, b := range order {
+			e, ok := in[b]
+			if !ok {
+				continue
+			}
+			out := e.clone()
+			transfer(b, out)
+			for _, succ := range b.Succs {
+				cur, ok := in[succ]
+				if !ok {
+					in[succ] = out.clone()
+					changed = true
+					continue
+				}
+				before := cur.clone()
+				cur.join(out)
+				if !cur.equal(before) {
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return in
+}
+
+// ReversePostorder returns the reachable blocks in reverse postorder of a
+// DFS from Entry — the canonical forward-dataflow visit order.
+func (g *graph) ReversePostorder() []*block {
+	seen := make(map[*block]bool, len(g.Blocks))
+	var post []*block
+	var dfs func(b *block)
+	dfs = func(b *block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			dfs(s)
+		}
+		post = append(post, b)
+	}
+	dfs(g.Entry)
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
 }

@@ -1,15 +1,14 @@
-package cfg
+package frameown
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
 	"testing"
 )
 
 // parse builds the CFG of the first function in src.
-func parse(t *testing.T, src string) *Graph {
+func parse(t *testing.T, src string) *graph {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "x.go", "package p\n"+src, 0)
@@ -18,7 +17,7 @@ func parse(t *testing.T, src string) *Graph {
 	}
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			return New(fd.Body, nil)
+			return buildCFG(fd.Body, nil)
 		}
 	}
 	t.Fatal("no function in src")
@@ -26,10 +25,10 @@ func parse(t *testing.T, src string) *Graph {
 }
 
 // reach returns the number of reachable blocks (Exit included when reached).
-func reach(g *Graph) int { return len(g.ReversePostorder()) }
+func reach(g *graph) int { return len(g.ReversePostorder()) }
 
 // exitPreds classifies Exit's predecessors as (returns, panics, falls).
-func exitPreds(g *Graph) (rets, panics, falls int) {
+func exitPreds(g *graph) (rets, panics, falls int) {
 	for _, p := range g.Preds(g.Exit) {
 		switch {
 		case p.Panics:
@@ -97,7 +96,7 @@ func TestForLoopBackEdge(t *testing.T) {
 		}
 	}`)
 	// Find the head (the block holding the condition).
-	var head *Block
+	var head *block
 	for _, b := range g.Blocks {
 		if b.Cond != nil {
 			head = b
@@ -179,7 +178,7 @@ func TestGotoBackward(t *testing.T) {
 	}`)
 	// The goto creates a cycle: the label block has ≥2 preds (fallthrough
 	// from entry and the goto edge).
-	var label *Block
+	var label *block
 	for _, b := range g.ReversePostorder() {
 		if len(g.Preds(b)) >= 2 {
 			label = b
@@ -257,81 +256,4 @@ func TestUnreachableAfterReturn(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestFixpointLoopCarried(t *testing.T) {
-	// A trivial reaching analysis: collect the set of identifiers assigned
-	// on any path into each block. The loop must propagate "y" around the
-	// back edge into the head's entry state.
-	g := parse(t, `func f(n int) {
-		x := 0
-		for i := 0; i < n; i++ {
-			y := i
-			_ = y
-		}
-		_ = x
-	}`)
-	type set = map[string]bool
-	in := Fixpoint(g, Flow[set]{
-		Entry: func() set { return set{} },
-		Clone: func(s set) set {
-			c := set{}
-			for k := range s {
-				c[k] = true
-			}
-			return c
-		},
-		Join: func(dst, src set) set {
-			for k := range src {
-				dst[k] = true
-			}
-			return dst
-		},
-		Transfer: func(b *Block, s set) set {
-			for _, n := range b.Nodes {
-				if as, ok := n.(*ast.AssignStmt); ok {
-					for _, lhs := range as.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							s[id.Name] = true
-						}
-					}
-				}
-			}
-			return s
-		},
-		Equal: func(a, b set) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
-	})
-	var head *Block
-	for _, b := range g.ReversePostorder() {
-		if b.Cond != nil && strings.Contains(condString(b), "<") {
-			head = b
-		}
-	}
-	if head == nil {
-		t.Fatal("no loop head")
-	}
-	if !in[head]["y"] {
-		t.Fatal("loop-carried assignment did not reach the head: back edge not iterated")
-	}
-	if !in[g.Exit]["x"] {
-		t.Fatal("x not live at exit")
-	}
-}
-
-func condString(b *Block) string {
-	be, ok := b.Cond.(*ast.BinaryExpr)
-	if !ok {
-		return ""
-	}
-	return be.Op.String()
 }

@@ -4,7 +4,7 @@
 // and never touched again after the handoff.
 //
 // The pass is intra-procedural and path-sensitive: it builds each
-// function's CFG (internal/analysis/cfg) and runs a forward dataflow
+// function's CFG (cfg.go) and runs a forward dataflow
 // analysis over it, tracking every local []byte variable as a set of
 // possible ownership facts — may-owned, may-released — that joins by union
 // at merge points. It reports:
@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"gem/internal/analysis"
-	"gem/internal/analysis/cfg"
 )
 
 // Analyzer is the frameown pass.
@@ -187,21 +186,14 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		}
 	}
 
-	g := cfg.New(fd.Body, c.pass.TypesInfo)
-	flow := cfg.Flow[env]{
-		Entry:    func() env { return base.clone() },
-		Clone:    func(s env) env { return s.clone() },
-		Join:     func(dst, src env) env { dst.join(src); return dst },
-		Transfer: func(b *cfg.Block, s env) env { c.transfer(b, s); return s },
-		Equal:    func(a, b env) bool { return a.equal(b) },
-	}
+	g := buildCFG(fd.Body, c.pass.TypesInfo)
 
 	// Phase 1: converge silently so loop-carried facts (a transfer flowing
 	// around the back edge, a leak around a continue) settle. Phase 2: one
 	// reporting visit per reachable block from the converged entry states,
 	// then the leak check on every fall-off-the-end edge.
 	c.silent = true
-	in := cfg.Fixpoint(g, flow)
+	in := fixpoint(g, base.clone(), c.transfer)
 	c.silent = false
 	for _, b := range g.ReversePostorder() {
 		s, ok := in[b]
@@ -223,7 +215,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 // transfer applies one block's nodes to the environment.
-func (c *checker) transfer(b *cfg.Block, e env) {
+func (c *checker) transfer(b *block, e env) {
 	for _, n := range b.Nodes {
 		c.node(n, e)
 	}

@@ -12,8 +12,8 @@ import (
 const WirePkgPath = "gem/internal/wire"
 
 // VerbsPkgPath is the import path of the verbs transport package whose
-// credit, reservation, and PSN disciplines the creditbal, postcheck, and
-// psnsafe passes enforce.
+// posting results and PSN arithmetic the postcheck and psnsafe passes
+// check.
 const VerbsPkgPath = "gem/internal/core/verbs"
 
 // VerbsMethod returns the (*types.Func).FullName of a pointer-receiver

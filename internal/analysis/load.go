@@ -140,8 +140,7 @@ func CheckTypes(pkgPath string, fset *token.FileSet, files []*ast.File, info *ty
 
 // Load type-checks the packages matching patterns (their non-test Go files)
 // from source, resolving dependencies via export data, and returns them in a
-// stable order. It is the standalone-driver counterpart of vet's unitchecker
-// config.
+// stable order.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	listed, err := goList(dir, patterns...)
 	if err != nil {

@@ -264,7 +264,9 @@ func (t *LookupTable) LookupPrio(ctx *switchsim.Context, frame []byte, pkt *wire
 	home := t.striped.Home(uint64(idx))
 	if t.cfg.MaxOutstandingMisses > 0 && t.needsMissRead(idx) {
 		home.ReapExpired()
-		//gem:credit-ok reservation is consumed by the Post* in depositAndFetch/recircFetch below, or dropped by depositAndFetch's oversize bail
+		// The reservation is consumed by the Post* in depositAndFetch or
+		// recircFetch below, or dropped by depositAndFetch's oversize bail
+		// (TestLookupOversizePacketDropped checks the window balances).
 		if !home.TryReserve(verbs.OpRead) {
 			if prio == switchsim.PriorityLow {
 				t.Stats.ShedMisses++
@@ -332,7 +334,7 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 	// The deposit lands after the 8-byte action field. It is fire-and-forget:
 	// a refused WRITE leaves a stale entry that the fetch-side length check
 	// catches (BadEntries) — no retry state to keep on the switch.
-	//gem:post-ok refused deposit self-heals via the fetch-side BadEntries check
+	//gem:post-ok refused deposit self-heals via the fetch-side BadEntries check (path: TestLookupDepositBouncesPacketThroughRemoteEntry)
 	t.striped.PostWrite(uint64(idx), 8, deposit)
 	wire.DefaultPool.Put(deposit)
 	t.Stats.Deposits++
@@ -342,7 +344,7 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 	// credit after missTimeout — self-healing either way.
 	n := t.cfg.EntrySize()
 	ch := t.chans[t.striped.ShardOf(uint64(idx))]
-	//gem:post-ok loose-mode fetch: a refusal is metered by the reaper, not handled here
+	//gem:post-ok loose-mode fetch: a refusal is metered by the reaper, not handled here (path: TestLookupDepositBouncesPacketThroughRemoteEntry)
 	t.striped.PostRead(uint64(idx), n, ch.RespPackets(n), verbs.CreditLoose)
 	ctx.Drop() // original is gone: it lives in remote memory now
 }
@@ -365,7 +367,7 @@ func (t *LookupTable) recircFetch(ctx *switchsim.Context, frame []byte, idx, pas
 		// CreditAdmit: consume the admission reservation (or take a fresh
 		// credit on a re-issue after a reap); a refusal skips the fetch and
 		// the recirculating packet simply comes around again.
-		//gem:post-ok refusal skips the fetch; the recirculating packet retries it
+		//gem:post-ok refusal skips the fetch; the recirculating packet retries it (path: TestLookupRecirculateMode)
 		t.striped.PostRead(uint64(idx), 8, 1, verbs.CreditAdmit)
 	}
 	t.Stats.RecircPasses++

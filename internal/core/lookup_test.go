@@ -350,8 +350,12 @@ func TestLookupWithoutDispatchPanics(t *testing.T) {
 	}
 }
 
+// TestLookupOversizePacketDropped sends an oversize frame through a metered
+// miss window: the miss reserves a credit in LookupPrio, and the oversize
+// bail in depositAndFetch must drop that reservation, or the window leaks a
+// credit per oversize frame.
 func TestLookupOversizePacketDropped(t *testing.T) {
-	b, lt := lookupBed(t, LookupConfig{Entries: 16, MaxPktBytes: 128})
+	b, lt := lookupBed(t, LookupConfig{Entries: 16, MaxPktBytes: 128, MaxOutstandingMisses: 4})
 	populateAll(t, b, lt, SetDSCPAction(1))
 	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 1500, 1))
 	b.net.Engine.Run()
@@ -360,6 +364,10 @@ func TestLookupOversizePacketDropped(t *testing.T) {
 	}
 	if lt.Stats.BadEntries != 1 {
 		t.Fatalf("stats = %+v", lt.Stats)
+	}
+	cr := lt.ShardCredits(0).Stats
+	if cr.Acquired != 1 || cr.Released != cr.Acquired {
+		t.Fatalf("miss credits unbalanced at quiescence: %+v", cr)
 	}
 }
 

@@ -59,6 +59,14 @@ func TestStateStoreAcrossPSNWrap(t *testing.T) {
 	}
 }
 
+// drainDeadline bounds in simulated time the drains that run until a
+// stream is fully acknowledged. Each ends within 7 ms of simulated time when
+// the stream is healthy. A wedged stream (a PSN comparison broken at the
+// wrap, say) keeps retrying, and its ticker re-arms while Unacked() > 0, so
+// Run would spin until go test's timeout; RunUntil stops it here and the
+// drain's assertions fail in seconds.
+const drainDeadline = sim.Time(100 * sim.Millisecond)
+
 func TestPacketBufferAcrossPSNWrap(t *testing.T) {
 	// Exact-PSN completion across the wrap on both striped channels, under
 	// enough load that WRITEs and multi-entry READ windows straddle it.
@@ -75,7 +83,7 @@ func TestPacketBufferAcrossPSNWrap(t *testing.T) {
 		b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[2], 1500, 1))
 		b.net.Ports(b.hosts[1])[0].Send(dataFrame(b.hosts[1], b.hosts[2], 1500, 2))
 	}
-	b.net.Engine.Run()
+	b.net.Engine.RunUntil(drainDeadline)
 	if got := b.hosts[2].Received; got != 2*perSender {
 		t.Fatalf("received %d/%d across the wrap (stats %+v)", got, 2*perSender, pb.Stats)
 	}
@@ -128,7 +136,7 @@ func TestRetransmitterAcrossPSNWrap(t *testing.T) {
 		}
 		return issued < n || rt.Unacked() > 0
 	})
-	b.net.Engine.Run()
+	b.net.Engine.RunUntil(drainDeadline)
 	if rt.Unacked() != 0 {
 		t.Fatalf("unacked = %d after drain", rt.Unacked())
 	}

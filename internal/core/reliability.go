@@ -166,7 +166,7 @@ func (r *Retransmitter) chParams(psn uint32) wire.RoCEParams {
 // traffic manager recycles whatever it is handed, so the master never
 // enters the fabric.
 //
-//gem:owns
+//gem:owns (path: TestReliableFAAExactUnderLoss)
 func (r *Retransmitter) track(psn uint32, frame []byte, op verbs.OpType) {
 	// Copy to the wire first: once trackOnly owns the master, this function
 	// must not touch it again.
@@ -177,7 +177,7 @@ func (r *Retransmitter) track(psn uint32, frame []byte, op verbs.OpType) {
 // trackOnly stores frame as an unacked master without sending; the
 // retransmitter owns it until the PSN retires (ackThrough recycles it).
 //
-//gem:owns
+//gem:owns (path: TestReliableFAAExactUnderLoss)
 func (r *Retransmitter) trackOnly(psn uint32, frame []byte, op verbs.OpType) {
 	r.unacked = append(r.unacked, relFrame{psn: psn, op: op, frame: frame, sentAt: r.sw.Engine.Now()})
 	r.armTimer()

@@ -75,7 +75,7 @@ func TestReliableFAAExactUnderLoss(t *testing.T) {
 		}
 		return issued < n || rt.Unacked() > 0
 	})
-	b.net.Engine.Run()
+	b.net.Engine.RunUntil(drainDeadline)
 	if rt.Unacked() != 0 {
 		t.Fatalf("unacked = %d after drain", rt.Unacked())
 	}
@@ -150,7 +150,7 @@ func TestReliableWriteUnderLoss(t *testing.T) {
 		}
 		return issued < n || rt.Unacked() > 0
 	})
-	b.net.Engine.Run()
+	b.net.Engine.RunUntil(drainDeadline)
 	region := b.memNIC.LookupRegion(ch.RKey)
 	for i := 0; i < n; i++ {
 		got := region.Bytes()[i*16 : i*16+4]
@@ -362,7 +362,7 @@ func TestAdaptiveRTOBeatsFixedUnderSpikes(t *testing.T) {
 			}
 			return issued < n || rt.Unacked() > 0
 		})
-		b.net.Engine.Run()
+		b.net.Engine.RunUntil(drainDeadline)
 		v, _ = b.memNIC.ReadCounter(ch.RKey, ch.Base)
 		return rt.Retransmits, v
 	}

@@ -104,7 +104,6 @@ func (c *Credits) TryAcquire() bool {
 		c.Stats.Refused++
 		return false
 	}
-	//gem:credit-ok TryAcquire IS the acquisition primitive: the credit is handed to the caller
 	c.Acquire()
 	return true
 }

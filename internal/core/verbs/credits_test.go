@@ -102,3 +102,18 @@ func TestCreditSpuriousRelease(t *testing.T) {
 			c.Outstanding(), c.Stats.Released)
 	}
 }
+
+// TestPostReadRefusedByEndpointReturnsCredit: a CreditTry READ takes its
+// credit before the endpoint sees the request. When the endpoint refuses it
+// (egress full) the credit must come back, or each refusal shrinks the
+// window for good.
+func TestPostReadRefusedByEndpointReturnsCredit(t *testing.T) {
+	cr := NewCredits(CreditConfig{Window: 4})
+	q := NewQP(&fakeEndpoint{fail: true}, cr, QPConfig{})
+	if q.PostRead(1, 0, 64, 1, CreditTry) {
+		t.Fatal("READ posted through a refusing endpoint")
+	}
+	if n := cr.Outstanding(); n != 0 {
+		t.Fatalf("refused READ holds %d credits", n)
+	}
+}

@@ -321,7 +321,7 @@ func (q *QP) admit(op OpType) (took, ok bool) {
 		q.reserve = false
 		return true, true
 	}
-	//gem:credit-ok admit hands the credit to the posting path; completion or the reaper releases it
+	// The credit goes to the posting path; completion or the reaper releases it.
 	if q.credits.TryAcquire() {
 		return true, true
 	}
@@ -762,7 +762,7 @@ func (q *QP) Abort() {
 		q.put(w)
 	}
 	if q.byPSN != nil {
-		//gem:deterministic — draining every entry is order-independent
+		//gem:deterministic — draining every entry is order-independent (path: TestAppendExpiredMatchesScan)
 		for _, w := range q.byPSN {
 			if !w.done {
 				q.Stats.Errors.Canceled++

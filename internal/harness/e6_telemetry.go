@@ -108,7 +108,7 @@ func RunE6(cfg E6Config) (*Table, E6Result) {
 
 	threshold := int64(math.Ceil(cfg.HHThresholdFrac * float64(cfg.Packets)))
 	trueHH := map[int]bool{}
-	//gem:deterministic — building a set; membership is order-independent
+	//gem:deterministic — building a set; membership is order-independent (path: TestE6Shape)
 	for f, c := range truth {
 		if c >= threshold {
 			trueHH[f] = true
@@ -127,7 +127,7 @@ func RunE6(cfg E6Config) (*Table, E6Result) {
 	// relErrSum is a float accumulation: iterate flows in sorted order so
 	// the reported error is bit-identical across runs.
 	flows := make([]int, 0, len(truth))
-	//gem:deterministic — collecting keys for sorting is order-independent
+	//gem:deterministic — collecting keys for sorting is order-independent (path: TestE6Shape)
 	for f := range truth {
 		flows = append(flows, f)
 	}

@@ -218,7 +218,7 @@ func (n *NIC) Recover() { n.failed = false }
 // into a double-apply, which is a different fault than data loss.
 func (n *NIC) WipeRegions() int {
 	total := 0
-	//gem:deterministic — dropping every region is order-independent
+	//gem:deterministic — dropping every region is order-independent (path: TestRegionAllocatesWhereTouched)
 	for _, r := range n.regions {
 		r.pages, r.grow = nil, 0
 		total += r.Size

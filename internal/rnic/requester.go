@@ -92,7 +92,7 @@ func (n *NIC) NewRequester(peerMAC wire.MAC, peerIP wire.IP4, peerQPN uint32, wi
 // fires when the write is acknowledged.
 func (r *Requester) PostWrite(va uint64, rkey uint32, data []byte, onDone func()) {
 	r.post(&workRequest{opcode: wire.OpWriteOnly, va: va, rkey: rkey,
-		data: append([]byte(nil), data...), onWrite: onDone}) //gem:alloc-ok control-plane post copies caller data
+		data: append([]byte(nil), data...), onWrite: onDone}) //gem:alloc-ok control-plane post copies caller data (path: TestWriteSinglePacket)
 }
 
 // PostRead posts an RDMA READ of length bytes from va under rkey; onDone
@@ -213,7 +213,7 @@ func (r *Requester) params(psn uint32, ackReq bool) wire.RoCEParams {
 // send stores frame as the in-flight master for go-back-N and puts a pooled
 // copy on the wire; the requester owns the master until the PSN retires.
 //
-//gem:owns
+//gem:owns (path: TestPropRequesterSurvivesRandomLoss)
 func (r *Requester) send(psn uint32, frame []byte, wr *workRequest) {
 	r.inflight = append(r.inflight, &sentPacket{psn: psn, frame: frame, wr: wr})
 	r.sendCopy(frame)

@@ -57,7 +57,7 @@ func (s *SRAMBudget) Remaining() int { return s.Total - s.used }
 // Allocations returns a copy of the per-object allocation map.
 func (s *SRAMBudget) Allocations() map[string]int {
 	out := make(map[string]int, len(s.allocs))
-	//gem:deterministic — map-to-map copy; insertion order is irrelevant
+	//gem:deterministic — map-to-map copy; insertion order is irrelevant (path: TestSRAMBudget)
 	for k, v := range s.allocs {
 		out[k] = v
 	}

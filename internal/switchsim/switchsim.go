@@ -488,7 +488,7 @@ func (c *Context) Drop() { c.dropped = true }
 // other buffer — a bounced original, a rewritten copy — is recycled here,
 // since the pass only accounts for the ingress buffer.
 //
-//gem:owns
+//gem:owns (path: TestLookupDropAction)
 func (c *Context) DropFrame(frame []byte) {
 	c.dropped = true
 	if !sameBuffer(frame, c.Frame) {

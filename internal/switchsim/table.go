@@ -51,9 +51,6 @@ func (t *ExactTable[K, V]) Insert(key K, v V) error {
 	return nil
 }
 
-// Delete removes an entry if present.
-func (t *ExactTable[K, V]) Delete(key K) { delete(t.m, key) }
-
 // Len reports the number of installed entries.
 func (t *ExactTable[K, V]) Len() int { return len(t.m) }
 

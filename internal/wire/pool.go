@@ -221,13 +221,13 @@ func (p *Pool) traceReport() string {
 	}
 	p.mu.Lock()
 	counts := make(map[string]int, len(p.trace))
-	//gem:deterministic — aggregating counts is order-independent
+	//gem:deterministic — aggregating counts is order-independent (path: TestPoolTraceReportGroupsStacks)
 	for _, stk := range p.trace {
 		counts[stk]++
 	}
 	p.mu.Unlock()
 	stacks := make([]string, 0, len(counts))
-	//gem:deterministic — collecting keys for sorting is order-independent
+	//gem:deterministic — collecting keys for sorting is order-independent (path: TestPoolTraceReportGroupsStacks)
 	for stk := range counts {
 		stacks = append(stacks, stk)
 	}

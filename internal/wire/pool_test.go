@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -175,5 +177,31 @@ func TestDecodeZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("DecodeFromBytes: %v allocs/op, want 0", n)
+	}
+}
+
+// TestPoolTraceReportGroupsStacks covers the leak report a failing balance
+// check prints under GEM_POOL_TRACE=1: one section per distinct Get stack,
+// ordered by count and then by stack, whatever the map order.
+func TestPoolTraceReportGroupsStacks(t *testing.T) {
+	t.Setenv("GEM_POOL_TRACE", "1")
+	p := NewPool()
+	var held [][]byte
+	for i := 0; i < 4; i++ {
+		held = append(held, p.Get(64<<i))
+	}
+	err := p.AssertBalanced(0)
+	if err == nil {
+		t.Fatal("four outstanding buffers passed the balance check")
+	}
+	sections := strings.Split(err.Error(), "\n--- ")[1:]
+	if len(sections) != len(held) {
+		t.Fatalf("%d report sections for %d outstanding buffers:\n%s", len(sections), len(held), err)
+	}
+	if !slices.IsSorted(sections) {
+		t.Fatalf("report sections out of order:\n%s", err)
+	}
+	for _, b := range held {
+		p.Put(b)
 	}
 }
