@@ -357,7 +357,7 @@ func stripedLossyBed(t *testing.T, nMem int, loss float64) *bed {
 	b.memNIC, b.memHost, b.memPort = b.memNICs[0], b.memHosts[0], 1
 	b.ctrl = NewController(sw)
 	b.disp = NewDispatcher()
-	t.Cleanup(n.Engine.Run)
+	t.Cleanup(func() { drainUnlessFailed(t, n.Engine) })
 	return b
 }
 
@@ -416,7 +416,7 @@ func TestStripedStateStoreShardFailoverUnderLoss(t *testing.T) {
 	rt0.Retarget(standby)
 	ss.RebindShard(0, standby)
 	ss.Update(0, 1) // nudge the flush loop post-rebind
-	b.net.Engine.Run()
+	b.net.Engine.RunUntil(drainDeadline)
 
 	var shard0, shard1 uint64
 	for i := 0; i < 8; i++ {
