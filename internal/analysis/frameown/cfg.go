@@ -33,8 +33,8 @@ type block struct {
 
 	// Cond, when non-nil, is the branch condition evaluated last in this
 	// block: Succs[0] is taken when it is true, Succs[1] when false. The
-	// condition also appears as the final expr node, so analyses that do
-	// not refine per edge can treat it as a plain read.
+	// condition also appears as the final expr node, which is how the
+	// ownership analysis reads it.
 	Cond ast.Expr
 
 	// Panics marks a block that reaches Exit by panicking rather than

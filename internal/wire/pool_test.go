@@ -190,16 +190,19 @@ func TestPoolTraceReportGroupsStacks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		held = append(held, p.Get(64<<i))
 	}
-	err := p.AssertBalanced(0)
-	if err == nil {
-		t.Fatal("four outstanding buffers passed the balance check")
-	}
-	sections := strings.Split(err.Error(), "\n--- ")[1:]
-	if len(sections) != len(held) {
-		t.Fatalf("%d report sections for %d outstanding buffers:\n%s", len(sections), len(held), err)
-	}
-	if !slices.IsSorted(sections) {
-		t.Fatalf("report sections out of order:\n%s", err)
+	// Each report walks the trace map afresh, in a new random order.
+	for range 8 {
+		err := p.AssertBalanced(0)
+		if err == nil {
+			t.Fatal("four outstanding buffers passed the balance check")
+		}
+		sections := strings.Split(err.Error(), "\n--- ")[1:]
+		if len(sections) != len(held) {
+			t.Fatalf("%d report sections for %d outstanding buffers:\n%s", len(sections), len(held), err)
+		}
+		if !slices.IsSorted(sections) {
+			t.Fatalf("report sections out of order:\n%s", err)
+		}
 	}
 	for _, b := range held {
 		p.Put(b)
