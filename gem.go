@@ -51,12 +51,8 @@ import (
 type (
 	// Channel is the data-plane end of one switch↔RNIC RDMA channel.
 	Channel = core.Channel
-	// Dispatcher routes RoCE responses to the primitive owning them.
-	Dispatcher = core.Dispatcher
 	// Context is the per-packet pipeline context.
 	Context = switchsim.Context
-	// Packet is a parsed frame.
-	Packet = wire.Packet
 	// FlowKey is the 5-tuple key primitives hash on.
 	FlowKey = wire.FlowKey
 
@@ -78,40 +74,16 @@ type (
 	Retransmitter = core.Retransmitter
 	// Failover is the §7 robustness extension (server crash handling).
 	Failover = core.Failover
-	// QP is one primitive's work queue over a channel — the shared verbs
-	// transport every primitive posts through (introspection via the
-	// primitives' Transport accessors).
-	QP = verbs.QP
-	// StripedQP is one logical work queue sharded over several servers'
-	// QPs by key (modulo placement, per-shard credit windows and failover
-	// domains, merged completions and stats).
-	StripedQP = verbs.StripedQP
-	// MirroredQP shadow-posts every WRITE/FAA on a primary QP to a replica
-	// server's QP, so a primary crash loses nothing (Sync) or a bounded,
-	// counted amount (Async). Built via StateStore.Replicate.
-	MirroredQP = verbs.MirroredQP
-	// MirrorConfig tunes a MirroredQP (mode, async lag bound, journal depth).
+	// MirrorConfig tunes a state store shard's mirror (StateStore.Replicate):
+	// Sync or Async, and the async lag bound. The mirror shadow-posts the
+	// shard's Fetch-and-Adds to a replica server, so a primary crash loses
+	// nothing (Sync) or a bounded, counted amount (Async).
 	MirrorConfig = verbs.MirrorConfig
-	// MirrorStats is a MirroredQP's counter block, merged into
-	// TransportStats.Mirror by Testbed.Stats.
-	MirrorStats = verbs.MirrorStats
-	// LagHist is the log2 replication-lag histogram inside MirrorStats.
-	LagHist = verbs.LagHist
 	// ReplicationMode selects Off, Sync or Async mirroring.
 	ReplicationMode = verbs.ReplicationMode
-	// TransportStats is a QP's counter block — posted / completed / stale /
-	// retried / refused / expired per operation type, plus typed error
-	// completions and the post→CQE latency histogram, Add-mergeable.
-	// Testbed.Stats aggregates it as StatsSnapshot.Transport.
-	TransportStats = verbs.Stats
-	// TransportErrors are the typed error-completion counters (NAK-PSN,
-	// NAK-RKey, RetryExhausted, CreditRefused, FailoverExhausted, Canceled).
-	TransportErrors = verbs.ErrStats
 	// LatencyHist is the allocation-free log2 post→CQE latency histogram
-	// embedded in TransportStats.
+	// embedded in the transport stats (StatsSnapshot.Transport).
 	LatencyHist = verbs.LatencyHist
-	// CQStatus classifies a completion (OK, Stale, or a typed error).
-	CQStatus = verbs.CQStatus
 
 	// ConsistencyMode is a primitive's state-access contract: Strict,
 	// BoundedStaleness or Eventual.
@@ -123,24 +95,12 @@ type (
 	Supervisor = core.Supervisor
 	// SupervisorConfig tunes its tick interval and degrade thresholds.
 	SupervisorConfig = core.SupervisorConfig
-	// SupervisorTarget wires one governed primitive into the supervisor.
-	SupervisorTarget = core.SupervisorTarget
-	// HealthState is a governed target's position in the state machine.
-	HealthState = core.HealthState
 	// Scrubber is the anti-entropy repair agent comparing a primary window
 	// against its replica and copying over divergence.
 	Scrubber = core.Scrubber
 	// ScrubConfig tunes a Scrubber (interval, live gate).
 	ScrubConfig = core.ScrubConfig
-	// ScrubStats count a Scrubber's checks and repairs.
-	ScrubStats = core.ScrubStats
 
-	// Host is a plain server endpoint.
-	Host = netsim.Host
-	// NIC is an RDMA NIC model.
-	NIC = rnic.NIC
-	// Switch is the programmable switch model.
-	Switch = switchsim.Switch
 	// Duration and Time are virtual-clock quantities.
 	Duration = sim.Duration
 	Time     = sim.Time
@@ -152,9 +112,6 @@ var (
 	NewPacketBuffer = core.NewPacketBuffer
 	// NewLookupTable wires the lookup-table primitive to a channel.
 	NewLookupTable = core.NewLookupTable
-	// NewStripedLookupTable stripes the table's entries over several
-	// servers' channels (entry idx mod N is its home shard).
-	NewStripedLookupTable = core.NewStripedLookupTable
 	// NewStateStore wires the state-store primitive to a channel.
 	NewStateStore = core.NewStateStore
 	// NewStripedStateStore stripes the counters over several servers'
@@ -171,15 +128,11 @@ var (
 	// (plus an optional failover group's liveness); a state store's replica
 	// lag feeds the pressure signal.
 	Govern = core.Govern
-	// SetDSCPAction / SetDstIPAction / DropAction build lookup actions.
+	// SetDSCPAction / SetDstIPAction build lookup actions.
 	SetDSCPAction  = core.SetDSCPAction
 	SetDstIPAction = core.SetDstIPAction
-	DropAction     = core.DropAction
 	// PopulateLookupEntry installs an action server-side at init time.
 	PopulateLookupEntry = core.PopulateLookupEntry
-	// PopulateStripedLookupEntry is its striped form: idx mod N picks the
-	// region, idx div N the slot.
-	PopulateStripedLookupEntry = core.PopulateStripedLookupEntry
 	// FlowOf extracts the 5-tuple of a parsed packet.
 	FlowOf = wire.FlowOf
 )
@@ -203,14 +156,6 @@ const (
 	BoundedStaleness = core.BoundedStaleness
 	// Eventual accumulates locally and reconciles opportunistically.
 	Eventual = core.Eventual
-)
-
-// Health states reported by Supervisor.State.
-const (
-	Healthy    = core.Healthy
-	Suspect    = core.Suspect
-	Degraded   = core.Degraded
-	Recovering = core.Recovering
 )
 
 // Replication modes for StateStore.Replicate.

@@ -54,9 +54,7 @@ var mustConsume = map[string]string{
 	analysis.VerbsMethod("StripedQP", "CanPost"):       "StripedQP.CanPost",
 	analysis.VerbsMethod("StripedQP", "PostRead"):      "StripedQP.PostRead",
 	analysis.VerbsMethod("StripedQP", "PostWrite"):     "StripedQP.PostWrite",
-	analysis.VerbsMethod("StripedQP", "PostFetchAdd"):  "StripedQP.PostFetchAdd",
 	analysis.VerbsMethod("StripedQP", "Repost"):        "StripedQP.Repost",
-	analysis.VerbsMethod("MirroredQP", "PostWrite"):    "MirroredQP.PostWrite",
 	analysis.VerbsMethod("MirroredQP", "PostFetchAdd"): "MirroredQP.PostFetchAdd",
 }
 

@@ -7,15 +7,18 @@ import (
 
 // The mutations of the audit table (DESIGN.md §6.1) that no test catches
 // and hotalloc does, reduced to their shape. The id names the table row.
+// The builders ha-build-1 and ha-build-2 called (BuildPFC, BuildAck) are
+// gone, so those rows are compile errors now; the surviving allocating
+// builders stand in for their shape.
 
-// ha-build-1: a PFC resume frame from the allocating builder.
-func pfcResume(src wire.MAC) []byte {
-	return wire.BuildPFC(src, 0) // want "allocating builder wire.BuildPFC"
+// ha-build-1: a frame from the allocating builder (was the PFC resume).
+func pfcResume(src, dst wire.MAC) []byte {
+	return wire.BuildDataFrame(src, dst, wire.IP4{}, wire.IP4{}, 0, 0, 64, nil) // want "allocating builder wire.BuildDataFrame"
 }
 
-// ha-build-2: an ACK from the allocating builder.
-func ack(p *wire.RoCEParams, msn uint32) []byte {
-	return wire.BuildAck(p, wire.AETHAck, msn) // want "allocating builder wire.BuildAck"
+// ha-build-2: an atomic request from the allocating builder (was the ACK).
+func ack(p *wire.RoCEParams, va uint64) []byte {
+	return wire.BuildFetchAdd(p, va, 0, 1) // want "allocating builder wire.BuildFetchAdd"
 }
 
 // ha-build-3: a READ request from the allocating builder.

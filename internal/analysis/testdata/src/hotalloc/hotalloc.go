@@ -10,11 +10,11 @@ import (
 )
 
 func legacyBuilder(p *wire.RoCEParams) []byte {
-	return wire.BuildAck(p, 0, 0) // want "allocating builder wire.BuildAck"
+	return wire.BuildFetchAdd(p, 0, 0, 1) // want "allocating builder wire.BuildFetchAdd"
 }
 
-func legacyPFC(src wire.MAC) []byte {
-	return wire.BuildPFC(src, 10) // want "allocating builder wire.BuildPFC"
+func legacyDataFrame(src, dst wire.MAC) []byte {
+	return wire.BuildDataFrame(src, dst, wire.IP4{}, wire.IP4{}, 1, 2, 64, nil) // want "allocating builder wire.BuildDataFrame"
 }
 
 func hotSprintf(n int) string {

@@ -33,18 +33,10 @@ func deferDiscard(q *verbs.QP) {
 	defer q.TryReserve(verbs.OpRead) // want "result of QP.TryReserve discarded by defer"
 }
 
-func striped(s *verbs.StripedQP, key uint64) {
-	s.PostFetchAdd(key, 1) // want "result of StripedQP.PostFetchAdd dropped"
-}
-
 // --- mirrored posting ---
 
 func mirroredDropped(m *verbs.MirroredQP) {
 	m.PostFetchAdd(0, 1) // want "result of MirroredQP.PostFetchAdd dropped"
-}
-
-func mirroredBlank(m *verbs.MirroredQP, payload []byte) {
-	_ = m.PostWrite(0, payload) // want "result of MirroredQP.PostWrite assigned to the blank identifier"
 }
 
 func mirroredGoDiscard(m *verbs.MirroredQP) {
@@ -57,11 +49,6 @@ func mirroredHandled(m *verbs.MirroredQP) bool {
 		return false
 	}
 	return true
-}
-
-// mirroredAnnotated is an intentional best-effort mirror write, waived.
-func mirroredAnnotated(m *verbs.MirroredQP, payload []byte) {
-	m.PostWrite(0, payload) //gem:post-ok best-effort mirror hint; scrubber repairs the window
 }
 
 // --- typed CQE status consumers ---
@@ -137,7 +124,7 @@ func annotated(q *verbs.QP) {
 // annotatedAbove carries the waiver on the line above the call.
 func annotatedAbove(s *verbs.StripedQP, key uint64) {
 	//gem:post-ok opportunistic counter nudge
-	s.PostFetchAdd(key, 7)
+	s.Home(key).PostFetchAdd(s.Offset(key), 7)
 }
 
 // unrelated calls that happen to share a name are not flagged.

@@ -24,7 +24,7 @@ func TestBandwidthCapLimitsRate(t *testing.T) {
 		return b.net.Engine.Now() < sim.Time(2*sim.Millisecond)
 	})
 	b.net.Engine.RunUntil(sim.Time(2 * sim.Millisecond))
-	gbps := ch.RequestMeter.Gbps(b.net.Engine.Now())
+	gbps := float64(ch.RequestMeter.Bytes) * 8 / float64(b.net.Engine.Now()) // bits per ns
 	if gbps > 1.15 {
 		t.Fatalf("capped channel pushed %.2f Gbps", gbps)
 	}

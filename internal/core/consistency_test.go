@@ -353,8 +353,8 @@ func TestSupervisorGovernsPacketBuffer(t *testing.T) {
 	b.memNIC.Fail()
 	pb.ResumeLoading()
 	b.net.Engine.RunFor(1500 * sim.Microsecond)
-	if sup.State(idx) != Degraded || !pb.Degraded() || !fo.Exhausted {
-		t.Fatalf("after crash: state %v, degraded %v, exhausted %v", sup.State(idx), pb.Degraded(), fo.Exhausted)
+	if sup.State(idx) != Degraded || !pb.degraded || !fo.Exhausted {
+		t.Fatalf("after crash: state %v, degraded %v, exhausted %v", sup.State(idx), pb.degraded, fo.Exhausted)
 	}
 	incast(20)
 	b.net.Engine.RunFor(200 * sim.Microsecond)
@@ -366,8 +366,8 @@ func TestSupervisorGovernsPacketBuffer(t *testing.T) {
 	// back to Healthy, and the next incast spills again.
 	b.memNIC.Recover()
 	b.net.Engine.RunFor(1 * sim.Millisecond)
-	if sup.State(idx) != Healthy || pb.Degraded() {
-		t.Fatalf("after recovery: state %v, degraded %v", sup.State(idx), pb.Degraded())
+	if sup.State(idx) != Healthy || pb.degraded {
+		t.Fatalf("after recovery: state %v, degraded %v", sup.State(idx), pb.degraded)
 	}
 	stored := pb.Stats.Stored
 	incast(100)
@@ -380,9 +380,9 @@ func TestSupervisorGovernsPacketBuffer(t *testing.T) {
 	fo.Stop()
 	sup.Stop()
 	b.net.Engine.Run()
-	if pb.Depth() != 0 || pb.Transport().Pending() != 0 || pb.Detouring() {
+	if pb.Depth() != 0 || pb.Transport().Pending() != 0 || pb.detour {
 		t.Fatalf("ring not drained: depth %d, pending %d, detour %v",
-			pb.Depth(), pb.Transport().Pending(), pb.Detouring())
+			pb.Depth(), pb.Transport().Pending(), pb.detour)
 	}
 	if got := wire.DefaultPool.Stats().Balance(); got != before {
 		t.Fatalf("frame pool unbalanced: %d before, %d after", before, got)

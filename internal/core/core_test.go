@@ -301,7 +301,7 @@ func TestPacketBufferSpillsAndRecoversLossless(t *testing.T) {
 	if pb.Stats.Loaded != pb.Stats.Stored {
 		t.Fatalf("loaded %d != stored %d", pb.Stats.Loaded, pb.Stats.Stored)
 	}
-	if pb.Detouring() {
+	if pb.detour {
 		t.Fatal("primitive stuck in detour mode after drain")
 	}
 	if b.memHost.CPUOps != 0 {

@@ -34,11 +34,10 @@ type Failover struct {
 	// Inner receives every non-heartbeat response for the active channel.
 	Inner ResponseHandler
 	// OnFailover is invoked after every switchover — failover or failback —
-	// with the old and new channels; primitives rebind here
-	// (StateStore.RebindShard, PacketBuffer.RebindShard). The shared remote
-	// core moves the shard's routing and credit window; the primitive
-	// decides what happens to in-flight work (the store aborts it and
-	// re-posts from its dirty set, the buffer migrates its READs).
+	// with the old and new channels; the state store rebinds here
+	// (StateStore.RebindShard). The shared remote core moves the shard's
+	// routing and credit window; the store aborts the in-flight work and
+	// re-posts from its dirty set.
 	OnFailover func(old, new *Channel)
 	// CQ, when set, receives a typed CQFailoverExhausted completion each time
 	// failover looks for a standby and finds none — the observable form of
@@ -142,9 +141,6 @@ func NewFailover(channels []*Channel, inner ResponseHandler) (*Failover, error) 
 
 // Active returns the channel currently in use.
 func (f *Failover) Active() *Channel { return f.members[f.active].ch }
-
-// Standbys returns how many unused channels remain.
-func (f *Failover) Standbys() int { return len(f.members) - 1 - f.active }
 
 // RegisterWith binds every member channel's responses to the failover
 // group (heartbeat filtering happens here; the rest reaches Inner).

@@ -118,7 +118,7 @@ func TestFailoverPreservesPendingUpdates(t *testing.T) {
 	lostInFlight := uint64(101) - vStandby - ss.PendingTotal()
 	// Only updates that were already in flight as FAAs at crash time may
 	// be lost; everything accumulated locally must survive the failover.
-	if lostInFlight > uint64(ss.Config().MaxOutstanding)+uint64(ss.Stats.TimedOut) {
+	if lostInFlight > uint64(ss.cfg.MaxOutstanding)+uint64(ss.Stats.TimedOut) {
 		t.Fatalf("lost %d updates across failover (standby=%d pending=%d)",
 			lostInFlight, vStandby, ss.PendingTotal())
 	}
@@ -135,8 +135,8 @@ func TestFailoverExhaustsStandbys(t *testing.T) {
 	if fo.Failovers != 1 {
 		t.Fatalf("failovers = %d, want exactly 1 (no standby after the last)", fo.Failovers)
 	}
-	if fo.Standbys() != 0 {
-		t.Fatalf("standbys = %d", fo.Standbys())
+	if len(fo.members)-1-fo.active != 0 {
+		t.Fatalf("standbys = %d", len(fo.members)-1-fo.active)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestForceFailoverAfterExhaustedIsTypedNoop(t *testing.T) {
 	b.memNICs[1].Fail()
 	b.net.Engine.RunFor(5 * sim.Millisecond)
 	if !fo.Exhausted {
-		t.Fatalf("group not exhausted: %d failovers, %d standbys", fo.Failovers, fo.Standbys())
+		t.Fatalf("group not exhausted: %d failovers, %d standbys", fo.Failovers, len(fo.members)-1-fo.active)
 	}
 	// Entering Exhausted already emitted one typed completion.
 	if got := cq.Stats.Errors.FailoverExhausted; got != 1 {

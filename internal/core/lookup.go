@@ -34,9 +34,6 @@ func SetDstIPAction(ip wire.IP4) LookupAction {
 	return LookupAction{ActSetDstIP, ip[0], ip[1], ip[2], ip[3]}
 }
 
-// DropAction builds an explicit drop.
-func DropAction() LookupAction { return LookupAction{ActDrop} }
-
 // LookupMode selects the miss-handling design.
 type LookupMode int
 
@@ -215,9 +212,6 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 	}
 	return t, nil
 }
-
-// Config returns the effective configuration.
-func (t *LookupTable) Config() LookupConfig { return t.cfg }
 
 // Cache exposes the local cache (nil when disabled).
 func (t *LookupTable) Cache() *switchsim.CacheTable[wire.FlowKey, LookupAction] { return t.cache }
@@ -509,23 +503,6 @@ func PopulateLookupEntry(region *rnic.Region, cfg LookupConfig, idx int, action 
 	cfg.fillDefaults()
 	base := idx * cfg.EntrySize()
 	if idx < 0 || base+8 > region.Size {
-		return fmt.Errorf("core: lookup entry %d outside region", idx)
-	}
-	copy(region.Bytes()[base:base+8], action[:])
-	return nil
-}
-
-// PopulateStripedLookupEntry writes an action into global entry idx of a
-// striped table, placing it by the same modulo rule the transport uses:
-// regions[idx mod N] at offset (idx div N)*EntrySize.
-func PopulateStripedLookupEntry(regions []*rnic.Region, cfg LookupConfig, idx int, action LookupAction) error {
-	cfg.fillDefaults()
-	if len(regions) == 0 || idx < 0 {
-		return fmt.Errorf("core: lookup entry %d outside region", idx)
-	}
-	region := regions[idx%len(regions)]
-	base := (idx / len(regions)) * cfg.EntrySize()
-	if base+8 > region.Size {
 		return fmt.Errorf("core: lookup entry %d outside region", idx)
 	}
 	copy(region.Bytes()[base:base+8], action[:])

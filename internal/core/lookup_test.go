@@ -40,7 +40,7 @@ func lookupBed(t *testing.T, cfg LookupConfig) (*bed, *LookupTable) {
 // populateAll fills every remote entry with the same action.
 func populateAll(t *testing.T, b *bed, lt *LookupTable, action LookupAction) {
 	t.Helper()
-	region := b.memNIC.LookupRegion(lt.Channel().RKey)
+	region := b.memNIC.LookupRegion(lt.chans[0].RKey)
 	for i := 0; i < lt.cfg.Entries; i++ {
 		if err := PopulateLookupEntry(region, lt.cfg, i, action); err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestLookupDepositBouncesPacketThroughRemoteEntry(t *testing.T) {
 	b.net.Ports(b.hosts[0])[0].Send(frame)
 	b.net.Engine.Run()
 	// The original packet must actually be present in server DRAM.
-	region := b.memNIC.LookupRegion(lt.Channel().RKey)
+	region := b.memNIC.LookupRegion(lt.chans[0].RKey)
 	var p wire.Packet
 	if err := p.DecodeFromBytes(master); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestLookupCachePopulatedAndHit(t *testing.T) {
 
 func TestLookupDistinctFlowsDistinctActions(t *testing.T) {
 	b, lt := lookupBed(t, LookupConfig{Entries: 1024})
-	region := b.memNIC.LookupRegion(lt.Channel().RKey)
+	region := b.memNIC.LookupRegion(lt.chans[0].RKey)
 	// Flow A → DSCP 1, flow B → DSCP 2 (indexes may collide with 1024
 	// entries only with tiny probability for two flows; recompute).
 	fa := dataFrame(b.hosts[0], b.hosts[1], 200, 1000)
@@ -181,7 +181,7 @@ func TestLookupDstIPRewrite(t *testing.T) {
 
 func TestLookupDropAction(t *testing.T) {
 	b, lt := lookupBed(t, LookupConfig{Entries: 16})
-	populateAll(t, b, lt, DropAction())
+	populateAll(t, b, lt, LookupAction{ActDrop})
 	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 128, 42))
 	b.net.Engine.Run()
 	if b.hosts[1].Received != 0 {

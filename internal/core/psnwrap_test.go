@@ -37,7 +37,7 @@ func TestStateStoreAcrossPSNWrap(t *testing.T) {
 	// Cumulative (FIFO) completion across the wrap: an atomic ACK at a
 	// post-wrap PSN must retire the pre-wrap FAAs before it.
 	b, ss := stateBed(t, rnic.Config{}, StateStoreConfig{Counters: 64, MaxOutstanding: 8})
-	ch := ss.Channel()
+	ch := ss.chans[0]
 	ch.SetPSN(0xFFFFF8)
 	b.memNIC.LookupQP(ch.PeerQPN).SetExpectedPSN(0xFFFFF8)
 	const n = 200
@@ -94,7 +94,7 @@ func TestPacketBufferAcrossPSNWrap(t *testing.T) {
 	if pb.Stats.StaleResponses != 0 {
 		t.Fatalf("exact matching broke at the wrap: %d stale responses", pb.Stats.StaleResponses)
 	}
-	for i := 0; i < pb.Channels(); i++ {
+	for i := 0; i < len(pb.chans); i++ {
 		if p := pb.Transport().Shard(i).Pending(); p != 0 {
 			t.Fatalf("channel %d transport still holds %d WQEs", i, p)
 		}

@@ -80,12 +80,6 @@ func (r *remote) init(what string, chans []*Channel, posture *PostureStats, keys
 	return nil
 }
 
-// Channel returns the first (or only) shard's channel.
-func (r *remote) Channel() *Channel { return r.chans[0] }
-
-// Channels reports the shard count.
-func (r *remote) Channels() int { return len(r.chans) }
-
 // Transport exposes the striped work queue for introspection (gem.Stats,
 // per-shard tests, the supervisor's error source).
 func (r *remote) Transport() *verbs.StripedQP { return r.striped }
@@ -129,12 +123,6 @@ func (r *remote) SetDegraded(on bool) {
 	}
 	r.degraded = on
 }
-
-// Degraded reports whether the primitive is in the degraded posture.
-func (r *remote) Degraded() bool { return r.degraded }
-
-// Mode reports the current consistency contract.
-func (r *remote) Mode() ConsistencyMode { return r.mode }
 
 // setMode records a consistency-mode change.
 func (r *remote) setMode(m ConsistencyMode) {

@@ -166,8 +166,8 @@ type PacketBuffer struct {
 	// entries (nil marks a malformed entry consumed without forwarding).
 	reorder map[uint64][]byte
 
-	// retry is the scratch list of READs to repost (retryStale,
-	// RebindShard), reused so a retry allocates nothing.
+	// retry is the scratch list of READs retryStale reposts, reused so a
+	// retry allocates nothing.
 	retry []uint64
 
 	Stats PacketBufferStats
@@ -227,18 +227,11 @@ func (b *PacketBuffer) RegisterWith(d *Dispatcher) {
 	}
 }
 
-// Config returns the effective configuration.
-func (b *PacketBuffer) Config() PacketBufferConfig { return b.cfg }
-
 // Depth returns the current ring occupancy in entries (stored, not yet
 // forwarded).
 func (b *PacketBuffer) Depth() int {
 	return int(b.cursors.Get(regTail) - b.cursors.Get(regEmitNext))
 }
-
-// Detouring reports whether the primitive is currently routing packets via
-// the remote ring.
-func (b *PacketBuffer) Detouring() bool { return b.detour }
 
 // PauseLoading suspends READ issue — the §5 microbenchmark "manually
 // start[s] the two steps respectively", and separating phases lets the
@@ -256,22 +249,6 @@ func (b *PacketBuffer) ResumeLoading() {
 // whatever is ready.
 func (b *PacketBuffer) Reconcile() {
 	b.SetConsistencyMode(Strict, StalenessBound{})
-	b.maybeLoad()
-}
-
-// RebindShard points stripe shard i at a replacement channel without
-// disturbing its siblings: in-flight READs migrate (credits move
-// window-to-window, entries repost in global order so PSN assignment stays
-// reproducible). READs are idempotent, so reposting them is always safe;
-// responses the old server still sends are dropped (shardOf).
-func (b *PacketBuffer) RebindShard(i int, ch *Channel) {
-	b.retry = b.striped.Shard(i).Retarget(ch, b.rebind(i, ch), b.retry[:0])
-	slices.Sort(b.retry)
-	for _, g := range b.retry {
-		if b.striped.Repost(g) {
-			b.Stats.ReadRetries++
-		}
-	}
 	b.maybeLoad()
 }
 

@@ -192,9 +192,6 @@ func NewStripedStateStore(chans []*Channel, cfg StateStoreConfig) (*StateStore, 
 	return s, nil
 }
 
-// Config returns the effective configuration.
-func (s *StateStore) Config() StateStoreConfig { return s.cfg }
-
 // RebindShard moves shard si to a new channel without disturbing its
 // siblings. In-flight requests to the old server are abandoned; locally
 // accumulated updates are preserved in the pending table and flush to the
@@ -231,9 +228,6 @@ func (s *StateStore) Replicate(si int, replica *Channel, cfg verbs.MirrorConfig)
 	s.mirrorByQPN[replica.ID] = si
 	return m, nil
 }
-
-// Mirror returns shard si's mirror (nil when the shard is unreplicated).
-func (s *StateStore) Mirror(si int) *verbs.MirroredQP { return s.mirrors[si] }
 
 // ReplicaChannel returns shard si's replica channel (nil when
 // unreplicated) — the scrubber and promotion verification read through it.
@@ -330,10 +324,6 @@ func (s *StateStore) SetConsistencyMode(m ConsistencyMode, b StalenessBound) {
 		s.flush()
 	}
 }
-
-// Bound reports the effective staleness bound (meaningful in
-// BoundedStaleness mode).
-func (s *StateStore) Bound() StalenessBound { return s.bound }
 
 // Reconcile converges the local copy with remote memory: any degraded
 // interval ends (through the single SetDegraded exit edge) and the

@@ -66,14 +66,16 @@ func stripedBed(shards int) ([]*fakeEndpoint, *StripedQP) {
 }
 
 // stripedCycle is one striped post→complete round: eight FAAs posted across
-// four shards (two per shard), cumulative ACKs retiring all of it.
+// four shards (two per shard) the way the state store posts them, on the
+// key's home shard at its striped offset, cumulative ACKs retiring all of it.
 func stripedCycle(eps []*fakeEndpoint, s *StripedQP, t *testing.T) {
 	var psns [4]uint32
 	for i, ep := range eps {
 		psns[i] = ep.psn
 	}
 	for k := uint64(0); k < 8; k++ {
-		if !s.PostFetchAdd(k%4, 1) {
+		key := k % 4
+		if !s.Shard(s.ShardOf(key)).PostFetchAdd(s.Offset(key), 1) {
 			t.Fatal("post refused")
 		}
 	}
@@ -92,7 +94,7 @@ func mirroredCycle(pep, rep *fakeEndpoint, m *MirroredQP, t *testing.T) {
 	if !m.PostFetchAdd(0, 1) {
 		t.Fatal("post refused")
 	}
-	m.Primary().AckCumulative(ppsn)
+	m.primary.AckCumulative(ppsn)
 	m.AckPrimary(ppsn)
 	if n := m.AckReplica(rpsn); n != 1 {
 		t.Fatalf("replica acked %d, want 1", n)
@@ -176,7 +178,7 @@ func BenchmarkQPMirroredPostComplete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ppsn, rpsn := pep.psn, rep.psn
 		m.PostFetchAdd(0, 1)
-		m.Primary().AckCumulative(ppsn)
+		m.primary.AckCumulative(ppsn)
 		m.AckPrimary(ppsn)
 		m.AckReplica(rpsn)
 	}
@@ -201,15 +203,16 @@ func BenchmarkStripedPostCompleteRead(b *testing.B) {
 	}
 }
 
-// BenchmarkStripedFetchAddFanout measures the striped FAA hot path: post on
-// the home shard, cumulative ack there.
+// BenchmarkStripedFetchAddFanout measures the striped FAA hot path as the
+// state store runs it: post on the key's home shard at its striped offset,
+// cumulative ack there.
 func BenchmarkStripedFetchAddFanout(b *testing.B) {
 	eps, s := stripedBed(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key := uint64(i % 4)
 		psn := eps[key].psn
-		s.PostFetchAdd(key, 1)
+		s.Shard(s.ShardOf(key)).PostFetchAdd(s.Offset(key), 1)
 		s.Shard(int(key)).AckCumulative(psn)
 	}
 }

@@ -70,9 +70,6 @@ func (c *Credits) Config() CreditConfig { return c.cfg }
 // Outstanding reports currently held credits.
 func (c *Credits) Outstanding() int { return c.outstanding }
 
-// Gated reports whether the window is closed waiting for the low watermark.
-func (c *Credits) Gated() bool { return c.gated }
-
 // CanAcquire reports whether an Acquire would succeed, without counting a
 // refusal. Issue loops use it as their continuation condition.
 func (c *Credits) CanAcquire() bool {

@@ -52,18 +52,18 @@ func TestCreditHysteresis(t *testing.T) {
 			t.Fatalf("refused below Window at %d", i)
 		}
 	}
-	if !c.Gated() || c.TryAcquire() {
+	if !c.gated || c.TryAcquire() {
 		t.Fatal("gate did not close at Window")
 	}
 	// Draining to Low-1=1 must pass through 5,4,3,2 still gated.
 	for i := 0; i < 3; i++ {
 		c.Release()
-		if !c.Gated() {
+		if !c.gated {
 			t.Fatalf("gate reopened early at outstanding=%d", c.Outstanding())
 		}
 	}
 	c.Release() // outstanding 2 == Low: reopen
-	if c.Gated() || !c.CanAcquire() {
+	if c.gated || !c.CanAcquire() {
 		t.Fatal("gate did not reopen at Low")
 	}
 	if c.Stats.GateEntries != 1 || c.Stats.GateExits != 1 {

@@ -89,18 +89,10 @@ func TestAppendExpiredMatchesScan(t *testing.T) {
 					q.Repost(tok)
 				}
 			case r < 75: // fail over to a fresh endpoint and window
-				want := liveTokens(q)
-				next := &clockEP{clock: &clock}
-				moved := q.Retarget(next, NewCredits(CreditConfig{Window: 12}), nil)
-				slices.Sort(moved)
-				if !slices.Equal(moved, want) {
-					t.Fatalf("seed %d step %d: Retarget moved %v, live %v", seed, step, moved, want)
-				}
-				ep = next
+				q.Abort()
+				ep = &clockEP{clock: &clock}
+				q.Rebind(ep, NewCredits(CreditConfig{Window: 12}))
 				ep.fail = rng.Intn(8) == 0
-				for _, tok := range moved {
-					q.Repost(tok)
-				}
 			case r < 76:
 				q.Abort()
 			default: // advance time: often not at all, sometimes past Timeout

@@ -4,25 +4,24 @@ package verbs
 //
 // The failover engine can rebind a QP to a standby, but §7's concession
 // stands: state stored only on the dead primary is gone. MirroredQP closes
-// that gap at the transport layer — every WRITE and Fetch-and-Add posted
-// through it is also posted to a second server's QP, and a bounded journal
+// that gap at the transport layer — every Fetch-and-Add posted through it is
+// also posted to a second server's QP, and a bounded journal
 // remembers what the replica has not yet acknowledged so a promotion can
 // replay the difference before the shard rebinds. Two modes span the
 // consistency/throughput trade (Cascone et al.'s state-access relaxation
 // knob, applied to replication):
 //
 //   - Sync: a request is settled only when both the primary and the replica
-//     acknowledged it (writes, which are unsignaled at this transport,
-//     settle on replica egress). The journal never declares loss; on a
-//     primary crash the replica is byte-exact up to the journal replay.
+//     acknowledged it. The journal never declares loss; on a primary crash
+//     the replica is byte-exact up to the journal replay.
 //   - Async: the primary ack alone settles the caller's view; the replica
 //     may lag up to MaxLag journaled requests. Entries pushed past the
 //     bound are declared lost — counted, and surfaced as typed
 //     CQReplicaLost completions on the primary QP — and the anti-entropy
 //     scrubber is the repair path for whatever the declaration got wrong.
 //
-// The journal is a preallocated ring (entries plus a payload slab for
-// WRITE replay), so the post→mirror→complete cycle allocates nothing.
+// The journal is a preallocated ring of entries, so the
+// post→mirror→complete cycle allocates nothing.
 // Replica acknowledgements are matched by EXACT mirror PSN, not
 // cumulatively: a cumulative mark would silently absorb requests the
 // replica never saw (dropped during a replica blip) and corrupt the loss
@@ -71,14 +70,9 @@ func (c MirrorConfig) withDefaults() MirrorConfig {
 	return c
 }
 
-const (
-	// mirrorJournal is the ring capacity in entries. A full ring
-	// force-settles its head (declaring it lost if unacknowledged).
-	mirrorJournal = 256
-	// mirrorPayloadCap is the per-entry WRITE payload retained for replay;
-	// longer writes are mirrored best-effort but not journaled.
-	mirrorPayloadCap = 64
-)
+// mirrorJournal is the ring capacity in entries. A full ring force-settles
+// its head (declaring it lost if unacknowledged).
+const mirrorJournal = 256
 
 // MirrorLagBuckets is the number of log2 replica-lag histogram buckets.
 const MirrorLagBuckets = 16
@@ -113,11 +107,14 @@ func (h LagHist) Add(o LagHist) LagHist {
 // MirrorStats are one mirrored QP's replication counters. The struct is
 // flat and comparable so aggregate snapshots can embed it.
 type MirrorStats struct {
-	MirroredWrites int64   // WRITEs shadow-posted to the replica's wire
+	// MirroredWrites stays 0: the mirror journals only Fetch-and-Adds. It is
+	// kept because the benchmark and E10's results line still print it;
+	// ROADMAP item 11 retires it.
+	MirroredWrites int64
 	MirroredFAAs   int64   // Fetch-and-Adds shadow-posted to the replica's wire
 	ReplicaAcked   int64   // journal entries acknowledged by the replica (exact PSN)
 	BothAcked      int64   // entries settled with both primary and replica acks (Sync's guarantee)
-	ReplicaLost    int64   // entries declared lost (lag bound, ring overflow, oversized write)
+	ReplicaLost    int64   // entries declared lost (lag bound, ring overflow)
 	LostDelta      int64   // summed FAA deltas of declared-lost entries (loss upper bound)
 	Replayed       int64   // entries re-posted into the replica by a promotion
 	Promotions     int64   // times Promote ran
@@ -138,18 +135,16 @@ func (s MirrorStats) Add(o MirrorStats) MirrorStats {
 	return s
 }
 
-// mirrorEntry is one journaled request: enough to match both ack streams
-// and to replay the request into the replica.
+// mirrorEntry is one journaled Fetch-and-Add: enough to match both ack
+// streams and to replay the request into the replica.
 type mirrorEntry struct {
-	op      OpType
 	offset  int
-	delta   uint64 // FAA delta (OpFetchAdd)
-	payLen  int    // retained WRITE payload length (OpWrite)
+	delta   uint64
 	ppsn    uint32 // primary-side PSN (cumulative ack matching)
 	rpsn    uint32 // replica-side PSN (exact ack matching; valid iff rposted)
 	rposted bool   // reached the replica's wire at least once
-	packed  bool   // primary acknowledged (writes: at post)
-	racked  bool   // replica acknowledged (writes: at replica egress)
+	packed  bool   // primary acknowledged
+	racked  bool   // replica acknowledged
 	lost    bool   // declared lost; settles without a replica ack
 }
 
@@ -157,7 +152,7 @@ func (e *mirrorEntry) settled(promoted bool) bool {
 	return (e.packed || promoted) && (e.racked || e.lost)
 }
 
-// MirroredQP shadow-posts WRITE/FAA work requests to a replica server's QP.
+// MirroredQP shadow-posts Fetch-and-Add work requests to a replica server's QP.
 // It wraps — never replaces — the primary QP: READ completion, credits,
 // retransmit, and failover stay on the primary; the mirror adds only the
 // replica post, the journal, and the loss/lag accounting. Not safe for
@@ -168,7 +163,6 @@ type MirroredQP struct {
 	cfg     MirrorConfig
 
 	ring     []mirrorEntry
-	slab     []byte // WRITE replay payloads, mirrorPayloadCap bytes per slot
 	head, n  int
 	promoted bool
 
@@ -192,15 +186,8 @@ func NewMirrored(primary, replica *QP, cfg MirrorConfig) *MirroredQP {
 		replica: replica,
 		cfg:     cfg,
 		ring:    make([]mirrorEntry, mirrorJournal),
-		slab:    make([]byte, mirrorJournal*mirrorPayloadCap),
 	}
 }
-
-// Primary returns the wrapped primary QP.
-func (m *MirroredQP) Primary() *QP { return m.primary }
-
-// Mode returns the configured replication mode.
-func (m *MirroredQP) Mode() ReplicationMode { return m.cfg.Mode }
 
 // MaxLag returns the effective lag bound.
 func (m *MirroredQP) MaxLag() int { return m.cfg.MaxLag }
@@ -209,9 +196,6 @@ func (m *MirroredQP) MaxLag() int { return m.cfg.MaxLag }
 // delegate straight to the primary, which the caller rebound to the
 // replica's channel).
 func (m *MirroredQP) Promoted() bool { return m.promoted }
-
-// Journaled reports live journal entries.
-func (m *MirroredQP) Journaled() int { return m.n }
 
 // Lag reports journal entries the replica has not acknowledged — the
 // replication lag the supervisor's pressure ladder watches.
@@ -224,19 +208,6 @@ func (m *MirroredQP) Lag() int {
 		}
 	}
 	return lag
-}
-
-// LagDelta sums the FAA deltas of un-acknowledged, un-lost journal entries
-// — the in-flight residue E13's loss accounting subtracts.
-func (m *MirroredQP) LagDelta() uint64 {
-	var d uint64
-	for i := 0; i < m.n; i++ {
-		e := &m.ring[(m.head+i)%len(m.ring)]
-		if e.op == OpFetchAdd && !e.racked && !e.lost {
-			d += e.delta
-		}
-	}
-	return d
 }
 
 // slot returns the ring index of live entry i (0 = oldest).
@@ -271,10 +242,8 @@ func (m *MirroredQP) declareLost(e *mirrorEntry) {
 	}
 	e.lost = true
 	m.Stats.ReplicaLost++
-	if e.op == OpFetchAdd {
-		m.Stats.LostDelta += int64(e.delta)
-	}
-	m.primary.CompleteError(e.op, uint64(e.offset), e.rpsn, CQReplicaLost)
+	m.Stats.LostDelta += int64(e.delta)
+	m.primary.CompleteError(OpFetchAdd, uint64(e.offset), e.rpsn, CQReplicaLost)
 }
 
 // drain pops every settled entry off the head, counting Sync's both-acked
@@ -322,49 +291,12 @@ func (m *MirroredQP) PostFetchAdd(offset int, delta uint64) bool {
 		return false
 	}
 	e := m.push()
-	e.op, e.offset, e.delta, e.ppsn = OpFetchAdd, offset, delta, ppsn
+	e.offset, e.delta, e.ppsn = offset, delta, ppsn
 	rpsn := m.replica.Endpoint().PSN()
 	if m.replica.PostFetchAdd(offset, delta) {
 		e.rposted, e.rpsn = true, rpsn
 		m.Stats.MirroredFAAs++
 	}
-	m.Stats.Lag.Observe(m.Lag())
-	m.enforceLag()
-	return true
-}
-
-// PostWrite posts an unsignaled WRITE on the primary and shadows it onto
-// the replica. Writes expect no ack on either side, so a successfully
-// mirrored write settles immediately; a refused mirror (replica egress
-// full) is journaled — payload retained up to mirrorPayloadCap — and
-// retried on the next replica ack event or replayed by a promotion. Oversized
-// writes are mirrored best-effort only: a refusal is declared lost on the
-// spot.
-func (m *MirroredQP) PostWrite(offset int, payload []byte) bool {
-	if m.promoted {
-		return m.primary.PostWrite(offset, payload)
-	}
-	if !m.primary.PostWrite(offset, payload) {
-		return false
-	}
-	if m.replica.PostWrite(offset, payload) {
-		m.Stats.MirroredWrites++
-		m.Stats.Lag.Observe(m.Lag())
-		return true
-	}
-	if len(payload) > mirrorPayloadCap {
-		// Too big to journal for replay: count the miss as a loss and let
-		// the scrubber repair the window.
-		m.Stats.ReplicaLost++
-		m.primary.CompleteError(OpWrite, uint64(offset), 0, CQReplicaLost)
-		m.Stats.Lag.Observe(m.Lag())
-		return true
-	}
-	e := m.push()
-	e.op, e.offset, e.payLen = OpWrite, offset, len(payload)
-	e.packed = true // unsignaled on the primary: nothing to wait for
-	s := m.slot(m.n - 1)
-	copy(m.slab[s*mirrorPayloadCap:], payload)
 	m.Stats.Lag.Observe(m.Lag())
 	m.enforceLag()
 	return true
@@ -376,7 +308,7 @@ func (m *MirroredQP) PostWrite(offset int, payload []byte) bool {
 func (m *MirroredQP) AckPrimary(psn uint32) {
 	for i := 0; i < m.n; i++ {
 		e := &m.ring[m.slot(i)]
-		if e.op == OpFetchAdd && !e.packed && !PSNAfter(e.ppsn, psn) {
+		if !e.packed && !PSNAfter(e.ppsn, psn) {
 			e.packed = true
 		}
 	}
@@ -400,34 +332,29 @@ func (m *MirroredQP) AckReplica(psn uint32) int {
 			acked++
 		}
 	}
-	m.retryUnposted()
+	m.postUnposted()
 	m.drain()
 	return acked
 }
 
-// retryUnposted re-offers journal entries that never reached the replica's
-// wire (egress refused at post time, or the replica was down).
-func (m *MirroredQP) retryUnposted() {
+// postUnposted re-offers journal entries that never reached the replica's
+// wire (egress refused at post time, or the replica was down) and returns
+// how many the replica took.
+func (m *MirroredQP) postUnposted() int {
+	posted := 0
 	for i := 0; i < m.n; i++ {
 		e := &m.ring[m.slot(i)]
 		if e.rposted || e.lost {
 			continue
 		}
-		switch e.op {
-		case OpFetchAdd:
-			rpsn := m.replica.Endpoint().PSN()
-			if m.replica.PostFetchAdd(e.offset, e.delta) {
-				e.rposted, e.rpsn = true, rpsn
-				m.Stats.MirroredFAAs++
-			}
-		case OpWrite:
-			s := m.slot(i)
-			if m.replica.PostWrite(e.offset, m.slab[s*mirrorPayloadCap:s*mirrorPayloadCap+e.payLen]) {
-				e.rposted, e.racked = true, true
-				m.Stats.MirroredWrites++
-			}
+		rpsn := m.replica.Endpoint().PSN()
+		if m.replica.PostFetchAdd(e.offset, e.delta) {
+			e.rposted, e.rpsn = true, rpsn
+			m.Stats.MirroredFAAs++
+			posted++
 		}
 	}
+	return posted
 }
 
 // Promote retires the mirror after a primary crash: every journal entry the
@@ -443,31 +370,8 @@ func (m *MirroredQP) Promote() int {
 	}
 	m.promoted = true
 	m.Stats.Promotions++
-	replayed := 0
-	for i := 0; i < m.n; i++ {
-		s := m.slot(i)
-		e := &m.ring[s]
-		if e.rposted || e.lost {
-			continue
-		}
-		switch e.op {
-		case OpFetchAdd:
-			rpsn := m.replica.Endpoint().PSN()
-			if m.replica.PostFetchAdd(e.offset, e.delta) {
-				e.rposted, e.rpsn = true, rpsn
-				m.Stats.MirroredFAAs++
-				m.Stats.Replayed++
-				replayed++
-			}
-		case OpWrite:
-			if m.replica.PostWrite(e.offset, m.slab[s*mirrorPayloadCap:s*mirrorPayloadCap+e.payLen]) {
-				e.rposted, e.racked = true, true
-				m.Stats.MirroredWrites++
-				m.Stats.Replayed++
-				replayed++
-			}
-		}
-	}
+	replayed := m.postUnposted()
+	m.Stats.Replayed += int64(replayed)
 	// The journal's purpose — replay on promotion — is spent; whatever the
 	// replay could not recover is the scrubber's to repair.
 	m.head, m.n = 0, 0

@@ -18,26 +18,25 @@ func TestMirroredSyncSettlesOnBothAcks(t *testing.T) {
 	if !m.PostFetchAdd(8, 5) {
 		t.Fatal("post refused")
 	}
-	if m.Journaled() != 1 || m.Lag() != 1 || m.LagDelta() != 5 {
-		t.Fatalf("journal=%d lag=%d lagDelta=%d after post, want 1/1/5",
-			m.Journaled(), m.Lag(), m.LagDelta())
+	if m.n != 1 || m.Lag() != 1 {
+		t.Fatalf("journal=%d lag=%d after post, want 1/1", m.n, m.Lag())
 	}
 	if m.Stats.MirroredFAAs != 1 {
 		t.Fatalf("MirroredFAAs = %d, want 1", m.Stats.MirroredFAAs)
 	}
 	// Primary ack alone must not settle a Sync entry.
-	m.Primary().AckCumulative(ppsn)
+	m.primary.AckCumulative(ppsn)
 	m.AckPrimary(ppsn)
-	if m.Journaled() != 1 || m.Stats.BothAcked != 0 {
+	if m.n != 1 || m.Stats.BothAcked != 0 {
 		t.Fatalf("primary ack alone settled: journal=%d both=%d",
-			m.Journaled(), m.Stats.BothAcked)
+			m.n, m.Stats.BothAcked)
 	}
 	// Replica ack completes the pair and drains the journal.
 	if n := m.AckReplica(rpsn); n != 1 {
 		t.Fatalf("AckReplica acked %d entries, want 1", n)
 	}
-	if m.Journaled() != 0 || m.Lag() != 0 {
-		t.Fatalf("journal=%d lag=%d after both acks, want 0/0", m.Journaled(), m.Lag())
+	if m.n != 0 || m.Lag() != 0 {
+		t.Fatalf("journal=%d lag=%d after both acks, want 0/0", m.n, m.Lag())
 	}
 	if m.Stats.BothAcked != 1 || m.Stats.ReplicaAcked != 1 || m.Stats.ReplicaLost != 0 {
 		t.Fatalf("stats = %+v, want BothAcked=1 ReplicaAcked=1 ReplicaLost=0", m.Stats)
@@ -72,44 +71,34 @@ func TestMirroredAsyncDeclaresLossPastBound(t *testing.T) {
 	}
 }
 
-func TestMirroredWriteRefusalJournaledAndRetried(t *testing.T) {
+func TestMirroredRefusalJournaledAndRetried(t *testing.T) {
 	pep, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync})
-	_ = pep
+	ppsn := pep.psn
 	rep.fail = true
-	if !m.PostWrite(0, []byte("abcd")) {
-		t.Fatal("primary write refused")
+	if !m.PostFetchAdd(0, 3) {
+		t.Fatal("primary FAA refused")
 	}
-	if m.Journaled() != 1 || m.Stats.MirroredWrites != 0 {
-		t.Fatalf("refused mirror write: journal=%d mirrored=%d, want 1/0",
-			m.Journaled(), m.Stats.MirroredWrites)
+	if m.n != 1 || m.Stats.MirroredFAAs != 0 {
+		t.Fatalf("refused mirror FAA: journal=%d mirrored=%d, want 1/0",
+			m.n, m.Stats.MirroredFAAs)
 	}
 	// Replica recovers; the next replica ack event retries the journal.
 	rep.fail = false
-	m.AckReplica(0)
-	if m.Journaled() != 0 || m.Stats.MirroredWrites != 1 {
-		t.Fatalf("after retry: journal=%d mirrored=%d, want 0/1",
-			m.Journaled(), m.Stats.MirroredWrites)
+	rpsn := rep.psn
+	m.AckReplica(rpsn)
+	if m.n != 1 || m.Stats.MirroredFAAs != 1 || rep.psn != rpsn+1 {
+		t.Fatalf("after retry: journal=%d mirrored=%d replica psn=%d, want 1/1/%d",
+			m.n, m.Stats.MirroredFAAs, rep.psn, rpsn+1)
 	}
-	if m.Stats.ReplicaLost != 0 {
-		t.Fatalf("ReplicaLost = %d, want 0 (Sync write retried, not lost)", m.Stats.ReplicaLost)
+	// Both acks now settle the retried entry, with nothing declared lost.
+	m.primary.AckCumulative(ppsn)
+	m.AckPrimary(ppsn)
+	if n := m.AckReplica(rpsn); n != 1 || m.n != 0 {
+		t.Fatalf("retried entry: acked %d, journal=%d, want 1/0", n, m.n)
 	}
-}
-
-func TestMirroredOversizedWriteRefusalIsTypedLoss(t *testing.T) {
-	_, rep, m := mkMirrored(MirrorConfig{Mode: ReplicationSync})
-	rep.fail = true
-	if !m.PostWrite(0, make([]byte, mirrorPayloadCap+1)) {
-		t.Fatal("primary write refused")
-	}
-	// No slab slot can hold it: the miss is a counted, typed loss on the spot.
-	if m.Journaled() != 0 {
-		t.Fatalf("oversized write journaled (%d entries)", m.Journaled())
-	}
-	if m.Stats.ReplicaLost != 1 {
-		t.Fatalf("ReplicaLost = %d, want 1", m.Stats.ReplicaLost)
-	}
-	if got := m.Primary().Stats.Errors.ReplicaLost; got != 1 {
-		t.Fatalf("primary typed CQReplicaLost = %d, want 1", got)
+	if m.Stats.ReplicaLost != 0 || m.Stats.BothAcked != 1 {
+		t.Fatalf("ReplicaLost=%d BothAcked=%d, want 0/1 (Sync FAA retried, not lost)",
+			m.Stats.ReplicaLost, m.Stats.BothAcked)
 	}
 }
 
@@ -170,8 +159,8 @@ func TestMirroredPromoteReplaysOnlyUnposted(t *testing.T) {
 			t.Fatalf("post %d refused", i)
 		}
 	}
-	if rep.faas != 1 || m.Journaled() != 4 {
-		t.Fatalf("pre-promotion: replica faas=%d journal=%d, want 1/4", rep.faas, m.Journaled())
+	if rep.faas != 1 || m.n != 4 {
+		t.Fatalf("pre-promotion: replica faas=%d journal=%d, want 1/4", rep.faas, m.n)
 	}
 
 	// The primary crashes; the replica comes back and is promoted.
@@ -183,8 +172,8 @@ func TestMirroredPromoteReplaysOnlyUnposted(t *testing.T) {
 		t.Fatalf("post-promotion: replica faas=%d deltas=%d, want 4 / 46 (exactly once each)",
 			rep.faas, rep.deltas)
 	}
-	if !m.Promoted() || m.Journaled() != 0 {
-		t.Fatalf("promoted=%v journal=%d, want true/0", m.Promoted(), m.Journaled())
+	if !m.Promoted() || m.n != 0 {
+		t.Fatalf("promoted=%v journal=%d, want true/0", m.Promoted(), m.n)
 	}
 	if m.Stats.Replayed != 3 || m.Stats.Promotions != 1 {
 		t.Fatalf("Replayed=%d Promotions=%d, want 3/1", m.Stats.Replayed, m.Stats.Promotions)
@@ -197,9 +186,9 @@ func TestMirroredPromoteReplaysOnlyUnposted(t *testing.T) {
 	if !m.PostFetchAdd(0, 1) {
 		t.Fatal("post-promotion post refused")
 	}
-	if rep.faas != before || m.Journaled() != 0 {
+	if rep.faas != before || m.n != 0 {
 		t.Fatalf("post-promotion post touched the mirror: faas=%d journal=%d",
-			rep.faas, m.Journaled())
+			rep.faas, m.n)
 	}
 }
 
@@ -215,8 +204,8 @@ func TestMirroredRingOverflowForceSettlesHead(t *testing.T) {
 			t.Fatalf("post %d refused", i)
 		}
 	}
-	if m.Journaled() != mirrorJournal {
-		t.Fatalf("journal = %d, want capacity %d", m.Journaled(), mirrorJournal)
+	if m.n != mirrorJournal {
+		t.Fatalf("journal = %d, want capacity %d", m.n, mirrorJournal)
 	}
 	if m.Stats.ReplicaLost != 1 || m.Stats.LostDelta != 1 {
 		t.Fatalf("ReplicaLost=%d LostDelta=%d, want 1/1 (evicted head)",

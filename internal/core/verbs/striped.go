@@ -41,7 +41,7 @@ type StripedQP struct {
 
 // NewStriped builds a striped QP over shards (one per server, in server
 // order). The shard list is fixed for the striped QP's lifetime; failover
-// replaces a shard's endpoint (Rebind/Retarget), never the shard count.
+// replaces a shard's endpoint (Rebind), never the shard count.
 func NewStriped(shards []*QP, cfg StripeConfig) *StripedQP {
 	if len(shards) == 0 {
 		panic("verbs: striped QP needs at least one shard")
@@ -51,9 +51,6 @@ func NewStriped(shards []*QP, cfg StripeConfig) *StripedQP {
 	}
 	return &StripedQP{shards: shards, cfg: cfg}
 }
-
-// Shards reports the shard count.
-func (s *StripedQP) Shards() int { return len(s.shards) }
 
 // Shard returns shard i's QP (completion routing: the caller maps a
 // response's destination QPN to a shard index and dispatches there).
@@ -94,11 +91,6 @@ func (s *StripedQP) PostWrite(key uint64, skew int, payload []byte) bool {
 	return s.Home(key).PostWrite(s.Offset(key)+skew, payload)
 }
 
-// PostFetchAdd posts a Fetch-and-Add on key's slot.
-func (s *StripedQP) PostFetchAdd(key uint64, delta uint64) bool {
-	return s.Home(key).PostFetchAdd(s.Offset(key), delta)
-}
-
 // Repost re-issues key's tracked READ on its home shard with fresh PSNs.
 func (s *StripedQP) Repost(key uint64) bool { return s.Home(key).Repost(key) }
 
@@ -128,15 +120,6 @@ func (s *StripedQP) Errors() ErrStats {
 		e = e.Add(q.Stats.Errors)
 	}
 	return e
-}
-
-// ReapExpired runs every shard's expiry reaper, returning the total reaped.
-func (s *StripedQP) ReapExpired() int {
-	n := 0
-	for _, q := range s.shards {
-		n += q.ReapExpired()
-	}
-	return n
 }
 
 // AppendExpired appends every shard's expired tokens to buf; the caller

@@ -68,7 +68,7 @@ func TestStripedPostRoutesToHomeShard(t *testing.T) {
 	}
 	s := NewStriped(shards, StripeConfig{EntrySize: 8})
 	for k := uint64(0); k < 6; k++ {
-		if !s.PostFetchAdd(k, k+1) {
+		if !s.Home(k).PostFetchAdd(s.Offset(k), k+1) {
 			t.Fatalf("post %d refused", k)
 		}
 	}
@@ -117,43 +117,5 @@ func TestStripedPerShardCredits(t *testing.T) {
 	}
 	if !s.TokenPending(0) || !s.TokenPending(1) || s.TokenPending(2) {
 		t.Fatal("token index misrouted")
-	}
-}
-
-func TestRetargetMovesCreditsAndTokens(t *testing.T) {
-	oldEP, newEP := &faaEndpoint{}, &faaEndpoint{}
-	oldCr := NewCredits(CreditConfig{Window: 4})
-	newCr := NewCredits(CreditConfig{Window: 4})
-	qp := NewQP(oldEP, oldCr, QPConfig{TokenIndex: true})
-	for tok := uint64(0); tok < 3; tok++ {
-		if !qp.PostRead(tok, int(tok)*64, 64, 1, CreditTry) {
-			t.Fatalf("post %d refused", tok)
-		}
-	}
-	moved := qp.Retarget(newEP, newCr, nil)
-	if len(moved) != 3 {
-		t.Fatalf("retarget moved %d tokens, want 3", len(moved))
-	}
-	// Held credits migrated: the old window is free, the new one holds 3.
-	if oldCr.Outstanding() != 0 || newCr.Outstanding() != 3 {
-		t.Fatalf("credit migration: old=%d new=%d", oldCr.Outstanding(), newCr.Outstanding())
-	}
-	// Reposts re-issue on the new endpoint; completions retire against the
-	// new window.
-	for _, tok := range moved {
-		if !qp.Repost(tok) {
-			t.Fatalf("repost %d refused", tok)
-		}
-	}
-	if newEP.psn != 3 || oldEP.psn != 3 {
-		t.Fatalf("reposts did not land on new endpoint: old psn %#x new psn %#x", oldEP.psn, newEP.psn)
-	}
-	for psn := uint32(0); psn < 3; psn++ {
-		if _, ok := qp.CompleteExact(psn); !ok {
-			t.Fatalf("completion at %d missed", psn)
-		}
-	}
-	if newCr.Outstanding() != 0 || qp.Pending() != 0 {
-		t.Fatalf("drain: outstanding=%d pending=%d", newCr.Outstanding(), qp.Pending())
 	}
 }

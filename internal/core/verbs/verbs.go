@@ -201,7 +201,7 @@ type QPConfig struct {
 	// TokenIndex maintains a token→WQE index: TokenPending answers "is this
 	// token in flight" and Repost re-issues by token. Tokens must be unique
 	// among live WQEs. Without Reap this is the retry mode: the QP also
-	// keeps its READs in issue order for AppendExpired and Retarget.
+	// keeps its READs in issue order for AppendExpired.
 	TokenIndex bool
 	// Reap enables the FIFO-ordered expiry reaper: ReapExpired releases the
 	// credit of any WQE older than Timeout and discards it (the caller's
@@ -261,9 +261,6 @@ func NewQP(ep Endpoint, credits *Credits, cfg QPConfig) *QP {
 	}
 	return q
 }
-
-// Credits returns the QP's admission window (nil when unmetered).
-func (q *QP) Credits() *Credits { return q.credits }
 
 // Endpoint returns the wire beneath the QP. Mirroring layers use it to peek
 // the next PSN before delegating a post.
@@ -534,9 +531,9 @@ func (q *QP) Repost(token uint64) bool {
 	if !q.ep.Read(w.Offset, w.Len, w.RespPkts) {
 		return false
 	}
-	// After a Retarget the new endpoint's PSN space restarts, so this WQE's
-	// stale key may already have been claimed by a sibling's repost — only
-	// unmap the old PSN if it still points at us.
+	// The old PSN key may already belong to another WQE (an endpoint's PSN
+	// space restarts on a new channel and wraps at 24 bits), so only unmap
+	// it if it still points at us.
 	if q.byPSN[w.PSN] == w {
 		delete(q.byPSN, w.PSN)
 	}
@@ -783,33 +780,8 @@ func (q *QP) Abort() {
 }
 
 // Rebind points the QP at a new endpoint and admission window (server
-// failover). The caller aborts or retargets in-flight work first.
+// failover). The caller aborts in-flight work first.
 func (q *QP) Rebind(ep Endpoint, credits *Credits) {
 	q.ep = ep
 	q.credits = credits
-}
-
-// Retarget points the QP at a new endpoint WITHOUT abandoning in-flight
-// work — the failover path for READ workloads whose requests must
-// eventually be satisfied (retry-mode QPs). Every live WQE's held credit
-// moves from the old window to the new one, and its token is appended to
-// buf, in issue order, for the caller to sort and re-issue via Repost
-// against the new endpoint. Responses still arriving from the old endpoint
-// complete as stale.
-func (q *QP) Retarget(ep Endpoint, credits *Credits, buf []uint64) []uint64 {
-	for i := 0; i < q.issued.Len(); i++ {
-		e := q.issued.At(i)
-		if !e.live() {
-			continue
-		}
-		w := e.w
-		if w.hasCredit && q.credits != credits {
-			q.credits.Release()
-			credits.Acquire()
-		}
-		buf = append(buf, w.Token)
-	}
-	q.ep = ep
-	q.credits = credits
-	return buf
 }

@@ -36,15 +36,6 @@ type GilbertElliott struct {
 	BadFrames int64
 }
 
-// DefaultGilbertElliott returns a model with ~1% average loss concentrated
-// in short bursts: mean burst length 1/PBadToGood = 5 frames.
-func DefaultGilbertElliott() *GilbertElliott {
-	return &GilbertElliott{
-		PGoodToBad: 0.002, PBadToGood: 0.2,
-		LossGood: 0, LossBad: 0.5,
-	}
-}
-
 // lose advances the chain one frame and reports whether it is lost.
 func (g *GilbertElliott) lose(rng *rand.Rand) bool {
 	if g.bad {

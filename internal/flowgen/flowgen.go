@@ -1,12 +1,11 @@
 // Package flowgen provides the traffic generators that stand in for the
 // paper's measurement tools: raw_ethernet_bw (constant-rate senders at a
-// configurable data rate), NetPIPE (ping-pong latency probes), incast burst
-// generators for the §2.1 scenario, and Zipf flow workloads for the lookup
-// and telemetry use cases.
+// configurable data rate, also the n:1 incast senders of §2.1), NetPIPE
+// (ping-pong latency probes), and Zipf flow workloads for the lookup and
+// telemetry use cases.
 package flowgen
 
 import (
-	"math"
 	"math/rand"
 
 	"gem/internal/netsim"
@@ -71,22 +70,6 @@ func (c *CBR) Start(engine *sim.Engine, count int64) {
 
 // Stop halts the generator after the current frame.
 func (c *CBR) Stop() { c.stop = true }
-
-// Burst sends count frames back-to-back (line rate) from src toward dst —
-// the incast microburst of §2.1. Each sender calls Burst at the same
-// instant for an n:1 incast.
-func Burst(port *netsim.Port, src, dst *netsim.Host, frameLen int, count int) (sent, failed int) {
-	for i := 0; i < count; i++ {
-		f := wire.BuildDataFrameInto(wire.DefaultPool, src.MAC, dst.MAC, src.IP, dst.IP,
-			uint16(1000+i%64), 9999, frameLen, nil)
-		if port.Send(f) {
-			sent++
-		} else {
-			failed++
-		}
-	}
-	return sent, failed
-}
 
 // PingPong measures round-trip latency like NetPIPE: a sends a frame to b,
 // b's handler echoes it back, a records the RTT and sends the next probe.
@@ -172,14 +155,4 @@ func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 // below 65535² map to distinct, nonzero port pairs.
 func FlowID(i int) (srcPort, dstPort uint16) {
 	return uint16(i%65535) + 1, uint16(i/65535%65535) + 1
-}
-
-// PoissonInterval draws an exponential inter-arrival for mean rate
-// eventsPerSec, for open-loop arrival processes.
-func PoissonInterval(rng *rand.Rand, eventsPerSec float64) sim.Duration {
-	if eventsPerSec <= 0 {
-		return sim.Second
-	}
-	d := -math.Log(1-rng.Float64()) / eventsPerSec
-	return sim.Duration(d * 1e9)
 }

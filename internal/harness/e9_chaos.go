@@ -126,7 +126,7 @@ func e9a(cfg E9Config, res *E9Result) {
 	}
 	ss.SetShardRetransmitter(0, rt)
 
-	// A hotter burst-entry rate than DefaultGilbertElliott: the invariant
+	// A hotter burst-entry rate than the usual 0.002/frame: the invariant
 	// "loss actually happened" must hold at every seed, and 0.002/frame over
 	// a few hundred frames leaves even odds of a clean run.
 	lossy := func() *faults.GilbertElliott {

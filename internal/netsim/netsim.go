@@ -100,18 +100,12 @@ type Port struct {
 // independently; install on both ports for a symmetric fault model.
 func (p *Port) SetFaultInjector(f FaultInjector) { p.faults = f }
 
-// Device returns the device that owns the port.
-func (p *Port) Device() Device { return p.dev }
-
 // Index returns the port's index on its device (assigned at Connect time,
 // in connection order per device).
 func (p *Port) Index() int { return p.index }
 
 // Peer returns the port at the other end of the link.
 func (p *Port) Peer() *Port { return p.peer }
-
-// QueuedFrames reports the current transmit FIFO occupancy.
-func (p *Port) QueuedFrames() int { return p.txQueue.Len() }
 
 // PeakQueuedFrames reports the highest transmit FIFO occupancy observed —
 // the overload experiments use it to show credit windows keep device queues

@@ -92,7 +92,7 @@ func TestLineRateThroughput(t *testing.T) {
 		t.Fatalf("received %d/%d", b.Received, frames)
 	}
 	// Wire throughput should be ~40 Gbps over the busy period.
-	gbps := pb.RxMeter.Gbps(n.Engine.Now())
+	gbps := float64(pb.RxMeter.Bytes) * 8 / float64(n.Engine.Now()) // bits per ns
 	if math.Abs(gbps-40) > 1 {
 		t.Fatalf("throughput = %.2f Gbps, want ≈40", gbps)
 	}
@@ -149,7 +149,7 @@ func TestPortMetadata(t *testing.T) {
 	if len(n.Ports(a)) != 2 || len(n.Ports(c)) != 1 {
 		t.Fatal("ports map wrong")
 	}
-	if p1.Device() != Device(a) {
+	if p1.dev != Device(a) {
 		t.Fatal("device binding wrong")
 	}
 	if p1.String() != "a[0]" {
@@ -205,12 +205,12 @@ func TestQueuedFrames(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pa.Send(testFrame(1000))
 	}
-	if pa.QueuedFrames() != 4 {
-		t.Fatalf("queued = %d, want 4", pa.QueuedFrames())
+	if got := pa.txQueue.Len(); got != 4 {
+		t.Fatalf("queued = %d, want 4", got)
 	}
 	n.Engine.Run()
-	if pa.QueuedFrames() != 0 {
-		t.Fatalf("queued = %d after drain", pa.QueuedFrames())
+	if got := pa.txQueue.Len(); got != 0 {
+		t.Fatalf("queued = %d after drain", got)
 	}
 }
 

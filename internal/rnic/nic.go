@@ -78,9 +78,6 @@ func (q *QP) replayAtomic(psn uint32) (uint64, bool) {
 	return 0, false
 }
 
-// ExpectedPSN returns the responder's next expected PSN (for tests).
-func (q *QP) ExpectedPSN() uint32 { return q.ePSN }
-
 // SetExpectedPSN forces the responder's next expected PSN — the rq_psn
 // attribute of a real ModifyQP call, used when the two ends agree on a
 // starting PSN other than zero.
@@ -198,7 +195,7 @@ func (n *NIC) CreateQP(mode PSNMode) *QP {
 func (n *NIC) LookupRegion(rkey uint32) *Region { return n.regions[rkey] }
 
 // LookupQP returns the responder queue pair numbered qpn, or nil — the
-// control-plane handle for per-QP attributes (ExpectedPSN, SetExpectedPSN).
+// control-plane handle for per-QP attributes (SetExpectedPSN).
 func (n *NIC) LookupQP(qpn uint32) *QP { return n.qps[qpn] }
 
 // Fail simulates a server crash: from now on the NIC neither processes nor
@@ -225,9 +222,6 @@ func (n *NIC) WipeRegions() int {
 	}
 	return total
 }
-
-// Failed reports whether the NIC is in the crashed state.
-func (n *NIC) Failed() bool { return n.failed }
 
 // Slow puts the NIC into a degraded mode where every operation's execution
 // occupancy and response latency take factor times longer (factor <= 1
@@ -374,7 +368,7 @@ func (n *NIC) admitPSN(qp *QP, pkt *wire.Packet) bool {
 		qp.nakked = false
 		qp.ePSN = (qp.ePSN + n.psnConsumed(pkt)) & verbs.PSNMask
 		return true
-	case psnAfter(psn, qp.ePSN): // gap: requests were lost
+	case verbs.PSNAfter(psn, qp.ePSN): // gap: requests were lost
 		n.Stats.SeqGaps++
 		if qp.Mode == PSNTolerant {
 			qp.ePSN = (psn + n.psnConsumed(pkt)) & verbs.PSNMask
@@ -420,12 +414,6 @@ func (n *NIC) psnConsumed(pkt *wire.Packet) uint32 {
 	}
 	return 1
 }
-
-// psnAfter reports whether a comes strictly after b in 24-bit sequence
-// space. One definition serves both sides of the wire: the switch transport
-// (verbs.QP completion matching, Retransmitter window arithmetic) and this
-// responder negotiate completion semantics over the same comparison.
-func psnAfter(a, b uint32) bool { return verbs.PSNAfter(a, b) }
 
 // executeNext drains one RX ring (writes+atomics or reads) under the NIC's
 // rate caps.

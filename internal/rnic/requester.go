@@ -45,8 +45,7 @@ type workRequest struct {
 	rkey     uint32
 	data     []byte // write payload
 	length   int    // read length
-	add      uint64 // fetch-add operand / CAS swap value
-	compare  uint64 // CAS compare value
+	add      uint64 // fetch-add operand
 	firstPSN uint32
 	lastPSN  uint32 // last PSN of the message (incl. read response span)
 
@@ -109,20 +108,10 @@ func (r *Requester) PostFetchAdd(va uint64, rkey uint32, add uint64, onDone func
 		add: add, onAtomic: onDone})
 }
 
-// PostCompareSwap posts an atomic Compare-and-Swap; onDone receives the
-// original value (the swap happened iff it equals compare).
-func (r *Requester) PostCompareSwap(va uint64, rkey uint32, compare, swap uint64, onDone func(uint64)) {
-	r.post(&workRequest{opcode: wire.OpCompareSwap, va: va, rkey: rkey,
-		compare: compare, add: swap, onAtomic: onDone})
-}
-
 func (r *Requester) post(wr *workRequest) {
 	r.pending.Push(wr)
 	r.pump()
 }
-
-// OutstandingPackets reports the current in-flight packet count.
-func (r *Requester) OutstandingPackets() int { return len(r.inflight) }
 
 // pump transmits pending work while window space remains.
 func (r *Requester) pump() {
@@ -183,16 +172,11 @@ func (r *Requester) transmit(wr *workRequest) bool {
 		frame := wire.BuildReadRequestInto(wire.DefaultPool, &p, wr.va, wr.rkey, uint32(wr.length))
 		r.send(r.sPSN, frame, wr)
 		r.sPSN = (r.sPSN + uint32(pkts)) & verbs.PSNMask
-	case wire.OpFetchAdd, wire.OpCompareSwap:
+	case wire.OpFetchAdd:
 		wr.firstPSN = r.sPSN
 		wr.lastPSN = r.sPSN
 		p := r.params(r.sPSN, true)
-		var frame []byte
-		if wr.opcode == wire.OpFetchAdd {
-			frame = wire.BuildFetchAddInto(wire.DefaultPool, &p, wr.va, wr.rkey, wr.add)
-		} else {
-			frame = wire.BuildCompareSwapInto(wire.DefaultPool, &p, wr.va, wr.rkey, wr.compare, wr.add)
-		}
+		frame := wire.BuildFetchAddInto(wire.DefaultPool, &p, wr.va, wr.rkey, wr.add)
 		r.send(r.sPSN, frame, wr)
 		r.sPSN = (r.sPSN + 1) & verbs.PSNMask
 	default:
@@ -277,7 +261,7 @@ func (r *Requester) handleResponse(pkt *wire.Packet) {
 func (r *Requester) ackThrough(acked uint32) {
 	keep := r.inflight[:0]
 	for _, sp := range r.inflight {
-		if !psnAfter(sp.psn, acked) && sp.wr.opcode == wire.OpWriteOnly {
+		if !verbs.PSNAfter(sp.psn, acked) && sp.wr.opcode == wire.OpWriteOnly {
 			if sp.psn == sp.wr.lastPSN && !sp.wr.done {
 				sp.wr.done = true
 				r.Completions++

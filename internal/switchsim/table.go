@@ -51,12 +51,6 @@ func (t *ExactTable[K, V]) Insert(key K, v V) error {
 	return nil
 }
 
-// Len reports the number of installed entries.
-func (t *ExactTable[K, V]) Len() int { return len(t.m) }
-
-// Capacity reports the fixed entry capacity.
-func (t *ExactTable[K, V]) Capacity() int { return t.capacity }
-
 // HitRate returns hits/(hits+misses), or 0 with no lookups.
 func (t *ExactTable[K, V]) HitRate() float64 {
 	total := t.Hits + t.Misses
@@ -121,12 +115,3 @@ func (r *RegisterArray) Get(i int) uint64 { return r.regs[i] }
 
 // Set stores v into register i.
 func (r *RegisterArray) Set(i int, v uint64) { r.regs[i] = v }
-
-// Add adds delta to register i and returns the new value.
-func (r *RegisterArray) Add(i int, delta uint64) uint64 {
-	r.regs[i] += delta
-	return r.regs[i]
-}
-
-// Len reports the register count.
-func (r *RegisterArray) Len() int { return len(r.regs) }

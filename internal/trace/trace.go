@@ -135,14 +135,3 @@ func (r *Recorder) Dump(w io.Writer) {
 		fmt.Fprintf(w, "... %d further frames not recorded (limit %d)\n", r.Dropped, r.Limit)
 	}
 }
-
-// Filter returns the events whose line matches substr.
-func (r *Recorder) Filter(substr string) []Event {
-	var out []Event
-	for _, e := range r.Events {
-		if strings.Contains(e.Line, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
-}

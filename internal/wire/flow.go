@@ -57,15 +57,6 @@ func (k FlowKey) Hash() uint32 {
 // Index maps the flow hash onto a table of n entries. n must be positive.
 func (k FlowKey) Index(n int) int { return int(k.Hash() % uint32(n)) }
 
-// Reverse returns the key of the opposite direction of the flow.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{
-		SrcIP: k.DstIP, DstIP: k.SrcIP,
-		Protocol: k.Protocol,
-		SrcPort:  k.DstPort, DstPort: k.SrcPort,
-	}
-}
-
 // FlowOf extracts the 5-tuple from a parsed packet. Packets without an IPv4
 // or UDP layer yield a key with the available fields and zeroes elsewhere.
 func FlowOf(p *Packet) FlowKey {

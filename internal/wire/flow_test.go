@@ -65,17 +65,6 @@ func TestFlowKeyHashDeterministic(t *testing.T) {
 	}
 }
 
-func TestFlowKeyReverse(t *testing.T) {
-	k := FlowKey{SrcIP: IP4{1, 2, 3, 4}, DstIP: IP4{5, 6, 7, 8}, Protocol: 6, SrcPort: 1, DstPort: 2}
-	r := k.Reverse()
-	if r.SrcIP != k.DstIP || r.DstPort != k.SrcPort || r.Protocol != k.Protocol {
-		t.Fatalf("reverse = %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Fatal("double reverse not identity")
-	}
-}
-
 func TestFlowKeyIndexInRange(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, n uint16) bool {
 		size := int(n%1000) + 1

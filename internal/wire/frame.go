@@ -116,11 +116,6 @@ func BuildWriteOnlyInto(pool *Pool, p *RoCEParams, va uint64, rkey uint32, paylo
 	return frame
 }
 
-// BuildWriteOnly is BuildWriteOnlyInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildWriteOnly(p *RoCEParams, va uint64, rkey uint32, payload []byte) []byte {
-	return BuildWriteOnlyInto(DefaultPool, p, va, rkey, payload)
-}
-
 // BuildWriteFirstInto crafts the first packet of a multi-packet WRITE of
 // dmaLen total bytes.
 func BuildWriteFirstInto(pool *Pool, p *RoCEParams, va uint64, rkey uint32, dmaLen uint32, payload []byte) []byte {
@@ -189,11 +184,6 @@ func BuildCompareSwapInto(pool *Pool, p *RoCEParams, va uint64, rkey uint32, com
 	return frame
 }
 
-// BuildCompareSwap is BuildCompareSwapInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildCompareSwap(p *RoCEParams, va uint64, rkey uint32, compare, swap uint64) []byte {
-	return BuildCompareSwapInto(DefaultPool, p, va, rkey, compare, swap)
-}
-
 // BuildReadResponseInto crafts a READ response packet of the given flavour
 // (Only/First/Middle/Last). First/Only/Last carry an AETH.
 func BuildReadResponseInto(pool *Pool, p *RoCEParams, opcode Opcode, msn uint32, payload []byte) []byte {
@@ -215,11 +205,6 @@ func BuildReadResponseInto(pool *Pool, p *RoCEParams, opcode Opcode, msn uint32,
 	}
 }
 
-// BuildReadResponse is BuildReadResponseInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildReadResponse(p *RoCEParams, opcode Opcode, msn uint32, payload []byte) []byte {
-	return BuildReadResponseInto(DefaultPool, p, opcode, msn, payload)
-}
-
 // BuildAckInto crafts an ACK (or NAK, per syndrome) packet.
 func BuildAckInto(pool *Pool, p *RoCEParams, syndrome uint8, msn uint32) []byte {
 	frame := pool.Get(roceLen(p.Version, AETHLen, 0))
@@ -228,11 +213,6 @@ func BuildAckInto(pool *Pool, p *RoCEParams, syndrome uint8, msn uint32) []byte 
 	off += ae.Put(frame[off:])
 	finishRoCE(frame, off, nil)
 	return frame
-}
-
-// BuildAck is BuildAckInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildAck(p *RoCEParams, syndrome uint8, msn uint32) []byte {
-	return BuildAckInto(DefaultPool, p, syndrome, msn)
 }
 
 // BuildAtomicAckInto crafts an atomic acknowledge carrying the original
@@ -246,11 +226,6 @@ func BuildAtomicAckInto(pool *Pool, p *RoCEParams, msn uint32, orig uint64) []by
 	off += aa.Put(frame[off:])
 	finishRoCE(frame, off, nil)
 	return frame
-}
-
-// BuildAtomicAck is BuildAtomicAckInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildAtomicAck(p *RoCEParams, msn uint32, orig uint64) []byte {
-	return BuildAtomicAckInto(DefaultPool, p, msn, orig)
 }
 
 // BuildDataFrameInto assembles a plain (non-RoCE) Ethernet/IPv4/UDP frame

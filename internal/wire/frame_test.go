@@ -16,7 +16,7 @@ func testParams() *RoCEParams {
 
 func TestBuildWriteOnlyParses(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 256)
-	frame := BuildWriteOnly(testParams(), 0x4000, 0x1234, payload)
+	frame := BuildWriteOnlyInto(DefaultPool, testParams(), 0x4000, 0x1234, payload)
 
 	if got, want := len(frame), RoCEWireLen(RETHLen, 256); got != want {
 		t.Fatalf("frame len = %d, want %d", got, want)
@@ -78,7 +78,7 @@ func TestBuildFetchAddParses(t *testing.T) {
 }
 
 func TestBuildCompareSwapParses(t *testing.T) {
-	frame := BuildCompareSwap(testParams(), 0x100, 9, 11, 22)
+	frame := BuildCompareSwapInto(DefaultPool, testParams(), 0x100, 9, 11, 22)
 	var p Packet
 	if err := p.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestBuildCompareSwapParses(t *testing.T) {
 func TestBuildReadResponses(t *testing.T) {
 	payload := bytes.Repeat([]byte{1}, 64)
 	for _, op := range []Opcode{OpReadResponseOnly, OpReadResponseFirst, OpReadResponseLast} {
-		frame := BuildReadResponse(testParams(), op, 5, payload)
+		frame := BuildReadResponseInto(DefaultPool, testParams(), op, 5, payload)
 		var p Packet
 		if err := p.DecodeFromBytes(frame); err != nil {
 			t.Fatalf("%v: %v", op, err)
@@ -104,7 +104,7 @@ func TestBuildReadResponses(t *testing.T) {
 		}
 	}
 	// Middle responses carry no AETH.
-	frame := BuildReadResponse(testParams(), OpReadResponseMiddle, 0, payload)
+	frame := BuildReadResponseInto(DefaultPool, testParams(), OpReadResponseMiddle, 0, payload)
 	var p Packet
 	if err := p.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -123,11 +123,11 @@ func TestBuildReadResponsePanicsOnWrongOpcode(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BuildReadResponse(testParams(), OpWriteOnly, 0, nil)
+	BuildReadResponseInto(DefaultPool, testParams(), OpWriteOnly, 0, nil)
 }
 
 func TestBuildAckAndNak(t *testing.T) {
-	frame := BuildAck(testParams(), AETHNakPSNSeq, 77)
+	frame := BuildAckInto(DefaultPool, testParams(), AETHNakPSNSeq, 77)
 	var p Packet
 	if err := p.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestBuildAckAndNak(t *testing.T) {
 }
 
 func TestBuildAtomicAck(t *testing.T) {
-	frame := BuildAtomicAck(testParams(), 3, 0xCAFE)
+	frame := BuildAtomicAckInto(DefaultPool, testParams(), 3, 0xCAFE)
 	var p Packet
 	if err := p.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestBuildAtomicAck(t *testing.T) {
 }
 
 func TestICRCDetectsCorruption(t *testing.T) {
-	frame := BuildWriteOnly(testParams(), 0, 1, []byte{1, 2, 3, 4})
+	frame := BuildWriteOnlyInto(DefaultPool, testParams(), 0, 1, []byte{1, 2, 3, 4})
 	frame[len(frame)-10] ^= 0x01 // corrupt payload
 	var p Packet
 	if err := p.DecodeFromBytes(frame); err != nil {
@@ -168,7 +168,7 @@ func TestICRCDetectsCorruption(t *testing.T) {
 }
 
 func TestICRCInvariantToTTLChange(t *testing.T) {
-	frame := BuildWriteOnly(testParams(), 0, 1, []byte{1, 2, 3, 4})
+	frame := BuildWriteOnlyInto(DefaultPool, testParams(), 0, 1, []byte{1, 2, 3, 4})
 	// A router decrements TTL and rewrites the IP checksum; the *invariant*
 	// CRC must keep verifying.
 	frame[EthernetLen+8]--
@@ -245,7 +245,7 @@ func TestDecodeStripsPadding(t *testing.T) {
 }
 
 func TestDecodeTruncatedRoCEFails(t *testing.T) {
-	frame := BuildWriteOnly(testParams(), 0, 1, []byte{1, 2, 3})
+	frame := BuildWriteOnlyInto(DefaultPool, testParams(), 0, 1, []byte{1, 2, 3})
 	// Cut into the RETH: IP TotalLen now lies, decode must fail.
 	cut := frame[:EthernetLen+IPv4Len+UDPLen+BTHLen+4]
 	var p Packet
@@ -288,7 +288,7 @@ func TestPropWritePayloadRoundTrip(t *testing.T) {
 		if len(payload) > 4096 {
 			payload = payload[:4096]
 		}
-		frame := BuildWriteOnly(testParams(), va, rkey, payload)
+		frame := BuildWriteOnlyInto(DefaultPool, testParams(), va, rkey, payload)
 		var p Packet
 		if err := p.DecodeFromBytes(frame); err != nil {
 			return false
@@ -304,7 +304,7 @@ func TestPropWritePayloadRoundTrip(t *testing.T) {
 // Property: flipping any single bit in the frame after the Ethernet header
 // either fails to parse or fails the ICRC — silent corruption is impossible.
 func TestPropICRCNoSilentCorruption(t *testing.T) {
-	base := BuildWriteOnly(testParams(), 0x1000, 0x42, bytes.Repeat([]byte{7}, 100))
+	base := BuildWriteOnlyInto(DefaultPool, testParams(), 0x1000, 0x42, bytes.Repeat([]byte{7}, 100))
 	f := func(pos uint16, bit uint8) bool {
 		frame := append([]byte(nil), base...)
 		i := EthernetLen + int(pos)%(len(frame)-EthernetLen)
@@ -329,7 +329,7 @@ func TestPropICRCNoSilentCorruption(t *testing.T) {
 
 func TestPFCRoundTrip(t *testing.T) {
 	src := MACFromUint64(0xAA)
-	frame := BuildPFC(src, 500)
+	frame := BuildPFCInto(DefaultPool, src, 500)
 	if len(frame) != PFCFrameLen {
 		t.Fatalf("PFC frame len = %d", len(frame))
 	}
@@ -344,7 +344,7 @@ func TestPFCRoundTrip(t *testing.T) {
 		t.Fatalf("decoded = %+v", p)
 	}
 	// Resume frame.
-	resume := BuildPFC(src, 0)
+	resume := BuildPFCInto(DefaultPool, src, 0)
 	r, ok := DecodePFC(resume)
 	if !ok || r.PauseQuanta[0] != 0 {
 		t.Fatal("resume decode failed")
@@ -374,7 +374,7 @@ func TestRoCEv1WriteRoundTrip(t *testing.T) {
 	p := testParams()
 	p.Version = RoCEv1
 	payload := bytes.Repeat([]byte{0x3C}, 200)
-	frame := BuildWriteOnly(p, 0x2000, 0x77, payload)
+	frame := BuildWriteOnlyInto(DefaultPool, p, 0x2000, 0x77, payload)
 	if frame[12] != 0x89 || frame[13] != 0x15 {
 		t.Fatal("v1 frame missing RoCE ethertype")
 	}
@@ -422,7 +422,7 @@ func TestRoCEv1FetchAddAndAck(t *testing.T) {
 	if !pkt.HasGRH || !pkt.HasAtomicETH || pkt.AtomicETH.SwapAdd != 9 {
 		t.Fatalf("parse = %+v", pkt)
 	}
-	ack := BuildAtomicAck(p, 1, 42)
+	ack := BuildAtomicAckInto(DefaultPool, p, 1, 42)
 	var pkt2 Packet
 	if err := pkt2.DecodeFromBytes(ack); err != nil {
 		t.Fatal(err)
@@ -488,8 +488,8 @@ func TestPropEncapsulationEquivalence(t *testing.T) {
 		p2 := testParams()
 		p1 := testParams()
 		p1.Version = RoCEv1
-		f2 := BuildWriteOnly(p2, va, rkey, payload)
-		f1 := BuildWriteOnly(p1, va, rkey, payload)
+		f2 := BuildWriteOnlyInto(DefaultPool, p2, va, rkey, payload)
+		f1 := BuildWriteOnlyInto(DefaultPool, p1, va, rkey, payload)
 		if len(f1)-len(f2) != GRHLen-(IPv4Len+UDPLen) {
 			return false
 		}

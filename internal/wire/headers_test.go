@@ -28,8 +28,8 @@ func TestIP4RoundTrip(t *testing.T) {
 	if a.String() != "10.0.1.2" {
 		t.Fatalf("IP string = %q", a)
 	}
-	if a.Uint32() != 0x0a000102 {
-		t.Fatalf("IP uint32 = %x", a.Uint32())
+	if a != (IP4{10, 0, 1, 2}) {
+		t.Fatalf("IP bytes = %v", a[:])
 	}
 }
 
@@ -211,22 +211,22 @@ func TestAtomicAckETHRoundTrip(t *testing.T) {
 
 func TestOpcodeClassification(t *testing.T) {
 	cases := []struct {
-		op                                    Opcode
-		write, readResp, atomic, req, hasReth bool
+		op                               Opcode
+		write, readResp, atomic, hasReth bool
 	}{
-		{OpWriteOnly, true, false, false, true, true},
-		{OpWriteFirst, true, false, false, true, true},
-		{OpWriteMiddle, true, false, false, true, false},
-		{OpWriteLast, true, false, false, true, false},
-		{OpReadRequest, false, false, false, true, true},
-		{OpReadResponseOnly, false, true, false, false, false},
-		{OpReadResponseFirst, false, true, false, false, false},
-		{OpReadResponseMiddle, false, true, false, false, false},
-		{OpReadResponseLast, false, true, false, false, false},
-		{OpFetchAdd, false, false, true, true, false},
-		{OpCompareSwap, false, false, true, true, false},
-		{OpAcknowledge, false, false, false, false, false},
-		{OpAtomicAcknowledge, false, false, false, false, false},
+		{OpWriteOnly, true, false, false, true},
+		{OpWriteFirst, true, false, false, true},
+		{OpWriteMiddle, true, false, false, false},
+		{OpWriteLast, true, false, false, false},
+		{OpReadRequest, false, false, false, true},
+		{OpReadResponseOnly, false, true, false, false},
+		{OpReadResponseFirst, false, true, false, false},
+		{OpReadResponseMiddle, false, true, false, false},
+		{OpReadResponseLast, false, true, false, false},
+		{OpFetchAdd, false, false, true, false},
+		{OpCompareSwap, false, false, true, false},
+		{OpAcknowledge, false, false, false, false},
+		{OpAtomicAcknowledge, false, false, false, false},
 	}
 	for _, c := range cases {
 		if c.op.IsWrite() != c.write {
@@ -237,9 +237,6 @@ func TestOpcodeClassification(t *testing.T) {
 		}
 		if c.op.IsAtomic() != c.atomic {
 			t.Errorf("%v IsAtomic = %v", c.op, c.op.IsAtomic())
-		}
-		if c.op.IsRequest() != c.req {
-			t.Errorf("%v IsRequest = %v", c.op, c.op.IsRequest())
 		}
 		if c.op.HasRETH() != c.hasReth {
 			t.Errorf("%v HasRETH = %v", c.op, c.op.HasRETH())

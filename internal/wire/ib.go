@@ -82,13 +82,6 @@ func (o Opcode) IsWrite() bool {
 // IsAtomic reports whether o is an atomic request.
 func (o Opcode) IsAtomic() bool { return o == OpCompareSwap || o == OpFetchAdd }
 
-// IsRequest reports whether the responder is expected to consume a new
-// request PSN for o.
-func (o Opcode) IsRequest() bool {
-	return o.IsWrite() || o == OpReadRequest || o.IsAtomic() ||
-		o == OpSendFirst || o == OpSendMiddle || o == OpSendLast || o == OpSendOnly
-}
-
 // HasRETH reports whether a packet with opcode o carries an RETH.
 func (o Opcode) HasRETH() bool {
 	return o == OpWriteFirst || o == OpWriteOnly || o == OpReadRequest

@@ -10,11 +10,6 @@ func IP4FromUint32(v uint32) IP4 {
 	return IP4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
-// Uint32 returns the address in integer form.
-func (a IP4) Uint32() uint32 {
-	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-}
-
 func (a IP4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }

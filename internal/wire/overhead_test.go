@@ -34,7 +34,7 @@ func TestOverheadMatchesEncodedFrames(t *testing.T) {
 	p := testParams()
 	payload := make([]byte, 333)
 
-	wf := BuildWriteOnly(p, 0, 1, payload)
+	wf := BuildWriteOnlyInto(DefaultPool, p, 0, 1, payload)
 	if got, want := len(wf)-len(payload), FullWireOverhead(RoCEv2, OpClassWrite); got != want {
 		t.Fatalf("encoded WRITE overhead = %d, accounting says %d", got, want)
 	}

@@ -40,11 +40,6 @@ func BuildPFCInto(pool *Pool, src MAC, quanta uint16) []byte {
 	return p.EncodeInto(pool)
 }
 
-// BuildPFC is BuildPFCInto drawing from DefaultPool; the frame must go back to it (Put or fabric handoff).
-func BuildPFC(src MAC, quanta uint16) []byte {
-	return BuildPFCInto(DefaultPool, src, quanta)
-}
-
 // EncodeInto serializes the frame into a buffer drawn from pool (nil =
 // plain allocation).
 func (p *PFC) EncodeInto(pool *Pool) []byte {
@@ -60,9 +55,6 @@ func (p *PFC) EncodeInto(pool *Pool) []byte {
 	clear(frame[off+4+2*len(p.PauseQuanta):])
 	return frame
 }
-
-// Encode serializes the frame into a DefaultPool buffer.
-func (p *PFC) Encode() []byte { return p.EncodeInto(DefaultPool) }
 
 // DecodePFC parses frame as a PFC frame; ok is false if it is not one.
 func DecodePFC(frame []byte) (p PFC, ok bool) {

@@ -169,7 +169,7 @@ func TestPooledBuildZeroAlloc(t *testing.T) {
 
 // TestDecodeZeroAlloc gates the zero-copy decode path.
 func TestDecodeZeroAlloc(t *testing.T) {
-	frame := BuildWriteOnly(&RoCEParams{DestQP: 1}, 0, 1, make([]byte, 1500))
+	frame := BuildWriteOnlyInto(DefaultPool, &RoCEParams{DestQP: 1}, 0, 1, make([]byte, 1500))
 	var pkt Packet
 	if n := testing.AllocsPerRun(200, func() {
 		if err := pkt.DecodeFromBytes(frame); err != nil {

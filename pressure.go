@@ -222,9 +222,6 @@ func (tb *Testbed) NewAllocator(perServerBytes int) (*Allocator, error) {
 	return a, nil
 }
 
-// Allocated reports the bytes placed on server mem.
-func (a *Allocator) Allocated(mem int) int { return a.allocated[mem] }
-
 // pick runs the placement policy: the least-loaded server that stays below
 // the high watermark, skipping exclude (-1 = no exclusion). It returns the
 // chosen server and the first eligible one (for the steering counter), or

@@ -42,8 +42,8 @@ func TestAllocatorSteersAndRefuses(t *testing.T) {
 	if a.Refusals != 1 {
 		t.Fatalf("Refusals = %d, want 1", a.Refusals)
 	}
-	if a.Allocated(0) != 60<<10 || a.Allocated(1) != 70<<10 {
-		t.Fatalf("occupancy %d/%d", a.Allocated(0), a.Allocated(1))
+	if a.allocated[0] != 60<<10 || a.allocated[1] != 70<<10 {
+		t.Fatalf("occupancy %d/%d", a.allocated[0], a.allocated[1])
 	}
 }
 
@@ -106,9 +106,9 @@ func TestAllocateReplicatedRefusals(t *testing.T) {
 	if _, _, _, _, err := a.AllocateReplicated(10<<10, ChannelSpec{}); err == nil {
 		t.Fatal("replicated placement accepted with one memory server")
 	}
-	if a.Refusals != 1 || a.Replicated != 0 || a.Allocated(0) != 0 {
+	if a.Refusals != 1 || a.Replicated != 0 || a.allocated[0] != 0 {
 		t.Fatalf("one server: Refusals=%d Replicated=%d Allocated=%d, want 1/0/0",
-			a.Refusals, a.Replicated, a.Allocated(0))
+			a.Refusals, a.Replicated, a.allocated[0])
 	}
 
 	tb, err := New(Options{Hosts: 1, MemoryServers: 2})
@@ -127,9 +127,9 @@ func TestAllocateReplicatedRefusals(t *testing.T) {
 	if _, _, _, _, err := a.AllocateReplicated(50<<10, ChannelSpec{}); err == nil {
 		t.Fatal("pair accepted with room for the primary only")
 	}
-	if a.Allocated(0) != 80<<10 || a.Allocated(1) != 0 {
+	if a.allocated[0] != 80<<10 || a.allocated[1] != 0 {
 		t.Fatalf("half-placed pair: occupancy %d/%d, want %d/0",
-			a.Allocated(0), a.Allocated(1), 80<<10)
+			a.allocated[0], a.allocated[1], 80<<10)
 	}
 	if a.Refusals != 1 || a.Replicated != 0 || a.Steered != 0 {
 		t.Fatalf("Refusals/Replicated/Steered = %d/%d/%d, want 1/0/0",
