@@ -1,17 +1,15 @@
-// Command gemlint runs the gem static-analysis suite: the frameown,
-// psnsafe, postcheck, hotalloc, and nodeterminism passes that enforce the
-// frame-ownership, verbs-transport, allocation and determinism contracts
-// described in DESIGN.md §6. Each pass catches seeded bugs no test does
-// (the mutation table in DESIGN.md §6.1).
+// Command gemlint runs the gem static-analysis suite: the psnsafe,
+// postcheck, hotalloc, and nodeterminism passes that enforce the
+// verbs-transport, allocation and determinism contracts described in
+// DESIGN.md §6. Each pass catches seeded bugs no test does (the mutation
+// table in DESIGN.md §6.1).
 //
 // Run it from anywhere in the module:
 //
 //	go run ./cmd/gemlint ./...
 //
-// It loads the named packages from source, so the //gem:owns annotations of
-// every loaded package feed one registry (a pass analyzing core knows that
-// netsim.Port.Send owns its frame). Each pass is scoped to the packages
-// whose contract it enforces; see analyzersFor. Findings print as
+// It loads the named packages from source and scopes each pass to the
+// packages whose contract it enforces; see analyzersFor. Findings print as
 // file:line:col: message [pass], and the exit status is 1 when there is
 // any: there is no baseline, so every finding fails CI.
 package main
@@ -26,24 +24,16 @@ import (
 	"strings"
 
 	"gem/internal/analysis"
-	"gem/internal/analysis/frameown"
 	"gem/internal/analysis/hotalloc"
 	"gem/internal/analysis/nodeterminism"
 	"gem/internal/analysis/postcheck"
 	"gem/internal/analysis/psnsafe"
 )
 
-// frameownScope are the package prefixes whose code moves pooled frames.
-var frameownScope = []string{
-	"gem/internal/switchsim", "gem/internal/netsim",
-	"gem/internal/rnic", "gem/internal/core",
-	"gem/internal/faults",
-}
-
 // rootPackage is the facade package, matched exactly — listing "gem" in a
-// prefix scope would cover the whole module. Its pressure/allocator layer
-// sits on the frame path (Testbed.SendFrame) and feeds gem-bench's
-// byte-identical reproducibility check, so both contracts apply.
+// prefix scope would cover the whole module. It drives the verbs transport
+// and feeds gem-bench's byte-identical reproducibility check, so the verbs
+// and determinism contracts apply.
 const rootPackage = "gem"
 
 // hotallocScope are the designated allocation-free hot-path packages. The
@@ -62,15 +52,6 @@ var hotallocScope = []string{
 // PSN-safety contracts apply here.
 var verbsScope = []string{
 	"gem/internal/core", "gem/internal/rnic",
-}
-
-// selfScope is the analysis tooling itself. frameown and the verbs passes
-// run over it as a crash-regression smoke check: frameown's CFG builder
-// must digest every control-flow shape in its own codebase (they are
-// expected to stay silent — the tooling neither pools frames nor posts
-// verbs).
-var selfScope = []string{
-	"gem/internal/analysis", "gem/cmd/gemlint",
 }
 
 // nodeterminismExempt are internal packages that are developer tooling, not
@@ -92,9 +73,6 @@ func inScope(pkgPath string, prefixes []string) bool {
 // analyzersFor returns the passes that apply to pkgPath.
 func analyzersFor(pkgPath string) []*analysis.Analyzer {
 	var as []*analysis.Analyzer
-	if pkgPath == rootPackage || inScope(pkgPath, frameownScope) || inScope(pkgPath, selfScope) {
-		as = append(as, frameown.Analyzer)
-	}
 	if pkgPath == rootPackage ||
 		strings.HasPrefix(pkgPath, "gem/internal/") && !inScope(pkgPath, nodeterminismExempt) {
 		as = append(as, nodeterminism.Analyzer)
@@ -102,7 +80,7 @@ func analyzersFor(pkgPath string) []*analysis.Analyzer {
 	if inScope(pkgPath, hotallocScope) {
 		as = append(as, hotalloc.Analyzer)
 	}
-	if pkgPath == rootPackage || inScope(pkgPath, verbsScope) || inScope(pkgPath, selfScope) {
+	if pkgPath == rootPackage || inScope(pkgPath, verbsScope) {
 		as = append(as, psnsafe.Analyzer, postcheck.Analyzer)
 	}
 	return as
@@ -117,9 +95,8 @@ func main() {
 }
 
 // run loads the requested packages from source and applies every in-scope
-// pass, with //gem:owns annotations collected across all of them. It prints
-// each finding as file:line:col: message [pass], sorted, and returns 1 when
-// there is any, 2 when loading fails.
+// pass to each. It prints each finding as file:line:col: message [pass],
+// sorted, and returns 1 when there is any, 2 when loading fails.
 func run(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -132,25 +109,15 @@ func run(patterns []string) int {
 		return 2
 	}
 
-	// The annotation registry spans every loaded package, so a pass
-	// analyzing core sees that netsim.Port.Send owns its frame argument.
-	owns := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for name := range analysis.OwnsAnnotations(pkg.TypesInfo, pkg.Files) {
-			owns[name] = true
-		}
-	}
-
 	var diags []diag
 	for _, pkg := range pkgs {
 		for _, a := range analyzersFor(pkg.PkgPath) {
 			pass := &analysis.Pass{
-				Analyzer:     a,
-				Fset:         pkg.Fset,
-				Files:        pkg.Files,
-				Pkg:          pkg.Types,
-				TypesInfo:    pkg.TypesInfo,
-				OwnsRegistry: owns,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
 				Report: func(d analysis.Diagnostic) {
 					diags = append(diags, diag{pos: pkg.Fset.Position(d.Pos), msg: d.Message, pass: a.Name})
 				},

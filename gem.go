@@ -247,7 +247,7 @@ func New(opts Options) (*Testbed, error) {
 	link := netsim.Link40G()
 	n := netsim.New(opts.Seed)
 	sw := switchsim.New("tor", n.Engine, opts.Switch)
-	tb := &Testbed{Net: n, Engine: n.Engine, Switch: sw}
+	tb := &Testbed{Net: n, Engine: n.Engine, Switch: sw, chanNIC: make(map[uint32]*rnic.NIC)}
 	var swPorts []*netsim.Port
 	for i := 0; i < opts.Hosts; i++ {
 		h := netsim.NewHost(fmt.Sprintf("h%d", i), uint32(i+1))
@@ -323,9 +323,6 @@ func (tb *Testbed) Establish(mem int, spec ChannelSpec) (*core.Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tb.chanNIC == nil {
-		tb.chanNIC = make(map[uint32]*rnic.NIC)
-	}
 	tb.chanNIC[ch.ID] = tb.MemNICs[mem]
 	tb.chans = append(tb.chans, ch)
 	return ch, nil
@@ -379,17 +376,11 @@ func (tb *Testbed) ServerCPUOps() int64 {
 // ReadRemoteCounter reads the 8-byte counter at offset in ch's region
 // directly from server DRAM (operator-side estimation path).
 func (tb *Testbed) ReadRemoteCounter(ch *Channel, offset int) (uint64, error) {
-	if nic := tb.chanNIC[ch.ID]; nic != nil {
-		return nic.ReadCounter(ch.RKey, ch.Base+uint64(offset))
+	nic := tb.chanNIC[ch.ID]
+	if nic == nil {
+		return 0, fmt.Errorf("gem: channel region not found")
 	}
-	// Channels established outside the facade: fall back to the RKey scan
-	// (unambiguous on single-server testbeds).
-	for _, nic := range tb.MemNICs {
-		if r := nic.LookupRegion(ch.RKey); r != nil {
-			return nic.ReadCounter(ch.RKey, ch.Base+uint64(offset))
-		}
-	}
-	return 0, fmt.Errorf("gem: channel region not found")
+	return nic.ReadCounter(ch.RKey, ch.Base+uint64(offset))
 }
 
 // NewScrubber builds an anti-entropy scrubber comparing length bytes at
@@ -416,11 +407,6 @@ func (tb *Testbed) NewScrubber(primary, replica *Channel, offset, length int, cf
 func (tb *Testbed) Region(ch *Channel) *rnic.Region {
 	if nic := tb.chanNIC[ch.ID]; nic != nil {
 		return nic.LookupRegion(ch.RKey)
-	}
-	for _, nic := range tb.MemNICs {
-		if r := nic.LookupRegion(ch.RKey); r != nil {
-			return r
-		}
 	}
 	return nil
 }

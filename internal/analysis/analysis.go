@@ -18,7 +18,7 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics ("frameown").
+	// Name identifies the pass in diagnostics ("psnsafe").
 	Name string
 	// Doc is a one-paragraph description of what the pass enforces.
 	Doc string
@@ -35,14 +35,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// OwnsRegistry maps the full name of a function or method (as returned
-	// by (*types.Func).FullName, e.g. "(*gem/internal/wire.Pool).Put") to
-	// true when it takes ownership of its pooled-frame argument. The driver
-	// seeds it from the //gem:owns annotations it finds across the whole
-	// module; a pass running under analysistest sees only the built-in
-	// table plus the fixture's own annotations.
-	OwnsRegistry map[string]bool
 
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)

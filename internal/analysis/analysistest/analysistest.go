@@ -4,8 +4,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"regexp"
 	"strings"
 	"testing"
@@ -26,8 +24,8 @@ type expectation struct {
 
 // Run loads the fixture directory, applies the analyzer, and reports any
 // mismatch between diagnostics and the fixture's // want comments as test
-// failures. OwnsRegistry, when non-nil, is passed through to the pass.
-func Run(t *testing.T, moduleRoot, fixtureDir string, a *analysis.Analyzer, owns map[string]bool) {
+// failures.
+func Run(t *testing.T, moduleRoot, fixtureDir string, a *analysis.Analyzer) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(moduleRoot, fixtureDir)
 	if err != nil {
@@ -64,13 +62,12 @@ func Run(t *testing.T, moduleRoot, fixtureDir string, a *analysis.Analyzer, owns
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:     a,
-		Fset:         pkg.Fset,
-		Files:        pkg.Files,
-		Pkg:          pkg.Types,
-		TypesInfo:    pkg.TypesInfo,
-		OwnsRegistry: owns,
-		Report:       func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.TypesInfo,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("analyzer %s: %v", a.Name, err)
@@ -98,9 +95,4 @@ func Run(t *testing.T, moduleRoot, fixtureDir string, a *analysis.Analyzer, owns
 			}
 		}
 	}
-}
-
-// Describe returns a compact one-line form of a diagnostic for debugging.
-func Describe(fset *token.FileSet, d analysis.Diagnostic) string {
-	return fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message)
 }

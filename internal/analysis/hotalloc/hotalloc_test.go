@@ -15,5 +15,5 @@ func TestHotalloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixture := filepath.Join(root, "internal", "analysis", "testdata", "src", "hotalloc")
-	analysistest.Run(t, root, fixture, hotalloc.Analyzer, nil)
+	analysistest.Run(t, root, fixture, hotalloc.Analyzer)
 }

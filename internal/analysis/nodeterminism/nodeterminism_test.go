@@ -15,5 +15,5 @@ func TestNodeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixture := filepath.Join(root, "internal", "analysis", "testdata", "src", "nodeterminism")
-	analysistest.Run(t, root, fixture, nodeterminism.Analyzer, nil)
+	analysistest.Run(t, root, fixture, nodeterminism.Analyzer)
 }

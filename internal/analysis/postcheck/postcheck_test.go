@@ -15,5 +15,5 @@ func TestPostcheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixture := filepath.Join(root, "internal", "analysis", "testdata", "src", "postcheck")
-	analysistest.Run(t, root, fixture, postcheck.Analyzer, nil)
+	analysistest.Run(t, root, fixture, postcheck.Analyzer)
 }

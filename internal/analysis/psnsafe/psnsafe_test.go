@@ -15,5 +15,5 @@ func TestPsnsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixture := filepath.Join(root, "internal", "analysis", "testdata", "src", "psnsafe")
-	analysistest.Run(t, root, fixture, psnsafe.Analyzer, nil)
+	analysistest.Run(t, root, fixture, psnsafe.Analyzer)
 }

@@ -203,8 +203,6 @@ func (c *Channel) VA(offset int, n int) uint64 {
 
 // inject hands frame to the switch fabric, recycling it when the request
 // cap refuses it; either way the caller no longer owns the buffer.
-//
-//gem:owns (path: TestBandwidthCapLimitsRate)
 func (c *Channel) inject(frame []byte) bool {
 	if c.cap != nil && !c.cap.allow(c.sw.Engine.Now(), len(frame)) {
 		c.CapDrops++

@@ -423,8 +423,7 @@ func (t *LookupTable) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 	}
 	// Copy-on-retain: payload aliases the response frame, which is recycled
 	// when this pass ends; the bounced original outlives it (Emit).
-	orig := wire.DefaultPool.Get(plen)
-	copy(orig, payload[lookupEntryHeader:lookupEntryHeader+plen])
+	orig := wire.DefaultPool.Clone(payload[lookupEntryHeader : lookupEntryHeader+plen])
 	// Re-parse the bounced original to recover its flow key for caching.
 	var inner wire.Packet
 	if err := inner.DecodeFromBytes(orig); err != nil {

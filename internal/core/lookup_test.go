@@ -371,6 +371,36 @@ func TestLookupOversizePacketDropped(t *testing.T) {
 	}
 }
 
+// TestLookupMalformedBounceRecycled: a bounced original that no longer
+// parses when its entry comes back is a bad entry, not a packet. The
+// pipeline here shrinks the IPv4 TotalLen below the header after the switch
+// parsed the frame, so the deposit stores an original that fails to decode
+// on the way back; HandleResponse must count it and recycle its copy.
+func TestLookupMalformedBounceRecycled(t *testing.T) {
+	b, lt := lookupBed(t, LookupConfig{Entries: 8})
+	populateAll(t, b, lt, SetDSCPAction(10))
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		if b.disp.Dispatch(ctx) {
+			return
+		}
+		totalLen := ctx.Frame[wire.EthernetLen+2 : wire.EthernetLen+4]
+		totalLen[0], totalLen[1] = 0, wire.IPv4Len-1
+		lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
+	})
+	before := wire.DefaultPool.Stats().Balance()
+	b.net.Ports(b.hosts[0])[0].Send(dataFrame(b.hosts[0], b.hosts[1], 256, 1234))
+	b.net.Engine.Run()
+	if b.hosts[1].Received != 0 {
+		t.Fatal("malformed bounced original was delivered")
+	}
+	if lt.Stats.Deposits != 1 || lt.Stats.BadEntries != 1 || lt.Stats.Applied != 0 {
+		t.Fatalf("stats = %+v, want 1 deposit, 1 bad entry, 0 applied", lt.Stats)
+	}
+	if bal := wire.DefaultPool.Stats().Balance(); bal != before {
+		t.Fatalf("frame pool balance drifted %+d", bal-before)
+	}
+}
+
 func TestPopulateLookupEntryBounds(t *testing.T) {
 	region := &rnic.Region{RKey: 1, Base: 0, Size: 100}
 	cfg := LookupConfig{Entries: 4, MaxPktBytes: 16}

@@ -81,7 +81,6 @@ type Retransmitter struct {
 
 type relFrame struct {
 	psn    uint32
-	op     verbs.OpType
 	frame  []byte
 	sentAt sim.Time
 	// rexmit marks frames that have been resent at least once; their ACKs
@@ -128,17 +127,7 @@ func (r *Retransmitter) FetchAdd(offset int, delta uint64) uint32 {
 	va := r.ch.VA(offset, 8)
 	p := r.chParams(psn)
 	frame := wire.BuildFetchAddInto(wire.DefaultPool, &p, va, r.ch.RKey, delta)
-	r.track(psn, frame, verbs.OpFetchAdd)
-	return psn
-}
-
-// Write issues a reliable RDMA WRITE.
-func (r *Retransmitter) Write(offset int, payload []byte) uint32 {
-	psn := r.ch.NextPSN(1)
-	va := r.ch.VA(offset, len(payload))
-	p := r.chParams(psn)
-	frame := wire.BuildWriteOnlyInto(wire.DefaultPool, &p, va, r.ch.RKey, payload)
-	r.track(psn, frame, verbs.OpWrite)
+	r.track(psn, frame)
 	return psn
 }
 
@@ -164,29 +153,16 @@ func (r *Retransmitter) chParams(psn uint32) wire.RoCEParams {
 // track retains frame as the master copy (it stays in switch buffer memory
 // until acknowledged) and injects a pooled copy toward the server — the
 // traffic manager recycles whatever it is handed, so the master never
-// enters the fabric.
-//
-//gem:owns (path: TestReliableFAAExactUnderLoss)
-func (r *Retransmitter) track(psn uint32, frame []byte, op verbs.OpType) {
-	// Copy to the wire first: once trackOnly owns the master, this function
-	// must not touch it again.
+// enters the fabric. The retransmitter owns the master until the PSN
+// retires (ackThrough recycles it).
+func (r *Retransmitter) track(psn uint32, frame []byte) {
 	r.injectCopy(frame)
-	r.trackOnly(psn, frame, op)
-}
-
-// trackOnly stores frame as an unacked master without sending; the
-// retransmitter owns it until the PSN retires (ackThrough recycles it).
-//
-//gem:owns (path: TestReliableFAAExactUnderLoss)
-func (r *Retransmitter) trackOnly(psn uint32, frame []byte, op verbs.OpType) {
-	r.unacked = append(r.unacked, relFrame{psn: psn, op: op, frame: frame, sentAt: r.sw.Engine.Now()})
+	r.unacked = append(r.unacked, relFrame{psn: psn, frame: frame, sentAt: r.sw.Engine.Now()})
 	r.armTimer()
 }
 
 func (r *Retransmitter) injectCopy(frame []byte) {
-	c := wire.DefaultPool.Get(len(frame))
-	copy(c, frame)
-	r.ch.inject(c)
+	r.ch.inject(wire.DefaultPool.Clone(frame))
 }
 
 // rto returns the current retransmission timeout: fixed Timeout in legacy
@@ -288,17 +264,17 @@ func (r *Retransmitter) escalate() {
 
 // reportError surfaces a stream-level transport fault as a typed CQE on the
 // bound CQ (no-op when unbound). The CQE carries the oldest unacked
-// request's op and PSN — the position the stream is stuck at; its token is
-// that PSN, since stream faults are not bound to a caller token.
+// request's PSN — the position the stream is stuck at; its token is that
+// PSN, since stream faults are not bound to a caller token.
 func (r *Retransmitter) reportError(st verbs.CQStatus) {
 	if r.CQ == nil {
 		return
 	}
-	op, psn := verbs.OpFetchAdd, r.ch.PSN()
+	psn := r.ch.PSN()
 	if len(r.unacked) > 0 {
-		op, psn = r.unacked[0].op, r.unacked[0].psn
+		psn = r.unacked[0].psn
 	}
-	r.CQ.CompleteError(op, uint64(psn), psn, st)
+	r.CQ.CompleteError(verbs.OpFetchAdd, uint64(psn), psn, st)
 }
 
 // Unacked reports the number of tracked, unacknowledged requests.
@@ -425,16 +401,10 @@ func (r *Retransmitter) rebuildWindow(oldBase uint64) int {
 	for _, u := range old {
 		var pkt wire.Packet
 		if err := pkt.DecodeFromBytes(u.frame); err == nil {
-			switch pkt.BTH.Opcode {
-			case wire.OpFetchAdd:
-				// Write/FetchAdd copy out of the old master before we
-				// recycle it below.
-				r.FetchAdd(int(pkt.AtomicETH.VA-oldBase), pkt.AtomicETH.SwapAdd)
-				moved++
-			case wire.OpWriteOnly:
-				r.Write(int(pkt.RETH.VA-oldBase), pkt.Payload)
-				moved++
-			}
+			// Every master is a FetchAdd. FetchAdd copies out of the old
+			// master before we recycle it below.
+			r.FetchAdd(int(pkt.AtomicETH.VA-oldBase), pkt.AtomicETH.SwapAdd)
+			moved++
 		}
 		wire.DefaultPool.Put(u.frame)
 	}

@@ -119,47 +119,6 @@ func TestUnreliableFAAInaccurateUnderLoss(t *testing.T) {
 	}
 }
 
-func TestReliableWriteUnderLoss(t *testing.T) {
-	b := lossyBed(t, 0.03)
-	ch, err := b.ctrl.Establish(ChannelSpec{
-		SwitchPort: 1, NIC: b.memNIC,
-		RegionBase: 0x1000, RegionSize: 1 << 16,
-		Mode: rnic.PSNStrict, AckReq: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRetransmitter(ch, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Timeout = 20 * sim.Microsecond
-	b.disp.Register(ch, rt)
-	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
-		if !b.disp.Dispatch(ctx) {
-			ctx.Drop()
-		}
-	})
-	const n = 64
-	issued := 0
-	b.net.Engine.Ticker(1*sim.Microsecond, func() bool {
-		for issued < n && rt.CanSend() {
-			payload := []byte{byte(issued), byte(issued >> 8), 0xAB, 0xCD}
-			rt.Write(issued*16, payload)
-			issued++
-		}
-		return issued < n || rt.Unacked() > 0
-	})
-	b.net.Engine.RunUntil(drainDeadline)
-	region := b.memNIC.LookupRegion(ch.RKey)
-	for i := 0; i < n; i++ {
-		got := region.Bytes()[i*16 : i*16+4]
-		if got[0] != byte(i) || got[1] != byte(i>>8) || got[2] != 0xAB || got[3] != 0xCD {
-			t.Fatalf("write %d corrupted/missing: % x", i, got)
-		}
-	}
-}
-
 func TestRetransmitterAckClearsWindow(t *testing.T) {
 	b := newBed(t, 1, switchsim.Config{}, rnic.Config{})
 	ch := b.establish(t, 4096, rnic.PSNStrict, true)

@@ -440,8 +440,7 @@ func (b *PacketBuffer) finishEntry(ctx *switchsim.Context, g uint64, entry []byt
 		if n > 0 && 2+n <= len(entry) {
 			// Copy-on-retain: entry aliases the response frame (or the
 			// reassembly scratch), which is recycled when this pass ends.
-			orig = wire.DefaultPool.Get(n)
-			copy(orig, entry[2:2+n])
+			orig = wire.DefaultPool.Clone(entry[2 : 2+n])
 		}
 	}
 	b.reorder[g] = orig

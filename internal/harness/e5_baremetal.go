@@ -94,8 +94,7 @@ func e5Baseline(cfg E5Config) (slowFrac, p50, p99 float64, cpuOps int64) {
 		// mapping and injects the copy back into the fabric.
 		slow++
 		cpuOps++
-		punt := wire.DefaultPool.Get(len(ctx.Frame))
-		copy(punt, ctx.Frame)
+		punt := wire.DefaultPool.Clone(ctx.Frame)
 		ctx.Drop()
 		tb.Engine.Schedule(cfg.SlowPathLatency, func() {
 			cache.Put(key, wire.IP4{})

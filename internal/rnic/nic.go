@@ -314,8 +314,7 @@ func (n *NIC) handleRequest(pkt *wire.Packet) {
 			return
 		}
 		if pkt.BTH.Opcode.IsWrite() {
-			op.payload = wire.DefaultPool.Get(len(pkt.Payload))
-			copy(op.payload, pkt.Payload)
+			op.payload = wire.DefaultPool.Clone(pkt.Payload)
 		}
 		qp.writeSeq++
 		n.wring.Push(op)

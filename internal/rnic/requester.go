@@ -196,8 +196,6 @@ func (r *Requester) params(psn uint32, ackReq bool) wire.RoCEParams {
 
 // send stores frame as the in-flight master for go-back-N and puts a pooled
 // copy on the wire; the requester owns the master until the PSN retires.
-//
-//gem:owns (path: TestPropRequesterSurvivesRandomLoss)
 func (r *Requester) send(psn uint32, frame []byte, wr *workRequest) {
 	r.inflight = append(r.inflight, &sentPacket{psn: psn, frame: frame, wr: wr})
 	r.sendCopy(frame)
@@ -207,9 +205,7 @@ func (r *Requester) send(psn uint32, frame []byte, wr *workRequest) {
 // sendCopy transmits a pooled copy of a retained master frame: the fabric
 // owns (and recycles) what it is handed, so the master must never be sent.
 func (r *Requester) sendCopy(frame []byte) {
-	c := wire.DefaultPool.Get(len(frame))
-	copy(c, frame)
-	r.nic.port.Send(c)
+	r.nic.port.Send(wire.DefaultPool.Clone(frame))
 }
 
 func (r *Requester) armTimer() {

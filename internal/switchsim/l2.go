@@ -59,8 +59,7 @@ func (l *L2Pipeline) Ingress(ctx *Context) {
 		}
 		f := ctx.Frame
 		if p != last {
-			f = wire.DefaultPool.Get(len(ctx.Frame))
-			copy(f, ctx.Frame)
+			f = wire.DefaultPool.Clone(ctx.Frame)
 		}
 		ctx.Emit(p, f)
 	}

@@ -481,8 +481,6 @@ func (c *Context) Drop() { c.dropped = true }
 // Frame is left to the pass (runPipeline recycles it as usual); any
 // other buffer — a bounced original, a rewritten copy — is recycled here,
 // since the pass only accounts for the ingress buffer.
-//
-//gem:owns (path: TestLookupDropAction)
 func (c *Context) DropFrame(frame []byte) {
 	c.dropped = true
 	if !sameBuffer(frame, c.Frame) {

@@ -136,6 +136,16 @@ func (p *Pool) Get(n int) []byte {
 	return p.traced(make([]byte, n, 1<<(poolMinShift+c)))
 }
 
+// Clone returns a pooled copy of b: the caller owns the copy, b is
+// untouched. Drawing and filling the copy in one call is the copy-on-retain
+// and copy-on-send idiom of the ownership contract — the copy is complete
+// before the caller can hand it to the fabric.
+func (p *Pool) Clone(b []byte) []byte {
+	c := p.Get(len(b))
+	copy(c, b)
+	return c
+}
+
 // Put returns a buffer to the pool. Buffers smaller than the smallest class
 // or larger than the largest are dropped (left to the GC); any capacity in
 // between is binned by the largest class it can serve, so foreign buffers

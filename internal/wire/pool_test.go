@@ -46,6 +46,38 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
+func TestPoolClone(t *testing.T) {
+	p := NewPool()
+	src := []byte{1, 2, 3, 4, 5}
+	c := p.Clone(src)
+	if !bytes.Equal(c, src) {
+		t.Fatalf("Clone = % x, want % x", c, src)
+	}
+	c[0] = 0xFF
+	if src[0] != 1 {
+		t.Fatal("Clone aliases its source")
+	}
+	p.Put(c)
+
+	// A warm Clone is a pool hit and allocates nothing.
+	before := p.Stats()
+	if n := testing.AllocsPerRun(200, func() { p.Put(p.Clone(src)) }); n != 0 {
+		t.Fatalf("warm Clone: %v allocs/op, want 0", n)
+	}
+	if s := p.Stats(); s.Misses != before.Misses || s.Hits == before.Hits {
+		t.Fatalf("warm Clone missed the pool: before %+v, after %+v", before, s)
+	}
+
+	empty := p.Clone(nil)
+	if empty == nil || len(empty) != 0 {
+		t.Fatalf("Clone(nil) = %#v, want a pooled empty buffer", empty)
+	}
+	p.Put(empty)
+	if err := p.AssertBalanced(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNilPoolDegradesToMake(t *testing.T) {
 	var p *Pool
 	b := p.Get(128)

@@ -1,9 +1,9 @@
 // Package pooltest makes frame leaks loud in tests: a package whose tests
 // move pooled frames wires its TestMain through Main, and any test run that
 // finishes with buffers still checked out of wire.DefaultPool fails the
-// whole binary. It is the runtime complement of the gemlint frameown pass:
-// the static check catches per-function contract violations, this ledger
-// catches whatever escapes it.
+// whole binary. With -race poisoning and wire.Pool.Clone it holds the
+// one-owner rule for pooled frames (DESIGN.md §6): this ledger catches a
+// leak or a double release on any path a test runs.
 package pooltest
 
 import (
