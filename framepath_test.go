@@ -17,7 +17,11 @@ import (
 //   - one Fetch-and-Add a host puts on the wire → switch → memory NIC
 //     (executes it) → atomic ACK back to the switch;
 //   - one recirculate-mode remote lookup: host → switch, which READs the
-//     action and recirculates the packet until it lands → host.
+//     action and recirculates the packet until it lands → host;
+//   - one deposit-mode remote lookup at the testbed's default 1024 B MTU:
+//     host → switch, which WRITEs the packet into its entry and READs back
+//     {action, packet} in one response → host, for a 64 B and a 1014 B
+//     frame (the largest slot that MTU allows).
 func TestFramePathZeroAlloc(t *testing.T) {
 	tb, err := New(Options{Seed: 1, Hosts: 2, MemoryServers: 1})
 	if err != nil {
@@ -55,7 +59,23 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		}
 	}
 	tb.Dispatcher.Register(lch, lt)
-	const lookupPort = 3000
+	dcfg := LookupConfig{Entries: 16, MaxPktBytes: 1014}
+	dch, err := tb.Establish(0, ChannelSpec{RegionSize: dcfg.Entries * dcfg.EntrySize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt, err := NewLookupTable(dch, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt.DefaultOutPort = tb.SwitchPortOfHost(1)
+	for i := 0; i < dcfg.Entries; i++ {
+		if err := PopulateLookupEntry(tb.Region(dch), dcfg, i, SetDSCPAction(46)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Dispatcher.Register(dch, dt)
+	const lookupPort, depositPort = 3000, 3001
 	acks := 0
 	tb.Switch.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
 		if ctx.Pkt != nil && ctx.Pkt.IsRoCE && ctx.Pkt.BTH.Opcode == wire.OpAtomicAcknowledge {
@@ -68,6 +88,10 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		}
 		if ctx.Pkt != nil && ctx.Pkt.HasUDP && ctx.Pkt.UDP.DstPort == lookupPort {
 			lt.Lookup(ctx, ctx.Frame, ctx.Pkt)
+			return
+		}
+		if ctx.Pkt != nil && ctx.Pkt.HasUDP && ctx.Pkt.UDP.DstPort == depositPort {
+			dt.Lookup(ctx, ctx.Frame, ctx.Pkt)
 			return
 		}
 		l2.Ingress(ctx)
@@ -91,10 +115,20 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		tb.SendFrame(0, wire.BuildDataFrameInto(wire.DefaultPool, src.MAC, dst.MAC, src.IP, dst.IP, 1000, lookupPort, 64, nil))
 		tb.Run()
 	}
+	deposit := func(size int) func() {
+		return func() {
+			tb.SendFrame(0, wire.BuildDataFrameInto(wire.DefaultPool, src.MAC, dst.MAC, src.IP, dst.IP, 1000, depositPort, size, nil))
+			tb.Run()
+		}
+	}
+	depositSizes := []int{64, 1014}
 	for i := 0; i < 64; i++ { // warm the pools, free lists and queues
 		forward()
 		fetchAdd()
 		lookup()
+		for _, size := range depositSizes {
+			deposit(size)()
+		}
 	}
 
 	const runs = 200
@@ -124,6 +158,18 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 	if p := lt.Stats.RecircPasses - passes; p <= 2*(runs+1) {
 		t.Fatalf("%d recirculation passes in %d lookups, want more than two each", p, runs+1)
+	}
+	for _, size := range depositSizes {
+		received := dst.Received
+		if allocs := testing.AllocsPerRun(runs, deposit(size)); allocs != 0 {
+			t.Errorf("a deposit-mode %d B lookup host → switch → NIC → switch → host allocates %.2f times, want 0", size, allocs)
+		}
+		if got := dst.Received - received; got != runs+1 {
+			t.Fatalf("%d deposited %d B frames delivered in %d runs", got, size, runs+1)
+		}
+	}
+	if dt.Stats.BadEntries != 0 {
+		t.Fatalf("deposit lookups parsed %d bad entries", dt.Stats.BadEntries)
 	}
 	if tb.ServerCPUOps() != 0 {
 		t.Fatalf("memory server CPU handled %d packets", tb.ServerCPUOps())

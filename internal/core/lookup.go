@@ -54,7 +54,9 @@ const (
 type LookupConfig struct {
 	// Entries is the remote table size (hash-indexed, fixed entries).
 	Entries int
-	// MaxPktBytes is the packet slot size inside each entry.
+	// MaxPktBytes is the packet slot size inside each entry. In deposit
+	// mode the whole entry, 10 + MaxPktBytes, must fit in each channel's
+	// MTU: the READ that fetches it back must answer in one packet.
 	MaxPktBytes int
 	// CacheEntries sizes the local SRAM action cache (0 disables caching).
 	CacheEntries int
@@ -178,6 +180,17 @@ func NewStripedLookupTable(chans []*Channel, cfg LookupConfig) (*LookupTable, er
 		// A value that overflows its metadata field would alias another.
 		return nil, fmt.Errorf("core: recirculation metadata holds at most %d entries and %d passes",
 			1<<recircIdxBits, 1<<recircPassBits-1)
+	}
+	if cfg.Mode == LookupDeposit {
+		// A data plane cannot join a multi-packet READ response into one
+		// packet without buffering it, and avoiding that buffer is the
+		// point of the deposit. (Recirculation reads only the 8-byte action.)
+		for _, ch := range chans {
+			if cfg.EntrySize() > ch.MTU {
+				return nil, fmt.Errorf("core: lookup entry of %d bytes exceeds channel %d's %d-byte MTU; MaxPktBytes must be at most %d",
+					cfg.EntrySize(), ch.ID, ch.MTU, ch.MTU-lookupEntryHeader)
+			}
+		}
 	}
 	t := &LookupTable{cfg: cfg, pendingActions: make(map[int]LookupAction)}
 	var credit *verbs.CreditConfig
@@ -311,7 +324,9 @@ func (t *LookupTable) needsMissRead(idx int) bool {
 }
 
 // depositAndFetch bounces the original packet through the remote entry:
-// WRITE it into the packet slot, then READ the whole {action, packet} entry.
+// WRITE it into the packet slot, then READ back {action, length, packet} —
+// 10 + len(frame) bytes, not the slot's slack after the packet. The
+// constructor keeps every entry within the MTU, so the answer is one packet.
 func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx int) {
 	if len(frame) > t.cfg.MaxPktBytes {
 		t.Stats.BadEntries++
@@ -336,10 +351,8 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 	// switch stores nothing per packet, the window merely meters misses. If
 	// the READ was refused downstream (egress full), the reaper releases the
 	// credit after missTimeout — self-healing either way.
-	n := t.cfg.EntrySize()
-	ch := t.chans[t.striped.ShardOf(uint64(idx))]
 	//gem:post-ok loose-mode fetch: a refusal is metered by the reaper, not handled here (path: TestLookupDepositBouncesPacketThroughRemoteEntry)
-	t.striped.PostRead(uint64(idx), n, ch.RespPackets(n), verbs.CreditLoose)
+	t.striped.PostRead(uint64(idx), lookupEntryHeader+len(frame), 1, verbs.CreditLoose)
 	ctx.Drop() // original is gone: it lives in remote memory now
 }
 
@@ -381,11 +394,20 @@ func (t *LookupTable) HandleResponse(ctx *switchsim.Context, pkt *wire.Packet) {
 		ctx.Drop() // ACKs ignored by the prototype
 		return
 	}
-	// First/Only response packets echo the request PSN; complete the miss
-	// the moment the answer lands, well-formed or not, releasing its credit.
-	// Middle/Last continuation packets (multi-packet deposit responses) and
-	// answers to already-reaped lookups simply miss the work queue. The
-	// echoed destination QPN routes the completion to its shard (shardOf).
+	if pkt.BTH.Opcode != wire.OpReadResponseOnly {
+		// Every READ this table issues is answered in one packet (the
+		// constructor refuses a deposit entry the MTU would split, and
+		// recirculation reads 8 bytes), so a First, Middle or Last packet
+		// carries no entry: reading its bytes as an action and a length
+		// would apply garbage.
+		t.Stats.BadEntries++
+		ctx.Drop()
+		return
+	}
+	// The response echoes the request PSN; complete the miss the moment the
+	// answer lands, well-formed or not, releasing its credit. An answer to
+	// an already-reaped lookup misses the work queue. The echoed
+	// destination QPN routes the completion to its shard (shardOf).
 	var cqe verbs.CQE
 	matched := false
 	if si, ok := t.shardOf(pkt.BTH.DestQP); ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -14,7 +15,13 @@ import (
 // the remote table.
 func lookupBed(t *testing.T, cfg LookupConfig) (*bed, *LookupTable) {
 	t.Helper()
-	b := newBed(t, 2, switchsim.Config{}, rnic.Config{MTU: 4096})
+	return lookupBedMTU(t, 4096, cfg)
+}
+
+// lookupBedMTU is lookupBed with the memory NIC at the given path MTU.
+func lookupBedMTU(t *testing.T, mtu int, cfg LookupConfig) (*bed, *LookupTable) {
+	t.Helper()
+	b := newBed(t, 2, switchsim.Config{}, rnic.Config{MTU: mtu})
 	cfg.fillDefaults()
 	size := cfg.Entries * cfg.EntrySize()
 	ch := b.establish(t, size, rnic.PSNTolerant, false)
@@ -270,7 +277,7 @@ func TestLookupConfigValidation(t *testing.T) {
 	if _, err := NewLookupTable(ch, LookupConfig{Entries: 0}); err == nil {
 		t.Fatal("zero entries accepted")
 	}
-	if _, err := NewLookupTable(ch, LookupConfig{Entries: 1000}); err == nil {
+	if _, err := NewLookupTable(ch, LookupConfig{Entries: 1000, MaxPktBytes: 16}); err == nil {
 		t.Fatal("table larger than region accepted")
 	}
 	// Recirculation metadata bridges the table index and the pass count in
@@ -286,6 +293,97 @@ func TestLookupConfigValidation(t *testing.T) {
 	}
 	if _, err := NewLookupTable(ch, LookupConfig{Entries: 4, MaxPktBytes: 16, Mode: LookupRecirculate, MaxRecircPasses: 1<<recircPassBits - 1}); err != nil {
 		t.Fatalf("largest pass bound refused: %v", err)
+	}
+}
+
+// TestLookupRefusesEntriesTheMTUWouldSplit: a deposit entry larger than the
+// channel MTU would come back as several response packets, which the data
+// plane cannot join without buffering the packet. At the NIC's default
+// 1024 B MTU the largest packet slot is 1014 B; recirculation reads only the
+// 8-byte action and takes any slot.
+func TestLookupRefusesEntriesTheMTUWouldSplit(t *testing.T) {
+	b := newBed(t, 2, switchsim.Config{}, rnic.Config{MTU: 1024})
+	ch := b.establish(t, 4*(lookupEntryHeader+1536), rnic.PSNTolerant, false)
+	_, err := NewLookupTable(ch, LookupConfig{Entries: 4, MaxPktBytes: 1536})
+	if err == nil {
+		t.Fatal("1546-byte deposit entry accepted at a 1024-byte MTU")
+	}
+	for _, want := range []string{"1546", "1024", "1014"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if _, err := NewLookupTable(ch, LookupConfig{Entries: 4, MaxPktBytes: 1014}); err != nil {
+		t.Fatalf("1024-byte deposit entry refused at a 1024-byte MTU: %v", err)
+	}
+	if _, err := NewLookupTable(ch, LookupConfig{Entries: 4, MaxPktBytes: 1536, Mode: LookupRecirculate}); err != nil {
+		t.Fatalf("recirculation refused for a slot it never reads: %v", err)
+	}
+}
+
+// TestLookupReadSizedToDeposit: the fetch READs back the action, the length
+// prefix and the deposited packet, never the slot's slack. At the NIC's
+// default MTU each answer is one packet, and every frame size up to the slot
+// comes back byte for byte.
+func TestLookupReadSizedToDeposit(t *testing.T) {
+	b, lt := lookupBedMTU(t, 1024, LookupConfig{Entries: 8, MaxPktBytes: 1014})
+	populateAll(t, b, lt, LookupAction{ActNop})
+	var got []byte
+	b.hosts[1].Handler = func(_ *netsim.Port, frame []byte) {
+		got = append(got[:0], frame...)
+	}
+	hdr := wire.EthernetLen + wire.IPv4Len + wire.UDPLen
+	for i, size := range []int{64, 300, 1000, 1014} {
+		payload := make([]byte, size-hdr)
+		for j := range payload {
+			payload[j] = byte(size + j)
+		}
+		sent := wire.BuildDataFrame(b.hosts[0].MAC, b.hosts[1].MAC, b.hosts[0].IP, b.hosts[1].IP,
+			uint16(100+i), 9999, size, payload)
+		want := append([]byte(nil), sent...)
+		read := b.memNIC.Stats.ReadBytes
+		got = got[:0]
+		b.net.Ports(b.hosts[0])[0].Send(sent)
+		b.net.Engine.Run()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d B frame: delivered %d bytes that differ from the sent frame", size, len(got))
+		}
+		if n := b.memNIC.Stats.ReadBytes - read; n != int64(lookupEntryHeader+size) {
+			t.Fatalf("%d B frame: READ fetched %d bytes, want %d", size, n, lookupEntryHeader+size)
+		}
+	}
+	if lt.Stats.BadEntries != 0 || lt.Stats.Applied != 4 {
+		t.Fatalf("stats = %+v, want 4 applied and no bad entry", lt.Stats)
+	}
+}
+
+// TestLookupContinuationPacketNotParsed: a deposit-mode table answers every
+// lookup in one READ response packet, so a Middle packet carries no entry,
+// even when its bytes look like one. It is counted and dropped, never
+// applied.
+func TestLookupContinuationPacketNotParsed(t *testing.T) {
+	b, lt := lookupBedMTU(t, 1024, LookupConfig{Entries: 8, MaxPktBytes: 1014})
+	inner := dataFrame(b.hosts[0], b.hosts[1], 256, 42)
+	entry := make([]byte, lookupEntryHeader+len(inner))
+	action := SetDSCPAction(46)
+	copy(entry, action[:])
+	entry[8], entry[9] = byte(len(inner)>>8), byte(len(inner))
+	copy(entry[lookupEntryHeader:], inner)
+	wire.DefaultPool.Put(inner)
+	ch := lt.chans[0]
+	p := wire.RoCEParams{
+		SrcMAC: ch.PeerMAC, DstMAC: SwitchMAC,
+		SrcIP: ch.PeerIP, DstIP: SwitchIP,
+		UDPSrcPort: 0xC000, DestQP: ch.ID, PSN: 0,
+	}
+	frame := wire.BuildReadResponseInto(wire.DefaultPool, &p, wire.OpReadResponseMiddle, 0, entry)
+	b.sw.Receive(b.sw.Port(b.memPort), frame)
+	b.net.Engine.Run()
+	if b.hosts[1].Received != 0 || lt.Stats.Applied != 0 {
+		t.Fatalf("a Middle response packet was applied: %d delivered, stats %+v", b.hosts[1].Received, lt.Stats)
+	}
+	if lt.Stats.BadEntries != 1 {
+		t.Fatalf("stats = %+v, want 1 bad entry", lt.Stats)
 	}
 }
 

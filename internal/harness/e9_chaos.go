@@ -95,6 +95,7 @@ type E9Result struct {
 	CPending          uint64
 	CExact            bool
 	CDegradedMisses   int64
+	CBadEntries       int64 // malformed lookup answers; must be 0
 	CDegradedUpdates  int64
 	CDegradedBypassed int64
 	CReconciles       int64
@@ -195,7 +196,10 @@ func e9c(cfg E9Config, res *E9Result) {
 	if err != nil {
 		panic(err)
 	}
-	ltCfg := gem.LookupConfig{Entries: 64, MaxPktBytes: 1536}
+	// 1 KiB entries fit the NIC's default 1024 B MTU (the 256 B frames need
+	// far less); a larger MTU would shift the state store's and packet
+	// buffer's timing too.
+	ltCfg := gem.LookupConfig{Entries: 64, MaxPktBytes: 1014}
 	chLT, err := tb.Establish(0, gem.ChannelSpec{
 		RegionBase: 0x10000000, RegionSize: ltCfg.Entries * ltCfg.EntrySize(),
 	})
@@ -287,6 +291,7 @@ func e9c(cfg E9Config, res *E9Result) {
 	res.CPending = ss.PendingTotal()
 	res.CExact = remote+ss.PendingTotal() == uint64(ss.Stats.Updates)
 	res.CDegradedMisses = lt.Stats.DegradedMisses
+	res.CBadEntries = lt.Stats.BadEntries
 	res.CDegradedUpdates = ss.Stats.DegradedUpdates
 	res.CDegradedBypassed = pb.Stats.DegradedBypassed
 	res.CReconciles = ss.Stats.Reconciles
