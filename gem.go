@@ -228,10 +228,6 @@ type Testbed struct {
 	// testbed-wide introspection (Stats).
 	chans []*core.Channel
 
-	// monitor, when installed via SetPressureMonitor, feeds remote-memory
-	// occupancy tiers into Stats.
-	monitor *PressureMonitor
-
 	// scrubbers lists every anti-entropy scrubber built via NewScrubber, so
 	// Stats can fold their check/repair counters into the snapshot.
 	scrubbers []*core.Scrubber
@@ -283,7 +279,8 @@ func (tb *Testbed) SwitchPortOfHost(i int) int { return i }
 func (tb *Testbed) SwitchPortOfMem(i int) int { return len(tb.Hosts) + i }
 
 // defaultRegionBase is the virtual base address of a region whose spec
-// names none, and the first one an Allocator hands out on each server.
+// names none. Each server's memory is its own address space, so channels
+// on different servers may all sit at this base.
 const defaultRegionBase = 0x10000000
 
 // ChannelSpec describes a channel to establish on a memory server.

@@ -374,6 +374,71 @@ func TestPacketBufferRingFullDrops(t *testing.T) {
 	}
 }
 
+// TestPacketBufferRegionGate floods a two-channel ring of 40 entries per
+// channel while loading is paused. The region gate closes when the channel
+// the next entry lands on holds 36 entries (90 %): from then on high
+// priority bypasses and low priority is shed, and the ring never fills, so
+// nothing is lost to RingDrops. Once loading drains the ring below 85 %,
+// the next spill reopens the gate.
+func TestPacketBufferRegionGate(t *testing.T) {
+	const perChan = 40
+	b := newBedN(t, 3, 2, switchsim.Config{}, rnic.Config{MTU: 4096})
+	chans := []*Channel{
+		b.establishOn(t, 0, perChan*2048, rnic.PSNTolerant, false),
+		b.establishOn(t, 1, perChan*2048, rnic.PSNTolerant, false),
+	}
+	pb, err := NewPacketBuffer(chans, 2, PacketBufferConfig{HighWaterBytes: 1}) // spill everything
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.RegisterWith(b.disp)
+	b.sw.Hooks = pb
+	b.sw.Pipeline = switchsim.PipelineFunc(func(ctx *switchsim.Context) {
+		if b.disp.Dispatch(ctx) {
+			return
+		}
+		if ctx.Pkt == nil {
+			ctx.Drop()
+			return
+		}
+		prio := switchsim.PriorityHigh
+		if ctx.Pkt.Eth.Src == b.hosts[1].MAC {
+			prio = switchsim.PriorityLow
+		}
+		pb.AdmitPrio(ctx, ctx.Frame, prio)
+	})
+	send := func(host, n int) {
+		for i := 0; i < n; i++ {
+			b.net.Ports(b.hosts[host])[0].Send(dataFrame(b.hosts[host], b.hosts[2], 1500, 1))
+		}
+		b.net.Engine.Run()
+	}
+	pb.PauseLoading()
+	send(0, 200) // high priority
+	send(1, 10)  // low priority
+	// The gate last looked at channel 1 before its 36th entry went in.
+	st := pb.Stats
+	if st.Stored != 2*36 || pb.Depth() != 72 || pb.PeakOccupancy(0) != 36 || pb.PeakOccupancy(1) != 35 {
+		t.Fatalf("stored %d, depth %d, peak occupancy %d/%d; want 72, 72, 36/35",
+			st.Stored, pb.Depth(), pb.PeakOccupancy(0), pb.PeakOccupancy(1))
+	}
+	if st.RingDrops != 0 || st.PressureBypassed != 200-72 || st.ShedLowPrio != 10 {
+		t.Fatalf("ring drops %d, bypassed %d, shed %d; want 0/128/10",
+			st.RingDrops, st.PressureBypassed, st.ShedLowPrio)
+	}
+	if st.SpillGateEntries != 1 || st.SpillGateExits != 0 {
+		t.Fatalf("gate closed %d, reopened %d; want 1/0", st.SpillGateEntries, st.SpillGateExits)
+	}
+	pb.ResumeLoading()
+	b.net.Engine.Run()
+	send(0, 1)
+	st = pb.Stats
+	if st.SpillGateExits != 1 || st.Stored != 73 || st.Loaded != 73 || st.RingDrops != 0 {
+		t.Fatalf("after drain: gate reopened %d, stored %d, loaded %d, ring drops %d; want 1/73/73/0",
+			st.SpillGateExits, st.Stored, st.Loaded, st.RingDrops)
+	}
+}
+
 func TestPacketBufferOversizeFrameDropped(t *testing.T) {
 	b := newBed(t, 3, switchsim.Config{}, rnic.Config{MTU: 4096})
 	ch := b.establish(t, 1<<20, rnic.PSNTolerant, false)

@@ -108,6 +108,7 @@ type LookupStats struct {
 	RemoteLookups int64 // misses that went to remote memory
 	Applied       int64 // actions applied to packets
 	Deposits      int64 // WRITEs of original packets (deposit mode)
+	DepositFails  int64 // deposit WRITEs refused on the way out; packet dropped
 	RecircPasses  int64 // recirculation passes (recirculate mode)
 	RecircExpired int64 // packets dropped after MaxRecircPasses
 	BadEntries    int64 // malformed remote entries
@@ -340,12 +341,18 @@ func (t *LookupTable) depositAndFetch(ctx *switchsim.Context, frame []byte, idx 
 	deposit[0] = byte(len(frame) >> 8)
 	deposit[1] = byte(len(frame))
 	copy(deposit[2:], frame)
-	// The deposit lands after the 8-byte action field. It is fire-and-forget:
-	// a refused WRITE leaves a stale entry that the fetch-side length check
-	// catches (BadEntries) — no retry state to keep on the switch.
-	//gem:post-ok refused deposit self-heals via the fetch-side BadEntries check (path: TestLookupDepositBouncesPacketThroughRemoteEntry)
-	t.striped.PostWrite(uint64(idx), 8, deposit)
+	// The deposit lands after the 8-byte action field. A refused WRITE
+	// leaves the entry holding its previous packet, which a fetch would
+	// deliver in this one's place: drop the packet instead, and the miss's
+	// reservation with it.
+	ok := t.striped.PostWrite(uint64(idx), 8, deposit)
 	wire.DefaultPool.Put(deposit)
+	if !ok {
+		t.Stats.DepositFails++
+		t.striped.Home(uint64(idx)).DropReservation()
+		ctx.Drop()
+		return
+	}
 	t.Stats.Deposits++
 	// CreditLoose: the fetch goes out whether or not a credit is held — the
 	// switch stores nothing per packet, the window merely meters misses. If

@@ -108,6 +108,42 @@ func TestLookupDepositBouncesPacketThroughRemoteEntry(t *testing.T) {
 	}
 }
 
+// TestLookupRefusedDepositNotReplayed: when the deposit WRITE is refused,
+// the entry still holds the previous packet, so fetching it would deliver
+// that packet a second time in place of the new one. A bandwidth cap that
+// admits the small READ request but not the WRITE refuses B's deposit: B is
+// dropped and counted, A arrives once, and the miss credit comes back.
+func TestLookupRefusedDepositNotReplayed(t *testing.T) {
+	b, lt := lookupBed(t, LookupConfig{Entries: 1, MaxOutstandingMisses: 4})
+	populateAll(t, b, lt, SetDSCPAction(10))
+	var tags []string
+	b.hosts[1].Handler = func(_ *netsim.Port, frame []byte) {
+		var p wire.Packet
+		if err := p.DecodeFromBytes(frame); err == nil && p.HasIPv4 {
+			tags = append(tags, string(p.Payload[:1]))
+		}
+	}
+	send := func(size int, tag string) {
+		b.net.Ports(b.hosts[0])[0].Send(wire.BuildDataFrame(b.hosts[0].MAC, b.hosts[1].MAC,
+			b.hosts[0].IP, b.hosts[1].IP, 1000, 9999, size, []byte(tag)))
+		b.net.Engine.Run()
+	}
+	send(300, "A")
+	// A 200-byte burst at a near-zero rate passes one READ request (under
+	// 100 bytes on the wire) and refuses the ~500-byte WRITE carrying B.
+	lt.chans[0].SetBandwidthCap(1, 200)
+	send(400, "B")
+	if len(tags) != 1 || tags[0] != "A" {
+		t.Fatalf("receiver got payloads %q, want [A]", tags)
+	}
+	if lt.Stats.Deposits != 1 || lt.Stats.DepositFails != 1 || lt.Stats.Applied != 1 {
+		t.Fatalf("stats = %+v, want 1 deposit, 1 refused, 1 applied", lt.Stats)
+	}
+	if cr := lt.ShardCredits(0).Stats; cr.Released != cr.Acquired {
+		t.Fatalf("miss credits unbalanced at quiescence: %+v", cr)
+	}
+}
+
 func TestLookupCachePopulatedAndHit(t *testing.T) {
 	b, lt := lookupBed(t, LookupConfig{Entries: 64, CacheEntries: 128})
 	populateAll(t, b, lt, SetDSCPAction(12))

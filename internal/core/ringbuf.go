@@ -35,12 +35,6 @@ type PacketBufferConfig struct {
 	// ReadLowWatermark is the per-channel window's gate-release point. 0 =
 	// PerChannelWindow-1 (no hysteresis gap).
 	ReadLowWatermark int
-	// SpillHighWaterBytes, when positive, gates spilling per memory
-	// channel: once the egress queue toward a channel's server exceeds it,
-	// new spills stop routing to the ring until the queue drains to half of
-	// it. Gated spills bypass (high priority) or shed (low priority) instead
-	// of piling onto a saturated memory link.
-	SpillHighWaterBytes int
 	// ShedRingEntries, when positive, sheds PriorityLow packets once ring
 	// occupancy reaches this many entries, reserving the remaining ring for
 	// PriorityHigh traffic. 0 = disabled.
@@ -97,14 +91,15 @@ type PacketBufferStats struct {
 	// while the buffer was degraded (spilling suspended).
 	DegradedBypassed int64
 	// ShedLowPrio counts PriorityLow packets dropped at admission because
-	// the ring crossed ShedRingEntries or the spill path was gated.
+	// the ring crossed ShedRingEntries or the region gate was closed.
 	ShedLowPrio int64
 	// PressureBypassed counts PriorityHigh packets sent straight to the
-	// egress queue while spilling was gated — the ordering rule is knowingly
-	// violated to avoid losing exact traffic, and the violation is counted.
+	// egress queue while the region gate was closed — the ordering rule is
+	// knowingly violated to avoid losing exact traffic, and the violation is
+	// counted.
 	PressureBypassed int64
-	// SpillGateEntries / SpillGateExits count the per-channel spill gate's
-	// watermark transitions.
+	// SpillGateEntries / SpillGateExits count the per-channel region gate's
+	// closings and reopenings.
 	SpillGateEntries int64
 	SpillGateExits   int64
 	PostureStats
@@ -153,14 +148,11 @@ type PacketBuffer struct {
 	// needs no reconcile step. The ordering rule is knowingly violated —
 	// that is the degradation contract when remote memory is unreliable.
 
-	// spillGated tracks the per-channel spill gate (SpillHighWaterBytes
-	// hysteresis on the memory-link egress queue).
+	// spillGated is the per-channel region gate: closed while the channel's
+	// share of the ring is past its high watermark (see spillAllowed).
+	// peakOcc is each channel's highest occupancy the gate observed.
 	spillGated []bool
-
-	// AdmitGate, when set, is an external veto consulted before spilling to
-	// a channel — the remote-memory pressure monitor hooks in here to stop
-	// new spills toward servers past their occupancy watermark.
-	AdmitGate func(chanIdx int) bool
+	peakOcc    []int
 
 	// reorder restores global emit order across channels for completed
 	// entries (nil marks a malformed entry consumed without forwarding).
@@ -195,6 +187,7 @@ func NewPacketBuffer(chans []*Channel, outPort int, cfg PacketBufferConfig) (*Pa
 		perChan: perChan, total: perChan * len(chans),
 		reorder:    make(map[uint64][]byte),
 		spillGated: make([]bool, len(chans)),
+		peakOcc:    make([]int, len(chans)),
 	}
 	err := b.init("packet buffer", chans, &b.Stats.PostureStats, 0,
 		&verbs.CreditConfig{
@@ -252,35 +245,37 @@ func (b *PacketBuffer) Reconcile() {
 	b.maybeLoad()
 }
 
-// ChannelOccupancyBytes reports the bytes channel i's ring region currently
-// holds (stored, not yet forwarded) — the pressure monitor's gauge input.
-func (b *PacketBuffer) ChannelOccupancyBytes(i int) int64 {
+// PeakOccupancy reports the most entries channel i's share of the ring held
+// when the region gate looked at it.
+func (b *PacketBuffer) PeakOccupancy(i int) int { return b.peakOcc[i] }
+
+// chanOccupancy counts the entries channel i's region holds (stored, not
+// yet forwarded): the ring entries g in [emitNext, tail) with g ≡ i mod n.
+func (b *PacketBuffer) chanOccupancy(i int) int {
 	n := uint64(len(b.chans))
-	// onChan(x) = number of entries g < x with g ≡ i (mod n).
 	onChan := func(x uint64) uint64 { return (x + n - 1 - uint64(i)) / n }
 	tail, emit := b.cursors.Get(regTail), b.cursors.Get(regEmitNext)
-	return int64(onChan(tail)-onChan(emit)) * int64(b.cfg.EntrySize)
+	return int(onChan(tail) - onChan(emit))
 }
 
 // spillAllowed decides whether a packet of priority prio may route to the
-// remote ring right now, updating the per-channel spill gate's hysteresis
-// for the channel the next entry would land on.
+// remote ring right now. The region gate is a compare over the ring's own
+// cursors: the channel the next entry lands on closes to new spills once
+// its share of the ring reaches 90 % and reopens once it drains to 85 %,
+// so a channel's region never fills while the gate can still divert
+// traffic (store's ring-full check remains the last guard).
 func (b *PacketBuffer) spillAllowed(prio switchsim.Priority) bool {
 	c := b.striped.ShardOf(b.cursors.Get(regTail))
-	if b.cfg.SpillHighWaterBytes > 0 {
-		q := b.sw.QueueBytes(b.chans[c].Port)
-		if !b.spillGated[c] && q >= b.cfg.SpillHighWaterBytes {
-			b.spillGated[c] = true
-			b.Stats.SpillGateEntries++
-		} else if b.spillGated[c] && q <= b.cfg.SpillHighWaterBytes/2 {
-			b.spillGated[c] = false
-			b.Stats.SpillGateExits++
-		}
-		if b.spillGated[c] {
-			return false
-		}
+	occ := b.chanOccupancy(c)
+	b.peakOcc[c] = max(b.peakOcc[c], occ)
+	if !b.spillGated[c] && occ*10 >= 9*b.perChan { // 90 %
+		b.spillGated[c] = true
+		b.Stats.SpillGateEntries++
+	} else if b.spillGated[c] && occ*20 <= 17*b.perChan { // 85 %
+		b.spillGated[c] = false
+		b.Stats.SpillGateExits++
 	}
-	if b.AdmitGate != nil && !b.AdmitGate(c) {
+	if b.spillGated[c] {
 		return false
 	}
 	if prio == switchsim.PriorityLow && b.cfg.ShedRingEntries > 0 &&
@@ -299,10 +294,10 @@ func (b *PacketBuffer) Admit(ctx *switchsim.Context, frame []byte) {
 }
 
 // AdmitPrio is Admit with an admission priority. When the spill path is
-// gated — memory link saturated, remote region past its watermark, or the
-// ring past its low-priority reservation — PriorityHigh packets bypass to
-// the egress queue (ordering knowingly violated, counted in
-// PressureBypassed) and PriorityLow packets are shed (ShedLowPrio).
+// gated — the channel's region past its watermark, or the ring past its
+// low-priority reservation — PriorityHigh packets bypass to the egress
+// queue (ordering knowingly violated, counted in PressureBypassed) and
+// PriorityLow packets are shed (ShedLowPrio).
 func (b *PacketBuffer) AdmitPrio(ctx *switchsim.Context, frame []byte, prio switchsim.Priority) {
 	if b.degraded {
 		b.Stats.DegradedBypassed++

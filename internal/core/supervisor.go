@@ -80,7 +80,7 @@ type SupervisorConfig struct {
 	// Degraded (default 4).
 	DegradeErrors int64
 	// PressureTier is the remote-memory pressure tier treated as a suspect
-	// signal (default 2, the highest standard tier).
+	// signal (default 2, the top of MirrorLagTier's scale).
 	PressureTier int
 }
 

@@ -13,10 +13,10 @@ import (
 //
 //   - Incast: 4 senders at 1×/2×/4× the receiver's line rate through a
 //     packet buffer striped over two memory servers, with per-channel credit
-//     windows, per-server occupancy tiers gating new spills, and priority
-//     shedding (one sender marks DSCP EF). High-priority traffic must be
-//     delivered losslessly at 1× and 2× while low-priority traffic is shed
-//     — counted, never silently.
+//     windows, the buffer's per-channel region gate closing new spills at
+//     90 % of a channel's ring, and priority shedding (one sender marks
+//     DSCP EF). High-priority traffic must be delivered losslessly at 1×
+//     and 2× while low-priority traffic is shed — counted, never silently.
 //   - Lookup-miss + counter storm: every packet both misses the lookup
 //     table (deposit mode) and updates the state store, at rates below and
 //     above the RNIC's atomic ceiling. Credit windows bound in-flight work;
@@ -24,7 +24,7 @@ import (
 //
 // An unbounded ablation (UnlimitedWindow) reruns the 2× points with credit
 // refusal disabled, demonstrating the unbounded-growth baseline the windows
-// prevent.
+// prevent. The region gate has no knob, so it stays on in the ablation.
 
 // E10Config parameterizes the overload experiment.
 type E10Config struct {
@@ -68,10 +68,9 @@ type E10IncastPoint struct {
 	Loaded           int64
 	RingDrops        int64
 	SpillGateEntries int64
-	PeakReads        int64 // max per-channel outstanding READs observed
-	PeakFrac0        float64
+	PeakReads        int64   // max per-channel outstanding READs observed
+	PeakFrac0        float64 // peak occupancy of channel 0's ring share
 	PeakFrac1        float64
-	GlobalTier       int
 	NICPeakTx        int
 	HighLossFree     bool
 }
@@ -103,20 +102,29 @@ type E10Result struct {
 	UnboundedFAAPeak   int64
 	UnboundedMissPeak  int64
 
-	// Snap aggregates the 2× incast and fast-storm testbeds' robustness
-	// counters through the single gem.Stats() surface.
-	Snap gem.StatsSnapshot
+	// CreditRefused and ShedFrames sum the 2× incast and fast-storm
+	// testbeds' counters as read through the gem.Stats() surface.
+	CreditRefused int64
+	ShedFrames    int64
 
 	// PendingEvents sums leftover event-queue entries; it must be 0.
 	PendingEvents int
 }
 
+// addSnap folds the admission counters TestE10 reads from one testbed's
+// snapshot into the result.
+func (r *E10Result) addSnap(s gem.StatsSnapshot) {
+	r.CreditRefused += s.CreditRefused
+	r.ShedFrames += s.ShedFrames
+}
+
 // e10incast runs one incast intensity. bounded=false is the ablation: the
-// credit windows observe but never refuse, spill gates and shedding are off,
-// and no pressure monitor is installed.
+// credit windows observe but never refuse and shedding is off.
 func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10IncastPoint {
 	const (
 		regionBytes = 256 << 10
+		entrySize   = 2048
+		perChan     = regionBytes / entrySize // ring entries per channel
 		senders     = 4
 	)
 	pt := E10IncastPoint{Intensity: intensity}
@@ -126,13 +134,9 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	}
 	recvPort := tb.SwitchPortOfHost(senders)
 
-	alloc, err := tb.NewAllocator(512 << 10)
-	if err != nil {
-		panic(err)
-	}
 	var chans []*gem.Channel
 	for i := 0; i < 2; i++ {
-		ch, _, err := alloc.Allocate(regionBytes, gem.ChannelSpec{})
+		ch, err := tb.Establish(i, gem.ChannelSpec{RegionSize: regionBytes})
 		if err != nil {
 			panic(err)
 		}
@@ -140,20 +144,18 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	}
 
 	pbCfg := gem.PacketBufferConfig{
-		EntrySize:           2048,
+		EntrySize:           entrySize,
 		HighWaterBytes:      64 << 10,
 		LowWaterBytes:       32 << 10,
 		MaxOutstandingReads: 16,
 		PerChannelWindow:    8,
 		ReadLowWatermark:    4,
-		SpillHighWaterBytes: 128 << 10,
 		ShedRingEntries:     160,
 	}
 	if !bounded {
 		pbCfg.UnlimitedWindow = true
 		pbCfg.MaxOutstandingReads = 100000
 		pbCfg.LowWaterBytes = 1 << 20
-		pbCfg.SpillHighWaterBytes = 0
 		pbCfg.ShedRingEntries = 0
 	}
 	pb, err := gem.NewPacketBuffer(chans, recvPort, pbCfg)
@@ -162,20 +164,6 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 	}
 	pb.RegisterWith(tb.Dispatcher)
 	tb.Switch.Hooks = pb
-
-	var mon *gem.PressureMonitor
-	if bounded {
-		mon = gem.NewPressureMonitor()
-		for i := 0; i < 2; i++ {
-			i := i
-			mon.AddServer(i, regionBytes)
-			mon.AddGauge(i, func() int64 { return pb.ChannelOccupancyBytes(i) })
-		}
-		pb.AdmitGate = func(chanIdx int) bool {
-			return mon.Tier(chanIdx) < gem.PressureCritical
-		}
-		tb.SetPressureMonitor(mon)
-	}
 
 	tb.SetPipeline(func(ctx *gem.Context) {
 		if ctx.Pkt == nil || !ctx.Pkt.HasIPv4 {
@@ -237,14 +225,11 @@ func e10incast(cfg E10Config, intensity int, bounded bool, res *E10Result) E10In
 			pt.NICPeakTx = p
 		}
 	}
-	if mon != nil {
-		pt.PeakFrac0 = mon.PeakFrac(0)
-		pt.PeakFrac1 = mon.PeakFrac(1)
-		pt.GlobalTier = int(mon.GlobalTier())
-	}
+	pt.PeakFrac0 = float64(pb.PeakOccupancy(0)) / perChan
+	pt.PeakFrac1 = float64(pb.PeakOccupancy(1)) / perChan
 	pt.HighLossFree = pt.HighDelivered == pt.HighSent
 	if bounded && intensity == 2 {
-		res.Snap = res.Snap.Add(tb.Stats())
+		res.addSnap(tb.Stats())
 	}
 	res.PendingEvents += tb.PendingEvents()
 	return pt
@@ -273,7 +258,7 @@ func e10storm(cfg E10Config, interval sim.Duration, bounded bool, res *E10Result
 	pt.MissPeak = lt.ShardCredits(0).Stats.Peak
 	pt.DroppedUpdates = ss.Stats.DroppedUpdates
 	if bounded && interval == cfg.StormFastInterval {
-		res.Snap = res.Snap.Add(b.tb.Stats())
+		res.addSnap(b.tb.Stats())
 	}
 	res.PendingEvents += b.tb.PendingEvents()
 	return pt
@@ -297,15 +282,15 @@ func RunE10(cfg E10Config) (*Table, E10Result) {
 
 	t := &Table{
 		ID:      "E10",
-		Title:   "overload: credits, pressure tiers, and priority shedding past capacity",
+		Title:   "overload: credits, region gate, and priority shedding past capacity",
 		Columns: []string{"scenario", "invariant", "value", "detail"},
 	}
 	for _, pt := range res.Incast {
 		t.AddRow(fmt.Sprintf("incast %dx", pt.Intensity), "high-prio lossless",
 			fmt.Sprintf("%v", pt.HighLossFree),
-			fmt.Sprintf("high %d/%d, low %d/%d (shed %d), stored %d, peak reads %d, tier %d, peak occ %.2f/%.2f",
+			fmt.Sprintf("high %d/%d, low %d/%d (shed %d), stored %d, peak reads %d, gate closed %d, peak occ %.2f/%.2f",
 				pt.HighDelivered, pt.HighSent, pt.LowDelivered, pt.LowSent,
-				pt.ShedLow, pt.Stored, pt.PeakReads, pt.GlobalTier,
+				pt.ShedLow, pt.Stored, pt.PeakReads, pt.SpillGateEntries,
 				pt.PeakFrac0, pt.PeakFrac1))
 	}
 	for _, pt := range res.Storm {

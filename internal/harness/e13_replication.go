@@ -127,8 +127,8 @@ type E13Result struct {
 	PendingEvents int
 }
 
-// e13bed wires one arm's testbed: one switch host, two memory servers, data
-// regions placed by the anti-affine allocator, probe channels for the
+// e13bed wires one arm's testbed: one switch host, two memory servers, the
+// data region and its replica on different servers, probe channels for the
 // failover heartbeats, and a state store on the primary data channel.
 type e13bed struct {
 	tb             *gem.Testbed
@@ -145,11 +145,14 @@ func e13mkbed(cfg E13Config) *e13bed {
 	if err != nil {
 		panic(err)
 	}
-	alloc, err := tb.NewAllocator(1 << 16)
+	// The primary's data region lives on server 0 and its replica on
+	// server 1: a replica on the same DRAM would die with it.
+	const pMem, rMem = 0, 1
+	dataP, err := tb.Establish(pMem, gem.ChannelSpec{RegionSize: 4096})
 	if err != nil {
 		panic(err)
 	}
-	dataP, dataR, pMem, rMem, err := alloc.AllocateReplicated(4096, gem.ChannelSpec{})
+	dataR, err := tb.Establish(rMem, gem.ChannelSpec{RegionSize: 4096})
 	if err != nil {
 		panic(err)
 	}

@@ -351,10 +351,11 @@ func TestE9(t *testing.T) {
 }
 
 // TestE10 runs the overload experiment for three seeds, twice each. Pins:
-// credit windows bound outstanding work, per-server occupancy respects the
-// high watermark, high-priority traffic stays exact while low-priority shed
-// is nonzero under 2× overload, and the UnlimitedWindow ablation reproduces
-// the unbounded-growth baseline the windows exist to prevent.
+// credit windows bound outstanding work, the region gate closes at 4× and
+// keeps each channel's occupancy at or below 116 of 128 entries,
+// high-priority traffic stays exact while low-priority shed is nonzero
+// under 2× overload, and the UnlimitedWindow ablation reproduces the
+// unbounded-growth baseline the windows exist to prevent.
 func TestE10(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		before := wire.DefaultPool.Stats().Balance()
@@ -370,9 +371,11 @@ func TestE10(t *testing.T) {
 				t.Errorf("seed %d incast %dx: outstanding READs %d exceed per-channel window 8",
 					seed, pt.Intensity, pt.PeakReads)
 			}
-			if pt.PeakFrac0 > 0.91 || pt.PeakFrac1 > 0.91 {
-				t.Errorf("seed %d incast %dx: occupancy %.3f/%.3f exceeded high watermark",
-					seed, pt.Intensity, pt.PeakFrac0, pt.PeakFrac1)
+			// The region gate closes at 90 % of a channel's 128 entries
+			// (occupancy 116), so no channel's share ever holds more.
+			if pt.PeakFrac0 > 116.0/128 || pt.PeakFrac1 > 116.0/128 {
+				t.Errorf("seed %d incast %dx: occupancy %v/%v of 128 entries exceeded 116",
+					seed, pt.Intensity, pt.PeakFrac0*128, pt.PeakFrac1*128)
 			}
 			if pt.Intensity <= 2 && !pt.HighLossFree {
 				t.Errorf("seed %d incast %dx: high-priority loss: %d/%d delivered",
@@ -381,6 +384,9 @@ func TestE10(t *testing.T) {
 			if pt.RingDrops != 0 {
 				t.Errorf("seed %d incast %dx: %d silent ring drops", seed, pt.Intensity, pt.RingDrops)
 			}
+		}
+		if first.Incast[2].SpillGateEntries == 0 {
+			t.Errorf("seed %d: the region gate never closed at 4x overload", seed)
 		}
 		if first.Incast[1].ShedLow == 0 {
 			t.Errorf("seed %d: no low-priority shed at 2x overload", seed)
@@ -415,8 +421,9 @@ func TestE10(t *testing.T) {
 			t.Errorf("seed %d: unbounded storm stayed bounded: FAA %d, miss %d",
 				seed, first.UnboundedFAAPeak, first.UnboundedMissPeak)
 		}
-		if first.Snap.CreditRefused == 0 || first.Snap.ShedFrames == 0 {
-			t.Errorf("seed %d: snapshot missed admission activity: %+v", seed, first.Snap)
+		if first.CreditRefused == 0 || first.ShedFrames == 0 {
+			t.Errorf("seed %d: snapshot missed admission activity: %d refused, %d shed",
+				seed, first.CreditRefused, first.ShedFrames)
 		}
 		if first.PendingEvents != 0 {
 			t.Errorf("seed %d: event queue not quiescent: %d pending", seed, first.PendingEvents)
